@@ -8,14 +8,14 @@
 // Sweep the amount of work performed before the crash and report recovery
 // time, redo operations applied/skipped, and pages reloaded from disk.
 //
-// Experiment R1b — parallel partitioned recovery: sweep the
-// recovery_threads knob on a multi-node crash with a redo-heavy history
-// and report recovery time per worker-stream count. Partitioning the redo
-// pass by page (and undo by key) keeps each stream's line traffic
+// Experiment R1b — partitioned recovery streams: sweep the
+// recovery_streams knob on a multi-node crash with a redo-heavy history
+// and report simulated recovery time per stream count. Partitioning the
+// redo pass by page (and undo by key) keeps each stream's line traffic
 // disjoint, so the line-lock grant chains and header-line transfers that
-// serialise the one-stream pipeline fan out over the survivors' clocks.
-// Results (and speedups vs serial) are written to
-// BENCH_recovery_parallel.json.
+// serialise the one-stream pass fan out over the survivors' clocks. The
+// streams are simulated; the pass runs on one host thread. Results (and
+// speedups vs one stream) are written to BENCH_recovery_streams.json.
 
 #include <fstream>
 
@@ -65,12 +65,12 @@ void Run() {
       " penalty and re-reads\neverything).\n");
 }
 
-/// Redo-heavy multi-node crash workload for the threads sweep: a long
+/// Redo-heavy multi-node crash workload for the streams sweep: a long
 /// update-dominated history with no steal flushes, so almost all of it must
 /// be redone from the logs, and a two-node crash late in the run.
-HarnessConfig ParallelSweepConfig(RecoveryConfig rc, uint32_t threads) {
+HarnessConfig StreamSweepConfig(RecoveryConfig rc, uint32_t streams) {
   HarnessConfig cfg = StandardConfig(rc, /*nodes=*/8, /*seed=*/777);
-  cfg.db.recovery.recovery_threads = threads;
+  cfg.db.recovery.recovery_streams = streams;
   cfg.num_records = 256;
   cfg.workload.txns_per_node = 500;
   cfg.workload.ops_per_txn = 10;
@@ -79,7 +79,7 @@ HarnessConfig ParallelSweepConfig(RecoveryConfig rc, uint32_t threads) {
   // No steal flushes: the stable database stays at its checkpoint image,
   // so every committed update must be redone from the logs — recovery is
   // redo-bound, which is the case the partitioned streams target (the page
-  // reload cost is a fixed floor that is already survivor-parallel).
+  // reload cost is a fixed floor already spread over the survivors).
   cfg.steal_flush_prob = 0.0;
   // A two-node crash late in a long update-heavy history.
   cfg.crashes = {CrashPlan{500 * 10 * 8 * 3 / 4, {2, 3},
@@ -87,44 +87,44 @@ HarnessConfig ParallelSweepConfig(RecoveryConfig rc, uint32_t threads) {
   return cfg;
 }
 
-void RunParallelSweep() {
-  Header("Parallel partitioned recovery: threads vs recovery time",
-         "parallel recovery pipeline (recovery_threads knob), multi-node "
+void RunStreamSweep() {
+  Header("Partitioned recovery streams: streams vs recovery time",
+         "simulated survivor streams (recovery_streams knob), multi-node "
          "crash");
-  Row({"protocol", "threads", "recovery time", "speedup", "redo applied",
+  Row({"protocol", "streams", "recovery time", "speedup", "redo applied",
        "tag undos"},
       20);
 
   json::Value doc = json::Value::Object();
-  doc.Set("bench", json::Value::Str("recovery_parallel"));
+  doc.Set("bench", json::Value::Str("recovery_streams"));
   doc.Set("nodes", json::Value::Uint(8));
   doc.Set("crashed_nodes", json::Value::Uint(2));
   json::Value series = json::Value::Array();
 
   for (auto rc : {RecoveryConfig::VolatileRedoAll(),
                   RecoveryConfig::VolatileSelectiveRedo()}) {
-    SimTime serial_ns = 0;
+    SimTime one_stream_ns = 0;
     json::Value sweep = json::Value::Array();
-    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-      Harness h(ParallelSweepConfig(rc, threads));
+    for (uint32_t streams : {1u, 2u, 4u, 8u}) {
+      Harness h(StreamSweepConfig(rc, streams));
       HarnessReport r = MustRun(h);
       if (r.recoveries.empty()) {
-        Row({rc.Name(), std::to_string(threads), "(no recovery fired)"}, 20);
+        Row({rc.Name(), std::to_string(streams), "(no recovery fired)"}, 20);
         continue;
       }
       const RecoveryOutcome& o = r.recoveries[0];
-      if (threads == 1) serial_ns = o.recovery_time_ns;
+      if (streams == 1) one_stream_ns = o.recovery_time_ns;
       double speedup = o.recovery_time_ns == 0
                            ? 0.0
-                           : double(serial_ns) / double(o.recovery_time_ns);
-      Row({rc.Name(), std::to_string(threads), FmtMs(o.recovery_time_ns),
+                           : double(one_stream_ns) / double(o.recovery_time_ns);
+      Row({rc.Name(), std::to_string(streams), FmtMs(o.recovery_time_ns),
            Fmt(speedup) + "x", std::to_string(o.redo_applied),
            std::to_string(o.tag_undos)},
           20);
       json::Value pt = json::Value::Object();
-      pt.Set("threads", json::Value::Uint(threads));
+      pt.Set("streams", json::Value::Uint(streams));
       pt.Set("recovery_time_ns", json::Value::Uint(o.recovery_time_ns));
-      pt.Set("speedup_vs_serial", json::Value::Double(speedup));
+      pt.Set("speedup_vs_one_stream", json::Value::Double(speedup));
       pt.Set("redo_applied", json::Value::Uint(o.redo_applied));
       pt.Set("redo_skipped", json::Value::Uint(o.redo_skipped));
       pt.Set("undo_applied", json::Value::Uint(o.undo_applied));
@@ -138,16 +138,16 @@ void RunParallelSweep() {
   }
   doc.Set("series", std::move(series));
 
-  std::ofstream out("BENCH_recovery_parallel.json");
+  std::ofstream out("BENCH_recovery_streams.json");
   if (out) {
     out << doc.Dump(2) << "\n";
-    std::printf("wrote BENCH_recovery_parallel.json\n");
+    std::printf("wrote BENCH_recovery_streams.json\n");
   }
   std::printf(
-      "shape check: same redo/undo counts at every thread count (the work\n"
+      "shape check: same redo/undo counts at every stream count (the work\n"
       "is identical; only its partitioning changes), recovery time falling\n"
       "as streams stop contending on line locks and header lines; the\n"
-      "differential test matrix (ctest -L parallel) proves the recovered\n"
+      "differential test matrix (ctest -L streams) proves the recovered\n"
       "state is bit-identical across the sweep.\n");
 }
 
@@ -156,5 +156,5 @@ void RunParallelSweep() {
 
 int main() {
   smdb::bench::Run();
-  smdb::bench::RunParallelSweep();
+  smdb::bench::RunStreamSweep();
 }

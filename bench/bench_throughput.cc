@@ -1,50 +1,30 @@
 // Experiment W1 — normal-operation (failure-free) throughput under each
-// protocol (section 7's overall overhead summary), plus the
-// execution-sharding sweep (ROADMAP item 2): the same seeded schedule
-// replayed across 1..N ThreadPool workers.
+// protocol (section 7's overall overhead summary), plus the execution
+// profile baseline.
 //
 // Runs the same workload, with no crashes, under: plain FA (no IFA
 // provisions), Volatile LBM + Redo All, Volatile LBM + Selective Redo, and
 // both Stable LBM enforcements. Reports throughput and slowdown vs FA.
-// The sweep section then runs a heavier single-protocol workload at each
-// width in --exec-threads (default 1,2,4,8), reporting *host* wall-clock,
-// batch occupancy, and the final StateDigest — which must be bit-identical
-// at every width. Simulated throughput is width-invariant by construction;
-// the wall-clock column is what sharding buys, and it is only honest on a
-// multi-core host (host_cpus is recorded in the JSON for exactly that
-// reason: on a 1-CPU container the sweep can demonstrate correctness and
-// occupancy, not speedup).
+// The profile section then runs a heavier Volatile LBM + Selective Redo
+// workload with the profiler on and writes its sim-time phase breakdown
+// (BENCH_exec_profile.json + .collapsed).
 
-#include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/json.h"
-#include "core/state_digest.h"
 
 namespace smdb::bench {
 namespace {
 
-std::vector<uint32_t> g_widths = {1, 2, 4, 8};
-
-HarnessConfig SweepConfig(uint32_t width) {
+HarnessConfig ProfileConfig() {
   HarnessConfig cfg =
       StandardConfig(RecoveryConfig::VolatileSelectiveRedo(), /*nodes=*/8,
                      /*seed=*/9090);
-  cfg.exec.execution_threads = width;
   cfg.workload.txns_per_node = 200;
   cfg.workload.index_op_ratio = 0.15;
-  // Steal-flush timing is batch-granular at W > 1; keep the sweep in the
-  // provably width-invariant regime so the digest row is a hard check.
   cfg.steal_flush_prob = 0.0;
-  cfg.capture_digests = true;  // one end-of-run digest (no crashes)
-  // Profile every width: planning then runs at the canonical width, so the
-  // reject-reason histogram is width-invariant (asserted below) and the
-  // sweep doubles as the BENCH_exec_profile baseline generator.
   cfg.db.profiler.enabled = true;
   return cfg;
 }
@@ -89,122 +69,29 @@ void Run() {
       "\nread-lock logging, early commits); Stable LBM eager is dominated by"
       "\nper-update disk forces; triggered Stable LBM sits between.\n\n");
 
-  // ---- Execution-sharding sweep (--exec-threads) ----------------------
-  const unsigned host_cpus = std::thread::hardware_concurrency();
-  Header("Execution sharding: the same schedule at 1..N pool workers",
-         "ROADMAP item 2; cf. multicore main-memory recovery, arXiv "
-         "1604.03226");
-  std::printf("host cpus: %u%s\n\n", host_cpus,
-              host_cpus <= 1 ? "  (single-core host: wall-clock speedup "
-                               "cannot manifest here)"
-                             : "");
-  Row({"exec threads", "txn/sim-s", "host wall ms", "speedup", "batches",
-       "batched steps", "solo steps", "digest"},
-      14);
-
-  json::Value sweep = json::Value::Object();
-  sweep.Set("host_cpus", json::Value::Uint(host_cpus));
-  json::Value rows = json::Value::Array();
-  std::vector<std::pair<std::string, json::Value>> profiles;
-  std::string widest_collapsed;
-  ProfilerReport serial_profile;
-  double serial_wall_ms = 0.0;
-  StateDigest serial_digest;
-  for (uint32_t w : g_widths) {
-    Harness h(SweepConfig(w));
-    if (auto s = h.Setup(); !s.ok()) {
-      std::fprintf(stderr, "setup failed: %s\n", s.ToString().c_str());
-      std::abort();
-    }
-    auto t0 = std::chrono::steady_clock::now();
-    HarnessReport r = MustRun(h);
-    auto t1 = std::chrono::steady_clock::now();
-    double wall_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (w == g_widths.front()) serial_wall_ms = wall_ms;
-    const auto& shard = h.executor().shard_stats();
-
-    bool digest_ok = true;
-    if (!r.digests.empty()) {
-      if (w == g_widths.front()) {
-        serial_digest = r.digests.back();
-      } else {
-        digest_ok = r.digests.back() == serial_digest;
-      }
-    }
-    if (!digest_ok) {
-      std::fprintf(stderr,
-                   "execution sharding diverged from serial at W=%u\n", w);
-      std::abort();
-    }
-
-    // Reject attribution is planned at the canonical width, so the counts
-    // must be width-invariant — same hard-check spirit as the digest row.
-    if (w == g_widths.front()) {
-      serial_profile = r.profile;
-    } else if (r.profile.reject != serial_profile.reject ||
-               r.profile.sweeper_solo != serial_profile.sweeper_solo) {
-      std::fprintf(stderr,
-                   "profiler reject attribution diverged at W=%u\n", w);
-      std::abort();
-    }
-    profiles.emplace_back("w" + std::to_string(w), ProfileJsonFromReport(r));
-    widest_collapsed = r.profile.ToCollapsed();
-
-    Row({std::to_string(w), Fmt(r.throughput_tps(), 1), Fmt(wall_ms, 1),
-         Fmt(serial_wall_ms / wall_ms, 2) + "x",
-         std::to_string(shard.batches), std::to_string(shard.batched_steps),
-         std::to_string(shard.solo_steps), digest_ok ? "match" : "DIVERGED"},
-        14);
-
-    json::Value row = json::Value::Object();
-    row.Set("threads", json::Value::Uint(w));
-    row.Set("throughput_tps", json::Value::Double(r.throughput_tps()));
-    row.Set("wall_ms", json::Value::Double(wall_ms));
-    row.Set("speedup_vs_serial", json::Value::Double(serial_wall_ms / wall_ms));
-    row.Set("batches", json::Value::Uint(shard.batches));
-    row.Set("batched_steps", json::Value::Uint(shard.batched_steps));
-    row.Set("solo_steps", json::Value::Uint(shard.solo_steps));
-    row.Set("committed", json::Value::Uint(r.exec.committed));
-    rows.Append(std::move(row));
-  }
-  sweep.Set("widths", std::move(rows));
-  snapshots.emplace_back("exec_sweep", std::move(sweep));
   WriteMetricsSnapshots("BENCH_throughput_metrics.json", snapshots);
-  WriteMetricsSnapshots("BENCH_exec_profile.json", profiles);
-  {
-    std::ofstream out("BENCH_exec_profile.collapsed");
-    if (out) {
-      out << widest_collapsed;
-      std::printf("wrote BENCH_exec_profile.collapsed\n");
-    } else {
-      std::fprintf(stderr, "cannot write BENCH_exec_profile.collapsed\n");
-    }
+
+  // ---- Execution profile ----------------------------------------------
+  Header("Execution profile: where simulated time goes",
+         "Machine::Tick attribution per phase path");
+  Harness h(ProfileConfig());
+  HarnessReport r = MustRun(h);
+  std::printf("txn/sim-s %s over %llu steps, %zu phase cells\n",
+              Fmt(r.throughput_tps(), 1).c_str(),
+              static_cast<unsigned long long>(r.steps),
+              r.profile.phases.size());
+  WriteMetricsSnapshots("BENCH_exec_profile.json",
+                        {{"profile", ProfileJsonFromReport(r)}});
+  std::ofstream out("BENCH_exec_profile.collapsed");
+  if (out) {
+    out << r.profile.ToCollapsed();
+    std::printf("wrote BENCH_exec_profile.collapsed\n");
+  } else {
+    std::fprintf(stderr, "cannot write BENCH_exec_profile.collapsed\n");
   }
-  std::printf(
-      "\nshape check: simulated throughput is identical at every width (the\n"
-      "sharded executor replays the serial schedule); wall-clock drops with\n"
-      "width on a multi-core host, bounded by the batched/solo step ratio.\n");
 }
 
 }  // namespace
 }  // namespace smdb::bench
 
-int main(int argc, char** argv) {
-  const char* list = std::getenv("SMDB_BENCH_EXEC_THREADS");
-  for (int i = 1; i < argc; ++i) {  // explicit flag beats the environment
-    if (std::strncmp(argv[i], "--exec-threads=", 15) == 0) list = argv[i] + 15;
-  }
-  if (list != nullptr && *list != '\0') {
-    smdb::bench::g_widths.clear();
-    for (const char* p = list; *p != '\0';) {
-      char* end = nullptr;
-      unsigned long v = std::strtoul(p, &end, 10);
-      if (end == p) break;
-      if (v >= 1) smdb::bench::g_widths.push_back(static_cast<uint32_t>(v));
-      p = (*end == ',') ? end + 1 : end;
-    }
-    if (smdb::bench::g_widths.empty()) smdb::bench::g_widths = {1};
-  }
-  smdb::bench::Run();
-}
+int main() { smdb::bench::Run(); }

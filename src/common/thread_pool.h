@@ -12,10 +12,10 @@
 
 namespace smdb {
 
-/// Small work-stealing thread pool for host-side recovery work (per-node
-/// log scans, partition planning). The simulator itself stays sequential —
-/// the pool only ever runs pure host-memory reads that touch disjoint or
-/// private state.
+/// Small work-stealing thread pool for running independent simulations
+/// side by side (RunFuzzCampaign / `smdb_fuzz --jobs`: one fresh fuzzer
+/// per seed). The simulator itself is single-threaded and unsynchronised —
+/// a task must never share a Database with another task.
 ///
 /// Design: one deque per worker slot, each guarded by its own mutex. A
 /// worker drains its own deque from the back and, when empty, steals from

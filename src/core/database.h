@@ -138,11 +138,12 @@ class Database {
   Profiler* profiler_ptr() { return profiler_.get(); }
   const DatabaseConfig& config() const { return config_; }
 
-  /// Worker streams for subsequent restart recoveries (1 = serial). The
-  /// knob only affects how recovery work is partitioned, never the
-  /// recovered state — the differential tests assert exactly that.
-  void SetRecoveryThreads(uint32_t threads) {
-    config_.recovery.recovery_threads = threads == 0 ? 1 : threads;
+  /// Simulated survivor streams for subsequent restart recoveries (1 = a
+  /// single stream). The knob only affects how recovery work is
+  /// partitioned, never the recovered state — the differential tests
+  /// assert exactly that.
+  void SetRecoveryStreams(uint32_t streams) {
+    config_.recovery.recovery_streams = streams == 0 ? 1 : streams;
   }
 
  private:

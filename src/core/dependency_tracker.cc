@@ -10,7 +10,6 @@ DependencyTracker::DependencyTracker(Machine* machine) {
 }
 
 void DependencyTracker::OnTxnUpdate(TxnId txn, LineAddr line) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto& txns = line_txns_[line];
   // Cohabiting a line with another active transaction's update makes both
   // transactions dependent: whichever node ends up holding the line, the
@@ -26,7 +25,6 @@ void DependencyTracker::OnTxnUpdate(TxnId txn, LineAddr line) {
 }
 
 void DependencyTracker::OnTxnEnd(TxnId txn) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = txn_lines_.find(txn);
   if (it != txn_lines_.end()) {
     for (LineAddr line : it->second) {
@@ -42,7 +40,6 @@ void DependencyTracker::OnTxnEnd(TxnId txn) {
 }
 
 void DependencyTracker::OnCoherence(const CoherenceEvent& ev) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = line_txns_.find(ev.line);
   if (it == line_txns_.end()) return;
   for (TxnId txn : it->second) {

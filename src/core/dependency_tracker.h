@@ -1,7 +1,6 @@
 #ifndef SMDB_CORE_DEPENDENCY_TRACKER_H_
 #define SMDB_CORE_DEPENDENCY_TRACKER_H_
 
-#include <mutex>
 #include <set>
 #include <unordered_map>
 
@@ -36,25 +35,16 @@ class DependencyTracker {
   /// Transaction finished (commit or abort); forget its state.
   void OnTxnEnd(TxnId txn);
 
-  /// Currently-dependent active transactions. Snapshot under the latch;
-  /// callers (crash handling) run at quiescent points but the copy keeps the
-  /// contract simple.
-  std::set<TxnId> Dependent() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return dependent_;
-  }
+  /// Currently-dependent active transactions.
+  std::set<TxnId> Dependent() const { return dependent_; }
 
   bool IsDependent(TxnId txn) const {
-    std::lock_guard<std::mutex> lk(mu_);
     return dependent_.contains(txn);
   }
 
  private:
   void OnCoherence(const CoherenceEvent& ev);
 
-  /// Guards all three maps: coherence hooks and update notifications arrive
-  /// from concurrent execution workers.
-  mutable std::mutex mu_;
   /// line -> active transactions with uncommitted updates in it.
   std::unordered_map<LineAddr, std::set<TxnId>> line_txns_;
   /// txn -> lines it updated (for cleanup).

@@ -29,23 +29,19 @@ void IfaChecker::RegisterTable(const std::vector<RecordId>& rids) {
 
 void IfaChecker::OnUpdate(TxnId txn, RecordId rid,
                           const std::vector<uint8_t>& value) {
-  std::lock_guard<std::mutex> lk(mu_);
   pending_[txn].records[rid] = value;
 }
 
 void IfaChecker::OnIndexInsert(TxnId txn, uint32_t /*tree*/, uint64_t key,
                                RecordId rid) {
-  std::lock_guard<std::mutex> lk(mu_);
   pending_[txn].index_ops.push_back(IdxOp{true, key, rid});
 }
 
 void IfaChecker::OnIndexDelete(TxnId txn, uint32_t /*tree*/, uint64_t key) {
-  std::lock_guard<std::mutex> lk(mu_);
   pending_[txn].index_ops.push_back(IdxOp{false, key, {}});
 }
 
 void IfaChecker::OnCommit(TxnId txn) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = pending_.find(txn);
   if (it == pending_.end()) return;
   for (auto& [rid, value] : it->second.records) {
@@ -62,7 +58,6 @@ void IfaChecker::OnCommit(TxnId txn) {
 }
 
 void IfaChecker::OnAbort(TxnId txn) {
-  std::lock_guard<std::mutex> lk(mu_);
   pending_.erase(txn);
 }
 

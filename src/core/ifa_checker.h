@@ -2,7 +2,6 @@
 #define SMDB_CORE_IFA_CHECKER_H_
 
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -87,13 +86,6 @@ class IfaChecker : public TxnObserver {
   /// Records the violation and returns the matching Corruption status.
   Status Fail(Violation v);
 
-  /// Guards committed_/committed_index_/pending_: observer callbacks arrive
-  /// from concurrent execution workers. Commutes with footprint-disjoint
-  /// batching — 2PL keeps concurrent committers' record sets disjoint, and
-  /// the executor admits at most one index-touching pick per batch, so
-  /// committed_index_ mutations never race on a key. Verify* runs at
-  /// quiescent points only.
-  mutable std::mutex mu_;
   Database* db_;
   std::map<RecordId, std::vector<uint8_t>> committed_;
   std::map<uint64_t, RecordId> committed_index_;

@@ -1,6 +1,5 @@
 #include "core/lbm_policy.h"
 
-#include "common/atomic_util.h"
 #include "sim/machine.h"
 #include "wal/group_commit.h"
 #include "wal/log_manager.h"
@@ -95,7 +94,7 @@ std::unique_ptr<LbmPolicy> LbmPolicy::Create(LbmKind kind, Machine* machine,
 Status StableEagerLbm::OnUpdateLogged(NodeId node, Lsn /*lsn*/,
                                       const std::vector<LineAddr>& /*lines*/) {
   SMDB_RETURN_IF_ERROR(log_->Force(node, node));
-  AtomicInc(log_->stats().lbm_forces);
+  ++log_->stats().lbm_forces;
   return Status::Ok();
 }
 
@@ -118,7 +117,6 @@ StableTriggeredLbm::StableTriggeredLbm(Machine* machine, LogManager* log)
 
 Status StableTriggeredLbm::OnUpdateLogged(NodeId node, Lsn /*lsn*/,
                                           const std::vector<LineAddr>& lines) {
-  std::lock_guard<std::mutex> lk(mu_);
   for (LineAddr line : lines) {
     machine_->SetLineActive(line, true);
     auto it = active_by_.find(line);
@@ -131,31 +129,20 @@ Status StableTriggeredLbm::OnUpdateLogged(NodeId node, Lsn /*lsn*/,
   return Status::Ok();
 }
 
-NodeId StableTriggeredLbm::ActiveUpdater(LineAddr line) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = active_by_.find(line);
-  return it == active_by_.end() ? kInvalidNode : it->second;
-}
-
 void StableTriggeredLbm::OnCoherence(const CoherenceEvent& ev) {
   if (!ev.active_bit) return;
-  NodeId updater = kInvalidNode;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = active_by_.find(ev.line);
-    if (it == active_by_.end()) return;
-    updater = it->second;
-  }
+  auto it = active_by_.find(ev.line);
+  if (it == active_by_.end()) return;
+  const NodeId updater = it->second;
   if (!machine_->NodeAlive(updater)) return;
   // The departing copy holds uncommitted data whose log records are not yet
   // stable: force the updater's log before the transfer completes. The
   // requesting node (ev.to) stalls for the force, so it pays the latency.
   Status s = log_->Force(ev.to, updater);
-  if (s.ok()) AtomicInc(log_->stats().lbm_forces);
+  if (s.ok()) ++log_->stats().lbm_forces;
 }
 
 void StableTriggeredLbm::OnForced(NodeId node) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = active_lines_.find(node);
   if (it == active_lines_.end()) return;
   for (LineAddr line : it->second) {

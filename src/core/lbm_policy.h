@@ -2,7 +2,6 @@
 #define SMDB_CORE_LBM_POLICY_H_
 
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -48,16 +47,6 @@ class LbmPolicy {
   /// at `lsn`.
   virtual Status OnUpdateLogged(NodeId node, Lsn lsn,
                                 const std::vector<LineAddr>& lines) = 0;
-
-  /// Node whose unforced update currently keeps `line` active, or
-  /// kInvalidNode. The sharded executor asks this at plan time: a step
-  /// whose footprint covers an active line may trigger a cross-node log
-  /// force of the updater, so the updater's log must not be receiving
-  /// concurrent appends in the same batch. Policies without migration
-  /// triggers never force cross-node and report kInvalidNode.
-  virtual NodeId ActiveUpdater(LineAddr /*line*/) const {
-    return kInvalidNode;
-  }
 };
 
 /// Volatile LBM (also used for the no-LBM baseline, where the volatile log
@@ -98,7 +87,6 @@ class StableTriggeredLbm : public LbmPolicy {
   LbmKind kind() const override { return LbmKind::kStableTriggered; }
   Status OnUpdateLogged(NodeId node, Lsn lsn,
                         const std::vector<LineAddr>& lines) override;
-  NodeId ActiveUpdater(LineAddr line) const override;
 
  private:
   void OnCoherence(const CoherenceEvent& ev);
@@ -106,10 +94,6 @@ class StableTriggeredLbm : public LbmPolicy {
 
   Machine* machine_;
   LogManager* log_;
-  /// Guards the two maps below. Never held across a log force: OnCoherence
-  /// copies the updater out first, because Force re-enters this policy
-  /// through the force hook (OnForced).
-  mutable std::mutex mu_;
   /// line -> node whose unforced update made it active.
   std::unordered_map<LineAddr, NodeId> active_by_;
   /// node -> its active lines (for clearing on force).

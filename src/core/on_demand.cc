@@ -134,6 +134,17 @@ Status OnDemandRecovery::Activate(const RecoveryManager::Ctx& ctx,
   return Status::Ok();
 }
 
+std::map<NodeId, uint64_t> OnDemandRecovery::PendingDeadTags() const {
+  std::map<NodeId, uint64_t> out;
+  if (!active_ || !tagged_) return out;
+  out = ctx_.inherited_dead_tags;
+  for (NodeId n : ctx_.dead_set) {
+    uint64_t& cutoff = out[n];
+    cutoff = std::max(cutoff, ctx_.tag_scan_usn_cutoff);
+  }
+  return out;
+}
+
 bool OnDemandRecovery::StaleCommittedTag(uint64_t usn, NodeId tagged) const {
   auto it = usn_owner_.find(usn);
   if (it != usn_owner_.end()) {
@@ -274,8 +285,7 @@ Status OnDemandRecovery::DischargeRecordTag(NodeId performer, RecordId rid) {
   SMDB_ASSIGN_OR_RETURN(SlotImage img, rs.ReadSlot(performer, rid));
   if (img.tag == kTagNone) return Status::Ok();
   NodeId tagged = NodeOfTag(img.tag);
-  if (!ctx_.dead_set.contains(tagged)) return Status::Ok();
-  if (img.usn > ctx_.tag_scan_usn_cutoff) return Status::Ok();
+  if (!ctx_.DeadTag(tagged, img.usn)) return Status::Ok();
   if (StaleCommittedTag(img.usn, tagged)) {
     // Commit happened; only the tag-clear was lost. Clear it now.
     LineAddr line = rs.SlotLine(rid);
@@ -317,8 +327,7 @@ Status OnDemandRecovery::DischargeKeyTag(NodeId performer, KeyId key) {
   for (const auto& ref : refs) {
     if (ref.entry.tag == kTagNone) continue;
     NodeId tagged = NodeOfTag(ref.entry.tag);
-    if (!ctx_.dead_set.contains(tagged)) continue;
-    if (ref.entry.usn > ctx_.tag_scan_usn_cutoff) continue;
+    if (!ctx_.DeadTag(tagged, ref.entry.usn)) continue;
     if (StaleCommittedTag(ref.entry.usn, tagged)) {
       SMDB_RETURN_IF_ERROR(index.ClearTag(performer, key.second));
     } else if (ref.entry.state == LeafEntryState::kLive) {
@@ -334,170 +343,25 @@ Status OnDemandRecovery::DischargeKeyTag(NodeId performer, KeyId key) {
 
 Result<int> OnDemandRecovery::SweepStep(int max_objects) {
   if (!active_) return 0;
-  RecoveryManager& rm = db_->recovery();
-  ThreadPool* pool = ctx_.threads > 1 ? rm.pool_.get() : nullptr;
   Profiler* prof = db_->profiler_ptr();
-  const bool profiled = prof != nullptr && prof->enabled();
-  // Attribute a solo (off-pool) discharge: per-reason counter + trace
-  // instant, before the discharge runs so the performer's clock still
-  // reads its pre-discharge value.
-  auto count_solo = [&](SweeperSoloReason r, NodeId performer) {
-    if (!profiled) return;
-    prof->CountSweeperSolo(r);
-    SMDB_TRACE(db_->tracer_ptr(),
-               {.kind = TraceEventKind::kSweepSolo,
-                .node = performer,
-                .ts = db_->machine().NodeClock(performer),
-                .label = SweeperSoloReasonName(r)});
-  };
   int done = 0;
   while (done < max_objects && sweep_pos_ < sweep_order_.size()) {
-    if (pool == nullptr) {
-      auto [usn, which] = sweep_order_[sweep_pos_++];
-      (void)usn;
-      if (!which.first) {
-        RecordId rid = sweep_rids_[which.second];
-        if (discharged_rids_.contains(rid)) continue;  // first touch beat us
-        NodeId performer = ctx_.NextSurvivor();
-        count_solo(SweeperSoloReason::kSerialSweep, performer);
-        ProfRoot root(prof, ProfPhase::kSweep);
-        SMDB_RETURN_IF_ERROR(DischargeRecord(performer, rid, Via::kSweep));
-      } else {
-        KeyId key = sweep_keys_[which.second];
-        if (discharged_keys_.contains(key)) continue;
-        NodeId performer = ctx_.NextSurvivor();
-        count_solo(SweeperSoloReason::kSerialSweep, performer);
-        ProfRoot root(prof, ProfPhase::kSweep);
-        SMDB_RETURN_IF_ERROR(DischargeKey(performer, key, Via::kSweep));
-      }
-      ++done;
-      continue;
-    }
-
-    // Pool-backed sweep: gather a maximal run (in sweep order) of heap
-    // records that provably need only USN-guarded redo applies — no undo
-    // obligations (those allocate CLR USNs), no dead-node tag, page already
-    // loaded — on pairwise-distinct pages, so the batch members' line
-    // footprints are disjoint. Performers are drawn at plan time, in sweep
-    // order, keeping the round-robin sequence identical to the serial
-    // sweeper; USN-allocating work always runs solo, in order, so the
-    // global USN stream (and every digest) is width-invariant.
-    struct PlannedSweep {
-      RecordId rid;
-      NodeId performer;
-      std::vector<size_t> redo;  // indices into redo_, disjoint per member
-    };
-    std::vector<PlannedSweep> batch;
-    std::set<PageId> batch_pages;
-    bool solo_next = false;
-    while (done + static_cast<int>(batch.size()) < max_objects &&
-           sweep_pos_ < sweep_order_.size()) {
-      auto [usn, which] = sweep_order_[sweep_pos_];
-      (void)usn;
-      if (which.first) {
-        solo_next = true;  // index keys descend the tree: solo
-        break;
-      }
+    auto [usn, which] = sweep_order_[sweep_pos_++];
+    (void)usn;
+    if (!which.first) {
       RecordId rid = sweep_rids_[which.second];
-      if (discharged_rids_.contains(rid)) {
-        ++sweep_pos_;
-        continue;
-      }
-      bool clean = !pending_pages_.contains(rid.page);
-      auto it = records_.find(rid);
-      if (clean && it != records_.end() && !it->second.undo.empty()) {
-        clean = false;
-      }
-      if (clean && tagged_) {
-        // Host-side snoop is sound here: the page is loaded, and nothing
-        // can touch a still-pending object between plan and apply.
-        auto img = db_->records().SnoopSlot(rid);
-        if (!img.ok() || img->tag != kTagNone) clean = false;
-      }
-      if (!clean) {
-        solo_next = true;
-        break;
-      }
-      if (batch_pages.contains(rid.page)) break;  // flush, then new batch
-      PlannedSweep ps;
-      ps.rid = rid;
-      ps.performer = ctx_.NextSurvivor();
-      if (it != records_.end()) ps.redo = it->second.redo;
-      batch_pages.insert(rid.page);
-      batch.push_back(std::move(ps));
-      ++sweep_pos_;
-    }
-
-    if (batch.size() == 1) {
-      // No parallelism to exploit; the planned performer keeps the
-      // round-robin stream identical either way.
-      count_solo(SweeperSoloReason::kLoneRecord, batch[0].performer);
+      if (discharged_rids_.contains(rid)) continue;  // first touch beat us
       ProfRoot root(prof, ProfPhase::kSweep);
       SMDB_RETURN_IF_ERROR(
-          DischargeRecord(batch[0].performer, batch[0].rid, Via::kSweep));
-      ++done;
-    } else if (!batch.empty()) {
-      in_discharge_ = true;
-      std::vector<Status> st(batch.size());
-      pool->ParallelFor(batch.size(), [&](size_t gi) {
-        const PlannedSweep& ps = batch[gi];
-        for (size_t i : ps.redo) {
-          if (redo_done_[i]) continue;
-          Status s = rm.ApplyRedoUpdate(ctx_, ps.performer, redo_[i]);
-          if (!s.ok()) {
-            st[gi] = s;
-            return;
-          }
-          redo_done_[i] = true;
-        }
-      });
-      in_discharge_ = false;
-      for (const Status& s : st) SMDB_RETURN_IF_ERROR(s);
-      ++stats_.sweep_batches;
-      stats_.sweep_batched_records += batch.size();
-      for (const PlannedSweep& ps : batch) {
-        records_.erase(ps.rid);
-        discharged_rids_.insert(ps.rid);
-        CountDischarge(Via::kSweep);
-        ++done;
-      }
+          DischargeRecord(ctx_.NextSurvivor(), rid, Via::kSweep));
+    } else {
+      KeyId key = sweep_keys_[which.second];
+      if (discharged_keys_.contains(key)) continue;
+      ProfRoot root(prof, ProfPhase::kSweep);
+      SMDB_RETURN_IF_ERROR(
+          DischargeKey(ctx_.NextSurvivor(), key, Via::kSweep));
     }
-
-    if (solo_next && done < max_objects &&
-        sweep_pos_ < sweep_order_.size()) {
-      auto [usn, which] = sweep_order_[sweep_pos_++];
-      (void)usn;
-      if (!which.first) {
-        RecordId rid = sweep_rids_[which.second];
-        if (!discharged_rids_.contains(rid)) {
-          NodeId performer = ctx_.NextSurvivor();
-          if (profiled) {
-            // Re-derive the planner's disqualification, in its check order:
-            // page image pending, CLR-allocating undo work, dead-node tag.
-            SweeperSoloReason r = SweeperSoloReason::kTagDischarge;
-            if (pending_pages_.contains(rid.page)) {
-              r = SweeperSoloReason::kPageLoad;
-            } else if (auto it = records_.find(rid);
-                       it != records_.end() && !it->second.undo.empty()) {
-              r = SweeperSoloReason::kUndoObligation;
-            }
-            count_solo(r, performer);
-          }
-          ProfRoot root(prof, ProfPhase::kSweep);
-          SMDB_RETURN_IF_ERROR(DischargeRecord(performer, rid, Via::kSweep));
-          ++done;
-        }
-      } else {
-        KeyId key = sweep_keys_[which.second];
-        if (!discharged_keys_.contains(key)) {
-          NodeId performer = ctx_.NextSurvivor();
-          count_solo(SweeperSoloReason::kIndexDescent, performer);
-          ProfRoot root(prof, ProfPhase::kSweep);
-          SMDB_RETURN_IF_ERROR(DischargeKey(performer, key, Via::kSweep));
-          ++done;
-        }
-      }
-    }
+    ++done;
   }
   if (sweep_pos_ >= sweep_order_.size() && pending_objects() == 0) {
     SMDB_RETURN_IF_ERROR(FinishResidual());

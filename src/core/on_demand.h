@@ -56,17 +56,16 @@ class OnDemandRecovery {
     uint64_t sweep_discharges = 0;
     uint64_t drain_discharges = 0;
     uint64_t pages_loaded_lazily = 0;
-    /// Pool-backed sweep batches dispatched via ParallelFor
-    /// (recovery_threads > 1 only; solo discharges don't count) and the
-    /// records they applied. Tests assert these to prove the parallel
-    /// path actually ran.
-    uint64_t sweep_batches = 0;
-    uint64_t sweep_batched_records = 0;
   };
   const Stats& stats() const { return stats_; }
 
   /// Objects still carrying deferred obligations.
   size_t pending_objects() const { return records_.size() + keys_.size(); }
+
+  /// While active with tag work pending: every dead node of this recovery
+  /// (and any it inherited) with the USN cutoff up to which its tags are
+  /// still this recovery's business. A superseding recovery inherits them.
+  std::map<NodeId, uint64_t> PendingDeadTags() const;
 
   /// Drops all pending state. A new recovery supersedes the old one (its
   /// obligations are re-derived from stable storage), so RecoveryManager
@@ -90,17 +89,6 @@ class OnDemandRecovery {
   /// global-USN order; finishes the residual work (unreferenced page loads,
   /// the deferred tag scan) once no objects remain. Returns the number of
   /// objects discharged.
-  ///
-  /// With recovery_threads > 1 the sweep batches consecutive heap records
-  /// that provably need only USN-guarded redo applies — no undo
-  /// obligations, no dead-node tag, page already loaded — onto the
-  /// RecoveryManager's work-stealing pool, one page per batch member so
-  /// their line footprints are disjoint. Anything that allocates USNs or
-  /// touches the B+-tree runs solo, in sweep order, so the USN stream (and
-  /// therefore every digest) is identical at any width. ParallelFor is the
-  /// drain barrier: SweepStep returns only after every batched apply has
-  /// retired, so DrainAll/DrainRecovery never observes a half-applied
-  /// batch.
   Result<int> SweepStep(int max_objects);
 
   /// Applies every remaining obligation in the eager phase order (heap
@@ -148,11 +136,9 @@ class OnDemandRecovery {
   RecoveryManager::Ctx ctx_;
 
   std::vector<LogRecord> redo_;  // global-USN order, entry-level only
-  /// uint8_t, not bool: parallel sweep tasks set disjoint indices from pool
-  /// threads, and vector<bool>'s bit packing would make that a data race.
-  std::vector<uint8_t> redo_done_;
+  std::vector<bool> redo_done_;
   RecoveryManager::UndoWork undo_;
-  std::vector<uint8_t> undo_done_;
+  std::vector<bool> undo_done_;
 
   std::map<RecordId, Pending> records_;
   std::map<KeyId, Pending> keys_;

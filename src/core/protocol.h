@@ -1,7 +1,6 @@
 #ifndef SMDB_CORE_PROTOCOL_H_
 #define SMDB_CORE_PROTOCOL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -56,16 +55,16 @@ struct RecoveryConfig {
   /// nested top-level actions (Table 1 row 1; required for IFA).
   bool early_commit_structural = true;
 
-  /// Worker streams for the partitioned parallel recovery pipeline. 1 (the
-  /// default) is the serial path with today's exact behaviour. N > 1 runs
-  /// restart recovery as N deterministic worker streams: log scans fan out
-  /// over a host-side work-stealing thread pool, and the redo/undo passes
-  /// partition their work by page (heap) and key (index) so each stream's
-  /// line traffic stays disjoint — the simulated recovery time shrinks
-  /// accordingly. Orthogonal to protocol identity: FlagName()/presets
-  /// ignore it, and the recovered machine state is bit-identical to the
-  /// serial run (see tests/recovery_equivalence_test.cc).
-  uint32_t recovery_threads = 1;
+  /// Simulated survivor streams for partitioned restart recovery. 1 (the
+  /// default) is the classic single-stream pass. N > 1 pins N streams to
+  /// surviving performers and partitions the redo/undo passes by page
+  /// (heap) and key (index), so each stream's line traffic stays disjoint
+  /// and the simulated recovery time shrinks accordingly. The pass still
+  /// runs serially on the host. Orthogonal to protocol identity:
+  /// FlagName()/presets ignore it, and the recovered machine state is
+  /// bit-identical to the single-stream run (see
+  /// tests/recovery_equivalence_test.cc).
+  uint32_t recovery_streams = 1;
 
   /// Group-commit log-force pipeline (off = exact classic behaviour: every
   /// commit and every Stable-LBM eager event forces the log synchronously).
@@ -157,96 +156,19 @@ struct RecoveryConfig {
   }
 };
 
-/// Execution-sharding configuration: how many host worker threads the
-/// SystemExecutor spreads per-node transaction steps across. 1 (the
-/// default) is the classic single-threaded dispatch loop, bit-for-bit. N >
-/// 1 plans batches of footprint-disjoint steps off the same seeded
-/// schedule and runs each batch on the work-stealing ThreadPool; the final
-/// database state (StateDigest) is width-invariant (see DESIGN.md,
-/// "Sharded execution").
-struct ExecutionConfig {
-  uint32_t execution_threads = 1;
-  /// Canonical batch-planning width used whenever the profiler is enabled:
-  /// the planner runs at max(execution_threads, profile_plan_width) so
-  /// batch composition — and with it every reject-reason count and the
-  /// occupancy histogram — is identical at any execution_threads setting.
-  /// Execution still uses the configured pool (ParallelFor handles batches
-  /// wider than the worker count), and the StateDigest is plan-width
-  /// invariant by the schedule-replay construction.
-  uint32_t profile_plan_width = 8;
-};
-
 /// Source of global update sequence numbers. USNs generalise Page-LSNs:
 /// strict 2PL serialises updates to any one record, so USN order is
 /// consistent with the update order on every record (and with commit
 /// order). In a real SM machine this is a fetch-and-add on a shared
 /// counter; the cost is charged by the caller as part of the update
 /// protocol.
-///
-/// Sharded execution replays the serial schedule in batches, and the USNs
-/// drawn inside a batch must come out in the batch's serial rank order even
-/// though the steps run on different host threads. Spinning for a turn
-/// would deadlock on a work-stealing pool (a thread waiting for rank r-1
-/// can have rank r-1's task queued behind it), so ranks are *pre-assigned*
-/// instead: the planner knows every ranked step allocates exactly one USN
-/// (DoUpdate) except the single index-touching step, which it ranks last.
-/// BeginRankedBatch(n) charges n single allocations up front; rank r's one
-/// allocation returns base + r with no synchronisation at all, and the
-/// last-ranked (multi-allocating) step draws from the remaining tail,
-/// alone. The resulting sequence is byte-identical to the serial schedule.
 class UsnSource {
  public:
-  uint64_t Next() {
-    if (batch_mode_) {
-      Ticket& t = ThisThreadTicket();
-      if (t.rank >= 0 && !t.multi && !t.claimed) {
-        t.claimed = true;
-        return base_ + static_cast<uint64_t>(t.rank);
-      }
-      // The tail (index step, ranked last) or an unexpected extra
-      // allocation: atomic, so a planner miss degrades to a USN-order
-      // deviation (caught by the differential digests), never a torn
-      // counter.
-      return std::atomic_ref<uint64_t>(next_).fetch_add(
-          1, std::memory_order_relaxed);
-    }
-    return next_++;
-  }
+  uint64_t Next() { return next_++; }
   uint64_t current() const { return next_ - 1; }
 
-  /// Arms batch mode and pre-charges `ranked_singles` one-USN steps: rank
-  /// r in [0, ranked_singles) will be handed base + r. A multi-allocating
-  /// step must be ranked `ranked_singles` (the tail) and flagged via
-  /// SetThreadRank(rank, /*multi=*/true).
-  void BeginRankedBatch(uint32_t ranked_singles) {
-    base_ = next_;
-    next_ += ranked_singles;
-    batch_mode_ = true;
-  }
-  void EndRankedBatch() { batch_mode_ = false; }
-
-  /// Declares the calling worker's serial rank for the step it is about to
-  /// run; rank -1 = unranked (the step allocates no USN). `multi` marks
-  /// the tail step that may allocate several USNs.
-  void SetThreadRank(int rank, bool multi = false) {
-    ThisThreadTicket() = {rank, multi, false};
-  }
-  void ClearThreadRank() { ThisThreadTicket() = {-1, false, false}; }
-
  private:
-  struct Ticket {
-    int rank = -1;
-    bool multi = false;
-    bool claimed = false;
-  };
-  static Ticket& ThisThreadTicket() {
-    static thread_local Ticket t;
-    return t;
-  }
-
   uint64_t next_ = 1;
-  uint64_t base_ = 0;
-  bool batch_mode_ = false;
 };
 
 }  // namespace smdb

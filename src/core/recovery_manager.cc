@@ -4,7 +4,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "common/atomic_util.h"
 #include "core/database.h"
 #include "core/on_demand.h"
 #include "core/stable_state.h"
@@ -70,32 +69,22 @@ uint64_t KeyPartition(const IndexOpPayload& op) {
   return Mix64(op.key ^ (uint64_t{op.tree_id} << 32));
 }
 
-/// Pins worker stream i to survivors[i % survivors]: with W <= survivors
-/// each stream owns a distinct node clock; with W > survivors the extra
-/// streams share performers (the simulator has no more parallelism to
+/// Pins stream i to survivors[i % survivors]: with W <= survivors each
+/// stream owns a distinct node clock; with W > survivors the extra streams
+/// share performers (the simulated machine has no more parallelism to
 /// give, but determinism is preserved).
-void PinStreams(std::vector<NodeId>* streams, uint32_t threads,
+void PinStreams(std::vector<NodeId>* streams, uint32_t num_streams,
                 const std::vector<NodeId>& survivors) {
   streams->clear();
-  for (uint32_t i = 0; i < threads; ++i) {
+  for (uint32_t i = 0; i < num_streams; ++i) {
     streams->push_back(survivors[i % survivors.size()]);
   }
 }
 
 }  // namespace
 
-void RecoveryManager::ForEachNodeParallel(
-    const Ctx& ctx, const std::function<void(NodeId)>& fn) {
-  const uint16_t n = db_->machine().num_nodes();
-  if (ctx.threads <= 1 || pool_ == nullptr) {
-    for (NodeId i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  pool_->ParallelFor(n, [&](size_t i) { fn(static_cast<NodeId>(i)); });
-}
-
 NodeId RecoveryManager::RedoPerformer(Ctx& ctx, const LogRecord& rec) {
-  if (ctx.threads <= 1) {
+  if (ctx.num_streams <= 1) {
     // Legacy serial rule: a surviving node replays its own records.
     return db_->machine().NodeAlive(rec.node) ? rec.node : ctx.NextSurvivor();
   }
@@ -106,7 +95,7 @@ NodeId RecoveryManager::RedoPerformer(Ctx& ctx, const LogRecord& rec) {
 }
 
 NodeId RecoveryManager::UndoPerformer(Ctx& ctx, const LogRecord& rec) {
-  if (ctx.threads <= 1) return ctx.NextSurvivor();
+  if (ctx.num_streams <= 1) return ctx.NextSurvivor();
   if (rec.type == LogRecordType::kUpdate) {
     return ctx.StreamPerformer(rec.update().rid.page);
   }
@@ -166,14 +155,8 @@ Status RecoveryManager::BuildContext(const std::vector<NodeId>& crashed,
   // transaction's node crashed (or crashed and restarted), and the
   // compensations a previous recovery wrote for it are themselves volatile
   // until flushed or forced.
-  // The per-node log analysis fans out over the pool when recovery_threads
-  // > 1 — each task reads one node's logs into its own slot (host-side
-  // only), and the final set unions are sequential and order-independent,
-  // so the classification is identical to the serial scan.
   const uint16_t num_nodes = db_->machine().num_nodes();
-  std::vector<std::set<TxnId>> node_volatile_finished(num_nodes);
-  std::vector<std::set<TxnId>> node_uncommitted(num_nodes);
-  ForEachNodeParallel(*ctx, [&](NodeId c) {
+  for (NodeId c = 0; c < num_nodes; ++c) {
     std::set<TxnId> begun, finished;
     db_->log().ForEachStable(c, [&](const LogRecord& rec) {
       if (rec.txn == kInvalidTxn) return;
@@ -206,17 +189,11 @@ Status RecoveryManager::BuildContext(const std::vector<NodeId>& crashed,
     for (TxnId t : begun) {
       if (finished.contains(t)) continue;
       if (tail_finished.contains(t)) {
-        node_volatile_finished[c].insert(t);
+        ctx->volatile_finished.insert(t);
       } else {
-        node_uncommitted[c].insert(t);
+        ctx->uncommitted_ids.insert(t);
       }
     }
-  });
-  for (NodeId c = 0; c < num_nodes; ++c) {
-    ctx->volatile_finished.insert(node_volatile_finished[c].begin(),
-                                  node_volatile_finished[c].end());
-    ctx->uncommitted_ids.insert(node_uncommitted[c].begin(),
-                                node_uncommitted[c].end());
   }
   return Status::Ok();
 }
@@ -244,13 +221,11 @@ Status RecoveryManager::ApplyRedoUpdate(Ctx& ctx, NodeId performer,
   const UpdatePayload& u = rec.update();
   RecordStore& rs = db_->records();
   SMDB_ASSIGN_OR_RETURN(SlotImage cur, rs.ReadSlot(performer, u.rid));
-  // Atomic: the on-demand sweeper batches disjoint-page redo applies onto
-  // pool threads, which share these counters.
   if (cur.usn >= u.usn) {
-    AtomicInc(ctx.out.redo_skipped);
+    ++ctx.out.redo_skipped;
     return Status::Ok();
   }
-  AtomicInc(ctx.out.redo_applied);
+  ++ctx.out.redo_applied;
   uint16_t tag = kTagNone;
   if (!u.is_clr && db_->config().recovery.undo_tagging() &&
       ctx.uncommitted_ids.contains(rec.txn)) {
@@ -335,12 +310,11 @@ Status RecoveryManager::ApplyRedoStructural(Ctx& ctx, NodeId performer,
 
 Status RecoveryManager::ReplayLogsWithGuard(Ctx& ctx) {
   std::vector<LogRecord> records;
-  SMDB_RETURN_IF_ERROR(CollectRedoRecords(ctx, &records));
+  SMDB_RETURN_IF_ERROR(CollectRedoRecords(&records));
   return ApplyRedoRecords(ctx, records);
 }
 
-Status RecoveryManager::CollectRedoRecords(Ctx& ctx,
-                                           std::vector<LogRecord>* out) {
+Status RecoveryManager::CollectRedoRecords(std::vector<LogRecord>* out) {
   Machine& m = db_->machine();
   // Gather the redo-relevant records from every reachable log, then apply
   // them in global USN order. Record updates are order-free under the USN
@@ -349,36 +323,21 @@ Status RecoveryManager::CollectRedoRecords(Ctx& ctx,
   // dropped. Strict 2PL makes USN order consistent with the original
   // execution order on every object, so a single sorted pass repeats
   // history exactly.
-  // The collection is partitioned by log: one task per node-log, each
-  // filling its own slot (log scans are pure host-side reads — the
-  // simulator is never touched from pool threads). Each node's log is
-  // USN-monotone in LSN order, so the slots are pre-sorted runs and the
-  // global sort below is effectively the deterministic k-way merge of the
-  // per-node streams; its result is independent of scan scheduling.
-  std::vector<std::vector<LogRecord>> per_node(m.num_nodes());
-  ForEachNodeParallel(ctx, [&](NodeId n) {
+  std::vector<LogRecord>& records = *out;
+  for (NodeId n = 0; n < m.num_nodes(); ++n) {
     Lsn start = db_->log().checkpoint_lsn(n);
     auto visit = [&](const LogRecord& rec) {
       if (rec.lsn <= start && start != kInvalidLsn) return;
       if (rec.type == LogRecordType::kUpdate ||
           rec.type == LogRecordType::kIndexOp ||
           rec.type == LogRecordType::kStructural) {
-        per_node[n].push_back(rec);
+        records.push_back(rec);
       }
     };
     if (m.NodeAlive(n)) {
       db_->log().ForEachAll(n, visit);
     } else {
       db_->log().ForEachStable(n, visit);
-    }
-  });
-  std::vector<LogRecord>& records = *out;
-  {
-    size_t total = 0;
-    for (const auto& v : per_node) total += v.size();
-    records.reserve(total);
-    for (auto& v : per_node) {
-      records.insert(records.end(), v.begin(), v.end());
     }
   }
   auto usn_of = [](const LogRecord& rec) {
@@ -411,7 +370,7 @@ Status RecoveryManager::ApplyRedoRecords(Ctx& ctx,
   // touch or sweep), in this same global-USN order for whatever remains at
   // drain time.
   if (ctx.lazy) return Status::Ok();
-  // Entry-level replay stays in global USN order regardless of thread
+  // Entry-level replay stays in global USN order regardless of stream
   // count (the partitioned streams change *who* performs each record, not
   // *when*): same-page records replay in USN order by construction, and the
   // applied/skipped decisions — which depend only on coherent page state,
@@ -472,9 +431,9 @@ Status RecoveryManager::UndoCrashedFromStableLogs(Ctx& ctx) {
     }
   }
   // The apply loop keeps the exact reverse-USN global order for every
-  // thread count — ApplyUndo* allocates a fresh USN per CLR, so the
+  // stream count — ApplyUndo* allocates a fresh USN per CLR, so the
   // allocation order (and therefore all recovered page bytes) must be
-  // thread-count-invariant. Partitioning changes only the performer, which
+  // stream-count-invariant. Partitioning changes only the performer, which
   // only affects performance state (clocks, cache residency, CLR log
   // placement).
   for (const LogRecord& rec : to_undo) {
@@ -497,27 +456,20 @@ Status RecoveryManager::CollectUndoWork(Ctx& ctx, UndoWork* out) {
   // over from earlier crashes whose compensations were since lost; the
   // engagement guard in ApplyUndo* turns already-compensated records into
   // no-ops, so re-undoing is safe.
-  // Partitioned by stable log: one scan task per node, merged below. The
-  // reverse-USN sort restores a single deterministic order (USNs are
-  // globally unique), so the undo schedule is identical across thread
-  // counts.
-  std::vector<std::vector<LogRecord>> undo_per_node(
-      db_->machine().num_nodes());
-  ForEachNodeParallel(ctx, [&](NodeId c) {
+  // The reverse-USN sort puts the per-node scans in a single deterministic
+  // order (USNs are globally unique).
+  std::vector<LogRecord> to_undo;
+  for (NodeId c = 0; c < db_->machine().num_nodes(); ++c) {
     db_->log().ForEachStable(c, [&](const LogRecord& rec) {
       if (!ctx.uncommitted_ids.contains(rec.txn)) return;
       if (ctx.preserved_ids.contains(rec.txn)) return;
       if (rec.type == LogRecordType::kUpdate && !rec.update().is_clr) {
-        undo_per_node[c].push_back(rec);
+        to_undo.push_back(rec);
       } else if (rec.type == LogRecordType::kIndexOp &&
                  !rec.index_op().is_clr) {
-        undo_per_node[c].push_back(rec);
+        to_undo.push_back(rec);
       }
     });
-  });
-  std::vector<LogRecord> to_undo;
-  for (auto& v : undo_per_node) {
-    to_undo.insert(to_undo.end(), v.begin(), v.end());
   }
   std::sort(to_undo.begin(), to_undo.end(),
             [](const LogRecord& a, const LogRecord& b) {
@@ -546,23 +498,20 @@ Status RecoveryManager::CollectUndoWork(Ctx& ctx, UndoWork* out) {
   std::map<uint64_t, std::pair<TxnId, std::pair<uint32_t, uint64_t>>>
       clr_keys;
   Machine& m = db_->machine();
-  // Per-node CLR maps filled in parallel, then merged. USNs are globally
-  // unique, so the per-node maps are disjoint and the merge order is
-  // irrelevant.
-  std::vector<std::map<uint64_t, std::pair<TxnId, RecordId>>> node_clr_slots(
-      m.num_nodes());
-  std::vector<std::map<uint64_t, std::pair<TxnId, std::pair<uint32_t,
-                                                            uint64_t>>>>
-      node_clr_keys(m.num_nodes());
-  ForEachNodeParallel(ctx, [&](NodeId n) {
+  // USNs are globally unique, so the per-node maps are disjoint and the
+  // merge order is irrelevant.
+  for (NodeId n = 0; n < m.num_nodes(); ++n) {
+    std::map<uint64_t, std::pair<TxnId, RecordId>> node_clr_slots;
+    std::map<uint64_t, std::pair<TxnId, std::pair<uint32_t, uint64_t>>>
+        node_clr_keys;
     auto visit = [&](const LogRecord& rec) {
       if (!undo_txns.contains(rec.txn)) return;
       if (rec.type == LogRecordType::kUpdate && rec.update().is_clr) {
-        node_clr_slots[n][rec.update().usn] = {rec.txn, rec.update().rid};
+        node_clr_slots[rec.update().usn] = {rec.txn, rec.update().rid};
       } else if (rec.type == LogRecordType::kIndexOp &&
                  rec.index_op().is_clr) {
         const IndexOpPayload& op = rec.index_op();
-        node_clr_keys[n][op.usn] = {rec.txn, {op.tree_id, op.key}};
+        node_clr_keys[op.usn] = {rec.txn, {op.tree_id, op.key}};
       }
     };
     if (m.NodeAlive(n)) {
@@ -570,10 +519,8 @@ Status RecoveryManager::CollectUndoWork(Ctx& ctx, UndoWork* out) {
     } else {
       db_->log().ForEachStable(n, visit);
     }
-  });
-  for (NodeId n = 0; n < m.num_nodes(); ++n) {
-    clr_slots.merge(node_clr_slots[n]);
-    clr_keys.merge(node_clr_keys[n]);
+    clr_slots.merge(node_clr_slots);
+    clr_keys.merge(node_clr_keys);
   }
   out->to_undo = std::move(to_undo);
   out->clr_slots = std::move(clr_slots);
@@ -590,20 +537,19 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
                                          &rs, ctx.uncommitted_ids);
 
   // Map USN -> owning txn from every stable log, to distinguish "tag stale
-  // because the commit beat the tag-clear" from "uncommitted". Built in
-  // parallel (per-node maps over disjoint USNs), merged sequentially.
+  // because the commit beat the tag-clear" from "uncommitted".
   std::unordered_map<uint64_t, TxnId> usn_owner;
-  std::vector<std::unordered_map<uint64_t, TxnId>> node_owner(m.num_nodes());
-  ForEachNodeParallel(ctx, [&](NodeId c) {
+  for (NodeId c = 0; c < m.num_nodes(); ++c) {
+    std::unordered_map<uint64_t, TxnId> node_owner;
     db_->log().ForEachStable(c, [&](const LogRecord& rec) {
       if (rec.type == LogRecordType::kUpdate) {
-        node_owner[c][rec.update().usn] = rec.txn;
+        node_owner[rec.update().usn] = rec.txn;
       } else if (rec.type == LogRecordType::kIndexOp) {
-        node_owner[c][rec.index_op().usn] = rec.txn;
+        node_owner[rec.index_op().usn] = rec.txn;
       }
     });
-  });
-  for (NodeId c = 0; c < m.num_nodes(); ++c) usn_owner.merge(node_owner[c]);
+    usn_owner.merge(node_owner);
+  }
   auto stale_committed_tag = [&](uint64_t usn, NodeId tagged) {
     auto it = usn_owner.find(usn);
     if (it != usn_owner.end()) {
@@ -626,7 +572,7 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
   // (leaf, slot), stale-tag clears last — independent of which survivor
   // found what. That matters because every tag undo allocates a fresh
   // global USN: a canonical apply order makes the USN assignment (and
-  // therefore all recovered page bytes) identical for every worker count,
+  // therefore all recovered page bytes) identical for every stream count,
   // which is what the differential oracle checks.
   struct HeapCand {
     RecordId rid;
@@ -644,7 +590,18 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
   std::set<RecordId> seen_rids;
   std::set<std::pair<PageId, uint16_t>> seen_slots;
 
-  for (NodeId s : ctx.survivors) {
+  // A deferred (lazy) scan runs after restarts: a restarted node's new
+  // traffic can have pulled a tagged line into its cache, so its cache is
+  // scanned too, after the crash-time survivors'.
+  std::vector<NodeId> scanners = ctx.survivors;
+  if (ctx.lazy) {
+    for (NodeId n : m.AliveNodes()) {
+      if (std::find(scanners.begin(), scanners.end(), n) == scanners.end()) {
+        scanners.push_back(n);
+      }
+    }
+  }
+  for (NodeId s : scanners) {
     // Snapshot the resident lines first (collection itself reads only).
     std::vector<LineAddr> lines;
     m.cache(s).ForEachLine(
@@ -656,11 +613,9 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
         SMDB_ASSIGN_OR_RETURN(SlotImage img, rs.ReadSlot(s, rid));
         if (img.tag == kTagNone) continue;
         NodeId tagged = NodeOfTag(img.tag);
-        if (!ctx.dead_set.contains(tagged)) continue;
         // A tag minted after the crash (usn above the cutoff) belongs to a
-        // restarted node's new traffic, not to this recovery (lazy drains
-        // only — eager scans run before any restart).
-        if (img.usn > ctx.tag_scan_usn_cutoff) continue;
+        // restarted node's new traffic, not to this recovery.
+        if (!ctx.DeadTag(tagged, img.usn)) continue;
         if (!seen_rids.insert(rid).second) continue;
         HeapCand c;
         c.rid = rid;
@@ -673,8 +628,7 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
       for (const auto& ref : index.EntriesInLine(line)) {
         if (ref.entry.tag == kTagNone) continue;
         NodeId tagged = NodeOfTag(ref.entry.tag);
-        if (!ctx.dead_set.contains(tagged)) continue;
-        if (ref.entry.usn > ctx.tag_scan_usn_cutoff) continue;
+        if (!ctx.DeadTag(tagged, ref.entry.usn)) continue;
         if (!seen_slots.insert({ref.leaf, ref.slot}).second) continue;
         IdxCand c;
         c.ref = ref;
@@ -696,10 +650,10 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
   // Serial keeps the finding survivor as performer (the legacy
   // assignment); W > 1 routes each undo to its partition's stream.
   auto heap_performer = [&](const HeapCand& c) {
-    return ctx.threads <= 1 ? c.found_on : ctx.StreamPerformer(c.rid.page);
+    return ctx.num_streams <= 1 ? c.found_on : ctx.StreamPerformer(c.rid.page);
   };
   auto idx_performer = [&](const IdxCand& c) {
-    return ctx.threads <= 1 ? c.found_on
+    return ctx.num_streams <= 1 ? c.found_on
                             : ctx.StreamPerformer(Mix64(c.ref.entry.key));
   };
 
@@ -830,21 +784,17 @@ Status RecoveryManager::RecoverLockTable(Ctx& ctx) {
   std::set<TxnId> surviving_ids;
   for (Transaction* t : ctx.surviving_active) surviving_ids.insert(t->id);
 
-  // Collect each survivor's lock-op records in parallel (host-side log
-  // reads into per-node slots), then fold sequentially in survivor order —
-  // the fold is order-sensitive (acquire/queue/release replay), so only
-  // the scans are partitioned.
-  std::vector<std::vector<LogRecord>> lock_ops(db_->machine().num_nodes());
-  ForEachNodeParallel(ctx, [&](NodeId s) {
-    if (ctx.dead_set.contains(s)) return;
+  // Fold each survivor's lock-op records in survivor order — the fold is
+  // order-sensitive (acquire/queue/release replay).
+  for (NodeId s : ctx.survivors) {
+    if (ctx.dead_set.contains(s)) continue;
+    std::vector<LogRecord> lock_ops;
     db_->log().ForEachAll(s, [&](const LogRecord& rec) {
       if (rec.type != LogRecordType::kLockOp) return;
       if (!surviving_ids.contains(rec.txn)) return;
-      lock_ops[s].push_back(rec);
+      lock_ops.push_back(rec);
     });
-  });
-  for (NodeId s : ctx.survivors) {
-    for (const LogRecord& rec : lock_ops[s]) {
+    for (const LogRecord& rec : lock_ops) {
       const LockOpPayload& op = rec.lock_op();
       Lcb& lcb = folded[op.lock_name];
       lcb.name = op.lock_name;
@@ -900,14 +850,15 @@ Result<RecoveryOutcome> RecoveryManager::Run(
   // A crash during the Recovering window supersedes the previous on-demand
   // recovery: its undischarged obligations are re-derived from stable logs
   // and the transaction table by this run (whole-machine reboots and the
-  // eager baselines recover everything themselves).
-  if (db_->on_demand() != nullptr) db_->on_demand()->Reset();
+  // eager baselines recover everything themselves). Its dead nodes' tags
+  // are not derivable once such a node restarts, so they are carried over.
   Ctx ctx;
-  ctx.threads = std::max<uint32_t>(1, db_->config().recovery.recovery_threads);
-  if (ctx.threads > 1 &&
-      (pool_ == nullptr || pool_->workers() != ctx.threads)) {
-    pool_ = std::make_unique<ThreadPool>(ctx.threads);
+  if (db_->on_demand() != nullptr) {
+    ctx.inherited_dead_tags = db_->on_demand()->PendingDeadTags();
+    db_->on_demand()->Reset();
   }
+  ctx.num_streams =
+      std::max<uint32_t>(1, db_->config().recovery.recovery_streams);
   Machine& m = db_->machine();
   m.SyncClocks();
   SimTime t0 = m.GlobalTime();
@@ -928,10 +879,10 @@ Result<RecoveryOutcome> RecoveryManager::Run(
     // storage. All active transactions were on crashed nodes, so they are
     // annulled (not "unnecessarily aborted") and IFA holds trivially.
     for (NodeId n = 0; n < m.num_nodes(); ++n) ctx.survivors.push_back(n);
-    PinStreams(&ctx.streams, ctx.threads, ctx.survivors);
+    PinStreams(&ctx.streams, ctx.num_streams, ctx.survivors);
     s = RunRebootAll(ctx);
   } else {
-    PinStreams(&ctx.streams, ctx.threads, ctx.survivors);
+    PinStreams(&ctx.streams, ctx.num_streams, ctx.survivors);
     switch (db_->config().recovery.restart) {
       case RestartKind::kRedoAll:
         s = RunRedoAll(ctx);

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "common/types.h"
 #include "core/recovery.h"
 #include "txn/transaction.h"
@@ -86,17 +85,32 @@ class RecoveryManager {
     /// (no-op) for eager passes; OnDemandRecovery pins it to the
     /// crash-time USN so the deferred tag scan stays sound.
     uint64_t tag_scan_usn_cutoff = UINT64_MAX;
+    /// Dead nodes of a superseded on-demand recovery whose tags may still
+    /// be undischarged, each with that recovery's tag cutoff. Such a node
+    /// may have restarted since (so it is not in dead_set), but its tags up
+    /// to the cutoff still mark updates lost with its volatile log.
+    std::map<NodeId, uint64_t> inherited_dead_tags;
 
-    /// recovery_threads from the database config, clamped to >= 1. 1 is
-    /// the serial pipeline (today's exact performer assignment); W > 1
-    /// runs W deterministic worker streams.
-    uint32_t threads = 1;
-    /// Worker stream -> pinned surviving performer (threads > 1 only).
+    /// True when a tag naming `tagged` on a version with USN `usn` marks
+    /// an update lost with a dead node's log — the tag scan's business.
+    bool DeadTag(NodeId tagged, uint64_t usn) const {
+      if (dead_set.contains(tagged) && usn <= tag_scan_usn_cutoff) {
+        return true;
+      }
+      auto it = inherited_dead_tags.find(tagged);
+      return it != inherited_dead_tags.end() && usn <= it->second;
+    }
+
+    /// recovery_streams from the database config, clamped to >= 1. 1 is
+    /// the single-stream pass (the classic performer assignment); W > 1
+    /// partitions the work over W simulated survivor streams.
+    uint32_t num_streams = 1;
+    /// Stream -> pinned surviving performer (num_streams > 1 only).
     /// Partitioning work so that all records of one page (and all index
     /// ops of one key range) land on one stream keeps each stream's line
     /// traffic disjoint: line-lock grant chains and header-line transfers
     /// stop serialising the survivors' clocks, which is where the
-    /// parallel recovery speedup comes from.
+    /// simulated recovery speedup comes from.
     std::vector<NodeId> streams;
 
     NodeId NextSurvivor() {
@@ -105,7 +119,7 @@ class RecoveryManager {
       return n;
     }
 
-    /// Performer of the stream owning `partition` (threads > 1).
+    /// Performer of the stream owning `partition` (num_streams > 1).
     NodeId StreamPerformer(uint64_t partition) const {
       return streams[partition % streams.size()];
     }
@@ -130,7 +144,7 @@ class RecoveryManager {
   /// Collect half of the redo pass: every redo-relevant record (lsn >
   /// checkpoint) from every reachable log, sorted by global USN. Pure
   /// host-side log reads.
-  Status CollectRedoRecords(Ctx& ctx, std::vector<LogRecord>* out);
+  Status CollectRedoRecords(std::vector<LogRecord>* out);
   /// Apply half: structural records first (via NextSurvivor), then
   /// entry-level records in the list's (USN) order. With ctx.lazy set the
   /// entry-level half is skipped — OnDemandRecovery owns those records.
@@ -186,14 +200,7 @@ class RecoveryManager {
   /// True if `txn` has a commit record in its node's stable log.
   bool CommittedInStableLog(TxnId txn) const;
 
-  // Parallel pipeline support --------------------------------------------
-
-  /// Runs fn(0..num_nodes-1): inline when serial, fanned out over the
-  /// work-stealing pool when ctx.threads > 1. Only safe for host-side log
-  /// scans into per-node slots — the simulator itself is sequential and is
-  /// never touched from pool threads.
-  void ForEachNodeParallel(const Ctx& ctx,
-                           const std::function<void(NodeId)>& fn);
+  // Stream partitioning ---------------------------------------------------
 
   /// Redo-pass performer: serial keeps the legacy rule (the record's own
   /// node if alive, else round-robin); W > 1 partitions heap updates by
@@ -204,7 +211,6 @@ class RecoveryManager {
   NodeId UndoPerformer(Ctx& ctx, const LogRecord& rec);
 
   Database* db_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace smdb

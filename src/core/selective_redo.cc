@@ -80,7 +80,7 @@ Status RecoveryManager::RunSelectiveRedo(Ctx& ctx) {
   ctx.lazy = true;
   std::vector<LogRecord> records;
   SMDB_RETURN_IF_ERROR(TimedPhase(ctx, RecoveryPhase::kRedo, [&] {
-    SMDB_RETURN_IF_ERROR(CollectRedoRecords(ctx, &records));
+    SMDB_RETURN_IF_ERROR(CollectRedoRecords(&records));
     return ApplyRedoRecords(ctx, records);  // structural only (ctx.lazy)
   }));
   UndoWork undo;

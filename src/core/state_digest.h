@@ -9,9 +9,9 @@ namespace smdb {
 class Database;
 
 /// Deterministic hash of the logical machine state recovery is responsible
-/// for — the differential oracle for the parallel recovery pipeline: after
-/// restart recovery, an N-thread run must produce the same digest as the
-/// serial run on the same crash schedule.
+/// for — the differential oracle for partitioned recovery streams: after
+/// restart recovery, an N-stream run must produce the same digest as the
+/// one-stream run on the same crash schedule.
 ///
 /// Covered (one FNV-1a sub-hash per component):
 ///  * heap   — coherent contents of every heap page, line by line, with an

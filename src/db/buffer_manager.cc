@@ -20,23 +20,18 @@ Result<PageId> BufferManager::CreatePage(NodeId node,
   Addr base = machine_->AllocShared(page_size());
   machine_->InstallToMemory(base, initial.data(), initial.size());
   SMDB_RETURN_IF_ERROR(stable_db_->WritePage(node, page, initial));
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    frames_[page] = base;
-    by_addr_[base] = page;
-  }
+  frames_[page] = base;
+  by_addr_[base] = page;
   return page;
 }
 
 Result<Addr> BufferManager::BaseOf(PageId page) const {
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = frames_.find(page);
   if (it == frames_.end()) return Status::NotFound("unknown page");
   return it->second;
 }
 
 std::optional<PageId> BufferManager::ResolveAddr(Addr addr) const {
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = by_addr_.upper_bound(addr);
   if (it == by_addr_.begin()) return std::nullopt;
   --it;
@@ -45,18 +40,13 @@ std::optional<PageId> BufferManager::ResolveAddr(Addr addr) const {
 }
 
 std::vector<PageId> BufferManager::DirtyPages() const {
-  std::lock_guard<std::mutex> lk(mu_);
   return {dirty_.begin(), dirty_.end()};
 }
 
 Status BufferManager::FlushPage(NodeId node, PageId page) {
-  Addr base;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = frames_.find(page);
-    if (it == frames_.end()) return Status::NotFound("unknown page");
-    base = it->second;
-  }
+  auto it = frames_.find(page);
+  if (it == frames_.end()) return Status::NotFound("unknown page");
+  const Addr base = it->second;
 
   // WAL gate (section 6): every node that updated this page must have its
   // log stable through its last update LSN for the page.
@@ -68,17 +58,14 @@ Status BufferManager::FlushPage(NodeId node, PageId page) {
         return Status::NodeFailed("WAL gate: updater crashed with tail");
       }
       SMDB_RETURN_IF_ERROR(log_->Force(node, n));
-      AtomicInc(wal_gate_forces_);
+      ++wal_gate_forces_;
     }
   }
 
   std::vector<uint8_t> image(page_size());
   SMDB_RETURN_IF_ERROR(machine_->SnoopRead(base, image.data(), image.size()));
   SMDB_RETURN_IF_ERROR(stable_db_->WritePage(node, page, image));
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (dirty_.erase(page) > 0) AtomicInc(steal_flushes_);
-  }
+  if (dirty_.erase(page) > 0) ++steal_flushes_;
   wal_table_->ClearPage(page);
   return Status::Ok();
 }
@@ -96,13 +83,9 @@ Status BufferManager::ReadStableImage(NodeId node, PageId page,
 }
 
 Status BufferManager::ReinstallPage(NodeId node, PageId page) {
-  Addr base;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = frames_.find(page);
-    if (it == frames_.end()) return Status::NotFound("unknown page");
-    base = it->second;
-  }
+  auto it = frames_.find(page);
+  if (it == frames_.end()) return Status::NotFound("unknown page");
+  const Addr base = it->second;
   std::vector<uint8_t> image;
   SMDB_RETURN_IF_ERROR(stable_db_->ReadPage(node, page, &image));
   machine_->InstallToMemory(base, image.data(), image.size());
@@ -110,13 +93,9 @@ Status BufferManager::ReinstallPage(NodeId node, PageId page) {
 }
 
 Result<int> BufferManager::ReinstallLostLines(NodeId node, PageId page) {
-  Addr base;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = frames_.find(page);
-    if (it == frames_.end()) return Status::NotFound("unknown page");
-    base = it->second;
-  }
+  auto it = frames_.find(page);
+  if (it == frames_.end()) return Status::NotFound("unknown page");
+  const Addr base = it->second;
   uint32_t line_size = machine_->line_size();
   uint32_t lines = page_size() / line_size;
 

@@ -2,13 +2,10 @@
 #define SMDB_DB_BUFFER_MANAGER_H_
 
 #include <map>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
-
-#include "common/atomic_util.h"
 
 #include "common/status.h"
 #include "common/types.h"
@@ -48,11 +45,9 @@ class BufferManager {
   std::optional<PageId> ResolveAddr(Addr addr) const;
 
   void MarkDirty(PageId page) {
-    std::lock_guard<std::mutex> lk(mu_);
     dirty_.insert(page);
   }
   bool IsDirty(PageId page) const {
-    std::lock_guard<std::mutex> lk(mu_);
     return dirty_.contains(page);
   }
   std::vector<PageId> DirtyPages() const;
@@ -80,8 +75,8 @@ class BufferManager {
       const std::function<void(PageId, Addr)>& fn) const;
 
   uint32_t page_size() const { return stable_db_->page_size(); }
-  uint64_t steal_flushes() const { return AtomicLoad(steal_flushes_); }
-  uint64_t wal_gate_forces() const { return AtomicLoad(wal_gate_forces_); }
+  uint64_t steal_flushes() const { return steal_flushes_; }
+  uint64_t wal_gate_forces() const { return wal_gate_forces_; }
 
  private:
   Machine* machine_;
@@ -89,10 +84,6 @@ class BufferManager {
   LogManager* log_;
   WalTable* wal_table_;
 
-  /// Guards frames_/by_addr_/dirty_: B-tree splits create pages and
-  /// transaction steps mark pages dirty from concurrent execution workers.
-  /// Never held across I/O (disk writes, log forces).
-  mutable std::mutex mu_;
   std::unordered_map<PageId, Addr> frames_;
   std::map<Addr, PageId> by_addr_;  // frame base -> page, for ResolveAddr
   std::unordered_set<PageId> dirty_;

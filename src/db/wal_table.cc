@@ -3,7 +3,6 @@
 namespace smdb {
 
 void WalTable::NoteUpdate(PageId page, NodeId node, Lsn lsn) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto& row = rows_[page];
   if (row.empty()) row.assign(num_nodes_, kInvalidLsn);
   row[node] = lsn;
@@ -12,7 +11,6 @@ void WalTable::NoteUpdate(PageId page, NodeId node, Lsn lsn) {
 std::vector<std::pair<NodeId, Lsn>> WalTable::Requirements(
     PageId page) const {
   std::vector<std::pair<NodeId, Lsn>> out;
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = rows_.find(page);
   if (it == rows_.end()) return out;
   for (NodeId n = 0; n < num_nodes_; ++n) {
@@ -22,12 +20,10 @@ std::vector<std::pair<NodeId, Lsn>> WalTable::Requirements(
 }
 
 void WalTable::ClearPage(PageId page) {
-  std::lock_guard<std::mutex> lk(mu_);
   rows_.erase(page);
 }
 
 void WalTable::OnNodeCrash(NodeId node) {
-  std::lock_guard<std::mutex> lk(mu_);
   for (auto& [page, row] : rows_) {
     (void)page;
     if (!row.empty()) row[node] = kInvalidLsn;

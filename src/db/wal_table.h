@@ -1,7 +1,6 @@
 #ifndef SMDB_DB_WAL_TABLE_H_
 #define SMDB_DB_WAL_TABLE_H_
 
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -38,9 +37,6 @@ class WalTable {
 
  private:
   uint16_t num_nodes_;
-  /// Guards rows_: concurrent transaction steps note updates to distinct
-  /// pages (and may race on the map structure even when the pages differ).
-  mutable std::mutex mu_;
   std::unordered_map<PageId, std::vector<Lsn>> rows_;
 };
 

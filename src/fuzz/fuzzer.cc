@@ -45,12 +45,9 @@ FuzzVerdict CrashScheduleFuzzer::RunCase(const FuzzCase& fuzz_case,
                                          RecoveryConfig protocol) {
   protocol = EffectiveProtocol(std::move(protocol));
   HarnessConfig base = MakeHarnessConfig(fuzz_case, protocol);
-  if (opts_.execution_threads > 1) {
-    base.exec.execution_threads = opts_.execution_threads;
-  }
-  base.capture_digests = opts_.recovery_threads > 1;
+  base.capture_digests = opts_.recovery_streams > 1;
   if (protocol.on_demand) {
-    // Exercise the sweeper alongside first-touch discharge. The parallel
+    // Exercise the sweeper alongside first-touch discharge. The stream
     // differential compares digests taken right after each recovery, so
     // those runs drain immediately instead (collapsing the Recovering
     // window makes lazy and eager runs step-comparable).
@@ -89,45 +86,46 @@ FuzzVerdict CrashScheduleFuzzer::RunCase(const FuzzCase& fuzz_case,
       }
     }
   }
-  if (opts_.recovery_threads > 1 && !report->recoveries.empty()) {
-    FuzzVerdict dv = CheckParallelEquivalence(base, *report);
+  if (opts_.recovery_streams > 1 && !report->recoveries.empty()) {
+    FuzzVerdict dv = CheckStreamEquivalence(base, *report);
     if (dv.failed) return dv;
   }
   return {};
 }
 
-FuzzVerdict CrashScheduleFuzzer::CheckParallelEquivalence(
+FuzzVerdict CrashScheduleFuzzer::CheckStreamEquivalence(
     const HarnessConfig& base, const HarnessReport& serial) {
-  const uint32_t w = opts_.recovery_threads;
+  const uint32_t w = opts_.recovery_streams;
   // One differential run per fired recovery: digests taken *after* a
-  // parallel recovery are only comparable up to that recovery (CLR log
+  // partitioned recovery are only comparable up to that recovery (CLR log
   // placement is performer-dependent and may legitimately steer later
-  // forces and later recoveries differently), so each run parallelises
-  // exactly one recovery, with everything before it serial.
+  // forces and later recoveries differently), so each run partitions
+  // exactly one recovery, with everything before it single-stream.
   for (size_t k = 0; k < serial.recoveries.size(); ++k) {
     std::string at = "W=" + std::to_string(w) + " recovery #" +
                      std::to_string(k) + " ";
     HarnessConfig cfg = base;
-    cfg.recovery_thread_overrides.assign(k + 1, 1);
-    cfg.recovery_thread_overrides[k] = w;
+    cfg.recovery_stream_overrides.assign(k + 1, 1);
+    cfg.recovery_stream_overrides[k] = w;
     Harness h(cfg);
     auto report = h.Run();
     ++stats_.runs;
     if (!report.ok()) {
-      return {true, "parallel-divergence",
+      return {true, "stream-divergence",
               at + "run-error: " + report.status().ToString()};
     }
     if (!report->verify_status.ok()) {
-      return {true, "parallel-divergence",
+      return {true, "stream-divergence",
               at + "ifa-verify: " + report->verify_status.ToString()};
     }
     if (report->recoveries.size() <= k || report->digests.size() <= k) {
-      return {true, "parallel-divergence", at + "never fired"};
+      return {true, "stream-divergence", at + "never fired"};
     }
     if (!(report->digests[k] == serial.digests[k])) {
-      return {true, "parallel-divergence",
-              at + "digest mismatch: serial{" + serial.digests[k].ToString() +
-                  "} parallel{" + report->digests[k].ToString() + "}"};
+      return {true, "stream-divergence",
+              at + "digest mismatch: one-stream{" +
+                  serial.digests[k].ToString() + "} streams{" +
+                  report->digests[k].ToString() + "}"};
     }
     const RecoveryOutcome& a = serial.recoveries[k];
     const RecoveryOutcome& b = report->recoveries[k];
@@ -136,9 +134,9 @@ FuzzVerdict CrashScheduleFuzzer::CheckParallelEquivalence(
         a.redo_applied != b.redo_applied ||
         a.redo_skipped != b.redo_skipped ||
         a.undo_applied != b.undo_applied || a.tag_undos != b.tag_undos) {
-      return {true, "parallel-divergence",
-              at + "outcome mismatch: serial{" + a.ToString() +
-                  "} parallel{" + b.ToString() + "}"};
+      return {true, "stream-divergence",
+              at + "outcome mismatch: one-stream{" + a.ToString() +
+                  "} streams{" + b.ToString() + "}"};
     }
   }
   return {};
@@ -288,7 +286,7 @@ std::string CrashScheduleFuzzer::ReplayJson(const FuzzFailure& failure,
   doc.Set("protocol", json::Value::Str(failure.protocol.FlagName()));
   doc.Set("disable_undo_tagging",
           json::Value::Bool(failure.protocol.disable_undo_tagging));
-  doc.Set("recovery_threads", json::Value::Uint(opts_.recovery_threads));
+  doc.Set("recovery_streams", json::Value::Uint(opts_.recovery_streams));
   doc.Set("group_commit", json::Value::Bool(failure.protocol.group_commit));
   if (failure.protocol.group_commit) {
     doc.Set("group_commit_window_ns",
@@ -297,7 +295,6 @@ std::string CrashScheduleFuzzer::ReplayJson(const FuzzFailure& failure,
             json::Value::Uint(failure.protocol.group_commit_max_batch));
   }
   doc.Set("on_demand", json::Value::Bool(failure.protocol.on_demand));
-  doc.Set("execution_threads", json::Value::Uint(opts_.execution_threads));
   doc.Set("forensics_enabled", json::Value::Bool(opts_.forensics));
   doc.Set("trace_capacity", json::Value::Uint(opts_.trace_capacity));
   doc.Set("case", shrunk.ToJson());
@@ -325,9 +322,9 @@ Result<CrashScheduleFuzzer::ReplayDoc> CrashScheduleFuzzer::ParseReplay(
     return Status::InvalidArgument("replay: unknown protocol '" + proto + "'");
   }
   out.protocol.disable_undo_tagging = doc.GetBool("disable_undo_tagging");
-  // Absent in documents that predate the parallel pipeline: serial.
-  uint64_t threads = doc.GetUint("recovery_threads");
-  out.recovery_threads = threads == 0 ? 1 : static_cast<uint32_t>(threads);
+  // Absent in documents that predate recovery streams: a single stream.
+  uint64_t streams = doc.GetUint("recovery_streams");
+  out.recovery_streams = streams == 0 ? 1 : static_cast<uint32_t>(streams);
   // Absent in documents that predate the group-commit pipeline: off.
   out.group_commit = doc.GetBool("group_commit");
   out.protocol.group_commit = out.group_commit;
@@ -346,9 +343,6 @@ Result<CrashScheduleFuzzer::ReplayDoc> CrashScheduleFuzzer::ParseReplay(
   // Absent in documents that predate on-demand recovery: off.
   out.on_demand = doc.GetBool("on_demand");
   out.protocol.on_demand = out.on_demand;
-  // Absent in documents that predate execution sharding: serial.
-  uint64_t exec_w = doc.GetUint("execution_threads");
-  out.execution_threads = exec_w == 0 ? 1 : static_cast<uint32_t>(exec_w);
   // Absent in documents that predate the observability layer: defaults.
   if (doc.Find("forensics_enabled") != nullptr) {
     out.forensics_enabled = doc.GetBool("forensics_enabled");

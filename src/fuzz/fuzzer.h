@@ -84,14 +84,15 @@ class CrashScheduleFuzzer {
     bool disable_undo_tagging = false;
     /// Upper bound on re-runs the shrinker may spend per failure.
     size_t max_shrink_runs = 400;
-    /// When > 1, every case additionally runs the parallel-recovery
-    /// differential: a serial baseline captures a StateDigest after each
-    /// recovery, then the schedule re-runs once per fired recovery with
-    /// exactly that recovery at `recovery_threads` worker streams (all
-    /// earlier ones serial), and the digests must match. A mismatch is a
-    /// "parallel-divergence" failure, and the shrinker minimises it like
-    /// any other (RunCase re-runs the whole differential per candidate).
-    uint32_t recovery_threads = 1;
+    /// When > 1, every case additionally runs the recovery-stream
+    /// differential: a single-stream baseline captures a StateDigest after
+    /// each recovery, then the schedule re-runs once per fired recovery
+    /// with exactly that recovery at `recovery_streams` simulated streams
+    /// (all earlier ones single-stream), and the digests must match. A
+    /// mismatch is a "stream-divergence" failure, and the shrinker
+    /// minimises it like any other (RunCase re-runs the whole differential
+    /// per candidate).
+    uint32_t recovery_streams = 1;
     /// Run every protocol with the group-commit pipeline on (coalesced
     /// commit and LBM forces). Orthogonal to protocol identity: the same
     /// IFA predicates must hold, exercising the acknowledgement-after-
@@ -106,12 +107,6 @@ class CrashScheduleFuzzer {
     /// sweeper. Orthogonal to protocol identity — the same IFA predicates
     /// must hold.
     bool on_demand = false;
-    /// Shard transaction execution across this many ThreadPool workers
-    /// (HarnessConfig::exec.execution_threads) in every run. The
-    /// schedule-replay batcher keeps results digest-identical to serial,
-    /// so this adds no new failure semantics — it is a concurrency matrix
-    /// knob for sanitizer builds.
-    uint32_t execution_threads = 1;
     /// On failure, re-run the shrunk reproducer with event tracing on and
     /// embed a bounded forensic report (trace tails, the offending
     /// object's log chain, lock state, tag-scan decisions) in the replay
@@ -156,8 +151,8 @@ class CrashScheduleFuzzer {
     uint64_t seed = 0;
     FuzzCase fuzz_case;
     RecoveryConfig protocol;
-    /// Worker streams the failing run used (1 = plain serial run).
-    uint32_t recovery_threads = 1;
+    /// Recovery streams the failing run used (1 = single-stream run).
+    uint32_t recovery_streams = 1;
     /// Group-commit pipeline configuration of the failing run (absent in
     /// older documents: off).
     bool group_commit = false;
@@ -166,9 +161,6 @@ class CrashScheduleFuzzer {
     /// On-demand recovery flag of the failing run (absent in older
     /// documents: off).
     bool on_demand = false;
-    /// Execution-sharding width of the producing campaign (absent in
-    /// older documents: serial).
-    uint32_t execution_threads = 1;
     /// Observability settings of the producing campaign (absent in older
     /// documents: forensics on, default capacity).
     bool forensics_enabled = true;
@@ -187,9 +179,9 @@ class CrashScheduleFuzzer {
 
  private:
   /// The differential leg of RunCase: re-runs `base` once per recovery the
-  /// serial run fired, parallelising only that recovery, and compares the
-  /// post-recovery digest and the recovery outcome's logical fields.
-  FuzzVerdict CheckParallelEquivalence(const HarnessConfig& base,
+  /// single-stream run fired, partitioning only that recovery, and compares
+  /// the post-recovery digest and the recovery outcome's logical fields.
+  FuzzVerdict CheckStreamEquivalence(const HarnessConfig& base,
                                        const HarnessReport& serial);
 
   Options opts_;

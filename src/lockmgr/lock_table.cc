@@ -70,7 +70,7 @@ Result<uint32_t> LockTable::FindSlot(NodeId node, uint64_t name,
   }
   if (create && first_empty != config_.buckets) return first_empty;
   if (create) {
-    AtomicInc(stats_.capacity_rejections);
+    ++stats_.capacity_rejections;
     return Status::TryAgain("lock table probe window full");
   }
   return Status::NotFound("no LCB for name");
@@ -87,7 +87,7 @@ Status LockTable::LogLockOp(NodeId node, TxnId txn, uint64_t name,
   rec.payload = LockOpPayload{name, mode, op};
   Lsn lsn = log_->Append(node, std::move(rec));
   if (chain_prev != nullptr) *chain_prev = lsn;
-  AtomicInc(stats_.lock_log_records);
+  ++stats_.lock_log_records;
   return Status::Ok();
 }
 
@@ -122,7 +122,6 @@ bool LockTable::PromoteWaiters(Lcb& lcb) {
 Result<LockResult> LockTable::Acquire(NodeId node, TxnId txn, uint64_t name,
                                       LockMode mode, Lsn* chain_prev) {
   ProfScope lock_wait(prof_, ProfPhase::kLockWait);
-  std::lock_guard<std::mutex> latch(StripeFor(name));
   SMDB_ASSIGN_OR_RETURN(uint32_t slot, FindSlot(node, name, /*create=*/true));
   LineAddr l0 = SlotFirstLine(slot);
   SMDB_RETURN_IF_ERROR(machine_->GetLine(node, l0));
@@ -160,7 +159,7 @@ Result<LockResult> LockTable::Acquire(NodeId node, TxnId txn, uint64_t name,
       Status s = WriteLcb(node, slot, lcb);
       release_lines();
       if (!s.ok()) return s;
-      AtomicInc(stats_.acquires);
+      ++stats_.acquires;
       SMDB_TRACE(tracer_, {.kind = TraceEventKind::kLockAcquire,
                            .node = node,
                            .txn = txn,
@@ -182,7 +181,7 @@ Result<LockResult> LockTable::Acquire(NodeId node, TxnId txn, uint64_t name,
     Status s = WriteLcb(node, slot, lcb);
     release_lines();
     if (!s.ok()) return s;
-    AtomicInc(stats_.acquires);
+    ++stats_.acquires;
     SMDB_TRACE(tracer_, {.kind = TraceEventKind::kLockAcquire,
                          .node = node,
                          .txn = txn,
@@ -196,7 +195,7 @@ Result<LockResult> LockTable::Acquire(NodeId node, TxnId txn, uint64_t name,
   if (lcb.FindWaiter(txn) == nullptr) {
     if (lcb.waiters.size() >= codec_.waiters_capacity()) {
       release_lines();
-      AtomicInc(stats_.capacity_rejections);
+      ++stats_.capacity_rejections;
       return Status::TryAgain("LCB waiter list full");
     }
     SMDB_RETURN_IF_ERROR(LogLockOp(node, txn, name, mode,
@@ -209,14 +208,13 @@ Result<LockResult> LockTable::Acquire(NodeId node, TxnId txn, uint64_t name,
   } else {
     release_lines();
   }
-  AtomicInc(stats_.queued);
+  ++stats_.queued;
   return LockResult::kQueued;
 }
 
 Result<LockResult> LockTable::PollGrant(NodeId node, TxnId txn, uint64_t name,
                                         LockMode mode, Lsn* chain_prev) {
   ProfScope lock_wait(prof_, ProfPhase::kLockWait);
-  std::lock_guard<std::mutex> latch(StripeFor(name));
   SMDB_ASSIGN_OR_RETURN(uint32_t slot, FindSlot(node, name, /*create=*/false));
   SMDB_ASSIGN_OR_RETURN(Lcb lcb, ReadLcb(node, slot));
   LockEntry* mine = lcb.FindHolder(txn);
@@ -228,7 +226,7 @@ Result<LockResult> LockTable::PollGrant(NodeId node, TxnId txn, uint64_t name,
   // redo it if the LCB is destroyed.
   SMDB_RETURN_IF_ERROR(LogLockOp(node, txn, name, mode,
                                  LockOpPayload::Op::kAcquire, chain_prev));
-  AtomicInc(stats_.acquires);
+  ++stats_.acquires;
   SMDB_TRACE(tracer_, {.kind = TraceEventKind::kLockAcquire,
                        .node = node,
                        .txn = txn,
@@ -242,7 +240,6 @@ Result<LockResult> LockTable::PollGrant(NodeId node, TxnId txn, uint64_t name,
 
 Status LockTable::Release(NodeId node, TxnId txn, uint64_t name,
                           Lsn* chain_prev) {
-  std::lock_guard<std::mutex> latch(StripeFor(name));
   auto slot_or = FindSlot(node, name, /*create=*/false);
   if (!slot_or.ok()) {
     // Already reclaimed (e.g. restart recovery dropped the lock): release
@@ -301,7 +298,7 @@ Status LockTable::Release(NodeId node, TxnId txn, uint64_t name,
   Status s = changed ? WriteLcb(node, slot, lcb) : Status::Ok();
   release_lines();
   if (!s.ok()) return s;
-  AtomicInc(stats_.releases);
+  ++stats_.releases;
   SMDB_TRACE(tracer_, {.kind = TraceEventKind::kLockRelease,
                        .node = node,
                        .txn = txn,
@@ -311,7 +308,6 @@ Status LockTable::Release(NodeId node, TxnId txn, uint64_t name,
 }
 
 Result<LockMode> LockTable::HeldMode(NodeId node, TxnId txn, uint64_t name) {
-  std::lock_guard<std::mutex> latch(StripeFor(name));
   auto slot_or = FindSlot(node, name, /*create=*/false);
   if (!slot_or.ok()) {
     if (slot_or.status().IsNotFound()) return LockMode::kNone;
@@ -324,7 +320,6 @@ Result<LockMode> LockTable::HeldMode(NodeId node, TxnId txn, uint64_t name) {
 
 Result<std::vector<LockEntry>> LockTable::Holders(NodeId node,
                                                   uint64_t name) {
-  std::lock_guard<std::mutex> latch(StripeFor(name));
   auto slot_or = FindSlot(node, name, /*create=*/false);
   if (!slot_or.ok()) {
     if (slot_or.status().IsNotFound()) return std::vector<LockEntry>{};
@@ -335,7 +330,6 @@ Result<std::vector<LockEntry>> LockTable::Holders(NodeId node,
 }
 
 Result<Lcb> LockTable::GetLcb(NodeId node, uint64_t name) {
-  std::lock_guard<std::mutex> latch(StripeFor(name));
   auto slot_or = FindSlot(node, name, /*create=*/false);
   if (!slot_or.ok()) {
     if (slot_or.status().IsNotFound()) return Lcb{};
@@ -448,84 +442,6 @@ std::vector<LineAddr> LockTable::LostLines() const {
     if (machine_->IsLineLost(first + i)) out.push_back(first + i);
   }
   return out;
-}
-
-std::mutex& LockTable::StripeFor(uint64_t name) const {
-  return stripe_mu_[HashName(name) % kLatchStripes];
-}
-
-uint32_t LockTable::SnoopFindSlot(uint64_t name, bool create,
-                                  std::vector<LineAddr>* lines,
-                                  LockPrediction::Outcome* outcome) const {
-  uint32_t h = static_cast<uint32_t>(HashName(name) % config_.buckets);
-  uint32_t limit = std::min(kProbeLimit, config_.buckets);
-  uint32_t first_empty = config_.buckets;  // sentinel
-  for (uint32_t i = 0; i < limit; ++i) {
-    uint32_t slot = (h + i) % config_.buckets;
-    uint64_t stored = 0;
-    Status s = machine_->SnoopRead(SlotBase(slot), &stored, sizeof(stored));
-    if (!s.ok()) continue;  // lost slot header: FindSlot skips it too
-    // The real probe's coherent read touches this line, so it belongs to
-    // the step's footprint even when the probe moves on.
-    lines->push_back(SlotFirstLine(slot));
-    if (stored == name) return slot;
-    if (stored == 0 && first_empty == config_.buckets) first_empty = slot;
-  }
-  if (create && first_empty != config_.buckets) return first_empty;
-  if (create) *outcome = LockPrediction::Outcome::kTryAgain;
-  return config_.buckets;
-}
-
-LockPrediction LockTable::Predict(TxnId txn, uint64_t name,
-                                  LockMode mode) const {
-  LockPrediction p;
-  uint32_t slot = SnoopFindSlot(name, /*create=*/true, &p.lines, &p.outcome);
-  if (slot == config_.buckets) return p;  // kTryAgain from the probe
-  for (uint32_t i = 0; i < codec_.lines(); ++i) {
-    p.lines.push_back(SlotFirstLine(slot) + i);
-  }
-  std::vector<uint8_t> buf(codec_.bytes());
-  Status s = machine_->SnoopRead(SlotBase(slot), buf.data(), buf.size());
-  if (!s.ok()) {
-    p.outcome = LockPrediction::Outcome::kLost;  // partial two-line loss
-    return p;
-  }
-  Lcb lcb = codec_.Decode(buf.data());
-  LockEntry* mine = lcb.FindHolder(txn);
-  if (mine != nullptr) {
-    if (mine->mode == LockMode::kExclusive || mine->mode == mode) {
-      p.outcome = LockPrediction::Outcome::kHeld;
-    } else if (lcb.holders.size() == 1) {
-      p.outcome = LockPrediction::Outcome::kGranted;  // sole-holder upgrade
-    } else {
-      p.outcome = LockPrediction::Outcome::kQueued;
-    }
-    return p;
-  }
-  if (lcb.CanGrant(txn, mode) &&
-      lcb.holders.size() < codec_.holders_capacity()) {
-    p.outcome = LockPrediction::Outcome::kGranted;
-    return p;
-  }
-  // Conflict or waiter-capacity rejection: either way the step is not
-  // batchable, so the coarse kQueued classification is enough.
-  p.outcome = LockPrediction::Outcome::kQueued;
-  return p;
-}
-
-std::vector<LockEntry> LockTable::SnoopWaiters(uint64_t name,
-                                               bool* lost) const {
-  if (lost != nullptr) *lost = false;
-  std::vector<LineAddr> scratch;
-  LockPrediction::Outcome oc = LockPrediction::Outcome::kQueued;
-  uint32_t slot = SnoopFindSlot(name, /*create=*/false, &scratch, &oc);
-  if (slot == config_.buckets) return {};
-  std::vector<uint8_t> buf(codec_.bytes());
-  if (!machine_->SnoopRead(SlotBase(slot), buf.data(), buf.size()).ok()) {
-    if (lost != nullptr) *lost = true;
-    return {};
-  }
-  return codec_.Decode(buf.data()).waiters;
 }
 
 }  // namespace smdb

@@ -1,13 +1,9 @@
 #ifndef SMDB_LOCKMGR_LOCK_TABLE_H_
 #define SMDB_LOCKMGR_LOCK_TABLE_H_
 
-#include <array>
 #include <functional>
-#include <mutex>
 #include <set>
 #include <vector>
-
-#include "common/atomic_util.h"
 
 #include "common/status.h"
 #include "common/types.h"
@@ -64,26 +60,6 @@ struct LockTableStats {
 /// Outcome of an Acquire call.
 enum class LockResult : uint8_t { kGranted, kQueued };
 
-/// Plan-time prediction of what an Acquire would do, computed entirely by
-/// snooping (no machine cost, no state change). The sharded executor uses
-/// it to decide whether a step is batchable (predicted grant) and which
-/// cache lines the step will touch (probe window + LCB slot lines), so
-/// batches stay footprint-disjoint and the parallel run replays the serial
-/// schedule exactly.
-struct LockPrediction {
-  enum class Outcome : uint8_t {
-    kGranted,   // Acquire returns kGranted (fresh grant or upgrade)
-    kHeld,      // already held at sufficient strength (no LCB write)
-    kQueued,    // would queue (or deadlock-check) — not batchable
-    kTryAgain,  // capacity rejection — not batchable
-    kLost,      // a needed line is lost — not batchable
-  };
-  Outcome outcome = Outcome::kQueued;
-  /// Every LCB-table line the serial Acquire would touch: the probed slot
-  /// header lines plus the target slot's full codec span.
-  std::vector<LineAddr> lines;
-};
-
 /// Shared-memory lock manager ("SM locking", section 4.2.2).
 ///
 /// LCBs live in a hash table in simulated shared memory: a lock request
@@ -103,14 +79,6 @@ class LockTable {
   /// chaining via *chain_prev when non-null.
   Result<LockResult> Acquire(NodeId node, TxnId txn, uint64_t name,
                              LockMode mode, Lsn* chain_prev);
-
-  /// Cost-free dry run of Acquire (see LockPrediction). Valid as long as
-  /// no step touching the returned lines executes in between.
-  LockPrediction Predict(TxnId txn, uint64_t name, LockMode mode) const;
-
-  /// Snooped waiter list of `name` (empty if no LCB / no waiters); lost
-  /// lines report `lost`=true. Plan-time only.
-  std::vector<LockEntry> SnoopWaiters(uint64_t name, bool* lost) const;
 
   /// Releases `txn`'s hold on `name` and promotes compatible waiters.
   Status Release(NodeId node, TxnId txn, uint64_t name, Lsn* chain_prev);
@@ -186,23 +154,6 @@ class LockTable {
   /// LCB changed.
   bool PromoteWaiters(Lcb& lcb);
 
-  /// Snooping twin of FindSlot: probes the window without machine cost.
-  /// Appends every probed slot-header line to *lines (mirroring the lines
-  /// the real FindSlot would touch). Returns the slot, or the sentinel
-  /// config_.buckets when the probe fails; *outcome distinguishes
-  /// not-found/full/lost.
-  uint32_t SnoopFindSlot(uint64_t name, bool create,
-                         std::vector<LineAddr>* lines,
-                         LockPrediction::Outcome* outcome) const;
-
-  /// Per-bucket latch stripe for `name`. The executor's footprint-disjoint
-  /// batching already keeps concurrent steps off the same LCB window; the
-  /// stripes are the defence-in-depth serialisation point replacing the
-  /// old implicit single-threaded execution (cf. per-bucket latching in
-  /// conventional lock managers).
-  static constexpr uint32_t kLatchStripes = 64;
-  std::mutex& StripeFor(uint64_t name) const;
-
   Machine* machine_;
   LogManager* log_;
   TraceRecorder* tracer_ = nullptr;
@@ -211,7 +162,6 @@ class LockTable {
   LockTableConfig config_;
   LcbCodec codec_;
   Addr base_ = 0;
-  mutable std::array<std::mutex, kLatchStripes> stripe_mu_;
   LockTableStats stats_;
 };
 

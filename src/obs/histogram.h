@@ -18,7 +18,7 @@ namespace smdb {
 /// or per-thread histograms merge by bucket-wise addition: any merge order
 /// (and any work partitioning) yields bit-identical counts and therefore
 /// bit-identical percentiles. That is the property the latency observatory
-/// leans on for its thread-width-invariance guarantee.
+/// leans on for its stream-count-invariance guarantee.
 ///
 /// Layout: values below kSubBuckets (128) are exact (unit-width buckets);
 /// above that, each power-of-two range splits into kSubBuckets/2 buckets,

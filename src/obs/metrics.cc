@@ -34,34 +34,6 @@ MetricsRegistry MetricsRegistry::FromReport(const HarnessReport& report) {
   reg.Add("exec.lock_waits", report.exec.lock_waits);
   reg.Add("exec.commit_waits", report.exec.commit_waits);
 
-  reg.Add("executor.batches", report.shard.batches);
-  reg.Add("executor.batched_steps", report.shard.batched_steps);
-  reg.Add("executor.solo_steps", report.shard.solo_steps);
-  reg.Add("sweeper.batches", report.sweep_batches);
-  reg.Add("sweeper.batched_records", report.sweep_batched_records);
-
-  if (report.profile.enabled) {
-    for (size_t i = 0; i < kNumBatchRejectReasons; ++i) {
-      reg.Add(std::string("executor.reject.") +
-                  BatchRejectReasonName(static_cast<BatchRejectReason>(i)),
-              report.profile.reject[i]);
-    }
-    for (size_t i = 0; i < kNumSweeperSoloReasons; ++i) {
-      reg.Add(std::string("sweeper.solo.") +
-                  SweeperSoloReasonName(static_cast<SweeperSoloReason>(i)),
-              report.profile.sweeper_solo[i]);
-    }
-    auto add_occ = [&reg](const std::string& prefix, const Histogram& h) {
-      reg.Add(prefix + ".count", h.count());
-      reg.AddDouble(prefix + ".mean", h.Mean());
-      reg.Add(prefix + ".p50", h.P50());
-      reg.Add(prefix + ".p99", h.P99());
-      reg.Add(prefix + ".max", h.max());
-    };
-    add_occ("executor.occupancy", report.profile.batch_occupancy);
-    add_occ("executor.footprint_lines", report.profile.batch_footprint_lines);
-  }
-
   reg.Add("disk.reads", report.disk_reads);
   reg.Add("disk.writes", report.disk_writes);
   reg.Add("run.steps", report.steps);

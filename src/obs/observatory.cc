@@ -32,7 +32,6 @@ bool Observatory::InCrashShadow(SimTime ts) const {
 
 void Observatory::OnTxnBegin(NodeId node, TxnId txn, SimTime ts) {
   (void)node;
-  std::lock_guard<std::mutex> lk(mu_);
   open_txns_.insert(txn);
   series_.OnBegin(ts);
   series_.NoteInflight(ts, open_txns_.size());
@@ -40,7 +39,6 @@ void Observatory::OnTxnBegin(NodeId node, TxnId txn, SimTime ts) {
 
 void Observatory::OnCommit(NodeId node, TxnId txn, SimTime ts,
                            SimTime latency) {
-  std::lock_guard<std::mutex> lk(mu_);
   // Fire once per transaction even if several completion paths run
   // (normal finish, crash-time resolution of a durable pending commit).
   if (open_txns_.erase(txn) == 0) return;
@@ -75,7 +73,6 @@ void Observatory::OnCommit(NodeId node, TxnId txn, SimTime ts,
 void Observatory::OnAbort(NodeId node, TxnId txn, SimTime ts,
                           SimTime latency) {
   (void)node;
-  std::lock_guard<std::mutex> lk(mu_);
   if (open_txns_.erase(txn) == 0) return;
   pending_waits_.erase(pending_waits_.lower_bound({txn, 0}),
                        pending_waits_.upper_bound({txn, ~0ULL}));
@@ -85,12 +82,10 @@ void Observatory::OnAbort(NodeId node, TxnId txn, SimTime ts,
 }
 
 void Observatory::OnLockQueued(TxnId txn, uint64_t name, SimTime ts) {
-  std::lock_guard<std::mutex> lk(mu_);
   pending_waits_.emplace(std::pair<TxnId, uint64_t>{txn, name}, ts);
 }
 
 void Observatory::OnLockGranted(TxnId txn, uint64_t name, SimTime ts) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = pending_waits_.find({txn, name});
   if (it == pending_waits_.end()) return;  // granted without queueing
   const SimTime wait = ts >= it->second ? ts - it->second : 0;
@@ -106,24 +101,20 @@ void Observatory::OnLockGranted(TxnId txn, uint64_t name, SimTime ts) {
 void Observatory::OnGcEnqueued(NodeId node, uint64_t queue_depth,
                                SimTime ts) {
   (void)node;
-  std::lock_guard<std::mutex> lk(mu_);
   series_.NoteGcDepth(ts, queue_depth);
 }
 
 void Observatory::OnGcResidency(NodeId node, SimTime residency, SimTime ts) {
   (void)node;
   (void)ts;
-  std::lock_guard<std::mutex> lk(mu_);
   gc_residency_.Record(residency);
 }
 
 void Observatory::OnNodeDown(NodeId node, SimTime ts) {
-  std::lock_guard<std::mutex> lk(mu_);
   Transition(node, NodeServiceState::kDown, ts);
 }
 
 void Observatory::OnNodeUp(NodeId node, SimTime ts) {
-  std::lock_guard<std::mutex> lk(mu_);
   const bool in_recovery = !crashes_.empty() && crashes_.back().open;
   Transition(node,
              in_recovery ? NodeServiceState::kRecovering
@@ -149,7 +140,6 @@ void Observatory::OnNodeUp(NodeId node, SimTime ts) {
 
 void Observatory::OnRecoveryStart(const std::vector<NodeId>& crashed,
                                   SimTime ts) {
-  std::lock_guard<std::mutex> lk(mu_);
   CrashRecord rec;
   rec.crash_ts = ts;
   rec.nodes = crashed;
@@ -163,7 +153,6 @@ void Observatory::OnRecoveryStart(const std::vector<NodeId>& crashed,
 }
 
 void Observatory::OnRecoveryEnd(SimTime ts) {
-  std::lock_guard<std::mutex> lk(mu_);
   if (!crashes_.empty() && crashes_.back().open) {
     crashes_.back().open = false;
     crashes_.back().recovery_end_ts = ts;
@@ -176,12 +165,10 @@ void Observatory::OnRecoveryEnd(SimTime ts) {
 }
 
 void Observatory::OnRecoveryDrained(SimTime ts) {
-  std::lock_guard<std::mutex> lk(mu_);
   if (!crashes_.empty()) crashes_.back().drain_end_ts = ts;
 }
 
 LatencyReport Observatory::Snapshot() const {
-  std::lock_guard<std::mutex> lk(mu_);
   LatencyReport rep;
   rep.enabled = enabled_;
   if (!enabled_) return rep;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <set>
 #include <vector>
 
@@ -68,11 +67,9 @@ struct LatencyReport {
 };
 
 /// Aggregates latency, throughput, and availability signals from the
-/// instrumented subsystems. Emission sites may fire from concurrent
-/// execution workers; a single latch serialises them. Every aggregate is
-/// order-insensitive (histogram buckets, ts-keyed series windows, keyed
-/// maps), so for a fixed seed the snapshot is deterministic at any
-/// recovery / executor thread width.
+/// instrumented subsystems. Every aggregate is order-insensitive (histogram
+/// buckets, ts-keyed series windows, keyed maps), so for a fixed seed the
+/// snapshot is deterministic at any recovery stream count.
 class Observatory {
  public:
   Observatory(uint16_t num_nodes, ObsConfig config);
@@ -141,10 +138,6 @@ class Observatory {
   bool enabled_;
   ObsConfig config_;
 
-  /// Guards every mutable aggregate below. Held only for the duration of
-  /// one emission (no I/O, no callbacks), so it is leaf-level in the
-  /// system's lock order.
-  mutable std::mutex mu_;
 
   Histogram commit_latency_;
   Histogram abort_latency_;

@@ -6,78 +6,6 @@
 
 namespace smdb {
 
-thread_local uint32_t Profiler::tl_depth_ = 0;
-
-const char* BatchRejectReasonName(BatchRejectReason r) {
-  switch (r) {
-    case BatchRejectReason::kSerialGatedGroupCommit:
-      return "serial-gated-group-commit";
-    case BatchRejectReason::kSerialGatedOnDemand:
-      return "serial-gated-on-demand";
-    case BatchRejectReason::kPollLock:
-      return "poll-lock";
-    case BatchRejectReason::kPollCommit:
-      return "poll-commit";
-    case BatchRejectReason::kRestart:
-      return "restart";
-    case BatchRejectReason::kAbortOp:
-      return "abort-op";
-    case BatchRejectReason::kLockNotGrantable:
-      return "lock-not-grantable";
-    case BatchRejectReason::kInvalidArg:
-      return "invalid-arg";
-    case BatchRejectReason::kWaiterPromotion:
-      return "waiter-promotion";
-    case BatchRejectReason::kStableTriggeredIndex:
-      return "stable-triggered-index";
-    case BatchRejectReason::kStableTriggeredClearTag:
-      return "stable-triggered-clear-tag";
-    case BatchRejectReason::kLostLine:
-      return "lost-line";
-    case BatchRejectReason::kRecordFootprintCollision:
-      return "record-footprint-collision";
-    case BatchRejectReason::kLockStripeCollision:
-      return "lock-stripe-collision";
-    case BatchRejectReason::kIndexDescentCollision:
-      return "index-descent-collision";
-    case BatchRejectReason::kForcedLogCollision:
-      return "forced-log-collision";
-    case BatchRejectReason::kPerNodeCap:
-      return "per-node-cap";
-    case BatchRejectReason::kSuccessorExclusive:
-      return "successor-exclusive";
-    case BatchRejectReason::kTerminalClose:
-      return "terminal-close";
-    case BatchRejectReason::kIndexTokenClose:
-      return "index-token-close";
-    case BatchRejectReason::kBudgetBarrier:
-      return "budget-barrier";
-    case BatchRejectReason::kDrained:
-      return "drained";
-    case BatchRejectReason::kUnclassified:
-      return "unclassified";
-  }
-  return "unknown";
-}
-
-const char* SweeperSoloReasonName(SweeperSoloReason r) {
-  switch (r) {
-    case SweeperSoloReason::kIndexDescent:
-      return "index-descent";
-    case SweeperSoloReason::kPageLoad:
-      return "page-load";
-    case SweeperSoloReason::kUndoObligation:
-      return "undo-obligation";
-    case SweeperSoloReason::kTagDischarge:
-      return "tag-discharge";
-    case SweeperSoloReason::kLoneRecord:
-      return "lone-record";
-    case SweeperSoloReason::kSerialSweep:
-      return "serial-sweep";
-  }
-  return "unknown";
-}
-
 const char* ProfPhaseName(ProfPhase p) {
   switch (p) {
     case ProfPhase::kStep:
@@ -103,8 +31,8 @@ const char* ProfPhaseName(ProfPhase p) {
 }
 
 void Profiler::BeginRoot(ProfPhase root) {
-  assert(tl_depth_ == 0);
-  tl_depth_ = 1;
+  assert(depth_ == 0);
+  depth_ = 1;
   path_.assign(ProfPhaseName(root));
   frames_.clear();
   cur_ = &cells_[path_];
@@ -112,16 +40,16 @@ void Profiler::BeginRoot(ProfPhase root) {
 }
 
 void Profiler::EndRoot() {
-  assert(tl_depth_ == 1);
-  tl_depth_ = 0;
+  assert(depth_ == 1);
+  depth_ = 0;
   path_.clear();
   frames_.clear();
   cur_ = nullptr;
 }
 
 void Profiler::Enter(ProfPhase phase) {
-  assert(tl_depth_ >= 1);
-  ++tl_depth_;
+  assert(depth_ >= 1);
+  ++depth_;
   frames_.push_back(path_.size());
   path_.push_back(';');
   path_.append(ProfPhaseName(phase));
@@ -130,69 +58,30 @@ void Profiler::Enter(ProfPhase phase) {
 }
 
 void Profiler::Exit() {
-  assert(tl_depth_ >= 2 && !frames_.empty());
+  assert(depth_ >= 2 && !frames_.empty());
   path_.resize(frames_.back());
   frames_.pop_back();
-  --tl_depth_;
+  --depth_;
   cur_ = &cells_[path_];
 }
 
 ProfilerReport Profiler::Snapshot() const {
   ProfilerReport rep;
   rep.enabled = enabled();
-  rep.reject = reject_;
-  rep.sweeper_solo = sweeper_solo_;
-  rep.batch_occupancy = occupancy_;
-  rep.batch_footprint_lines = footprint_;
   rep.phases = cells_;
   return rep;
 }
 
 void Profiler::Reset() {
-  reject_.fill(0);
-  sweeper_solo_.fill(0);
-  occupancy_.Reset();
-  footprint_.Reset();
   cells_.clear();
   path_.clear();
   frames_.clear();
   cur_ = nullptr;
 }
 
-uint64_t ProfilerReport::reject_total() const {
-  uint64_t total = 0;
-  for (uint64_t c : reject) total += c;
-  return total;
-}
-
-uint64_t ProfilerReport::sweeper_solo_total() const {
-  uint64_t total = 0;
-  for (uint64_t c : sweeper_solo) total += c;
-  return total;
-}
-
 json::Value ProfilerReport::ToJson() const {
   json::Value doc = json::Value::Object();
   doc.Set("enabled", json::Value::Bool(enabled));
-
-  json::Value rej = json::Value::Object();
-  for (size_t i = 0; i < kNumBatchRejectReasons; ++i) {
-    rej.Set(BatchRejectReasonName(static_cast<BatchRejectReason>(i)),
-            json::Value::Uint(reject[i]));
-  }
-  doc.Set("reject", std::move(rej));
-  doc.Set("reject_total", json::Value::Uint(reject_total()));
-
-  json::Value solo = json::Value::Object();
-  for (size_t i = 0; i < kNumSweeperSoloReasons; ++i) {
-    solo.Set(SweeperSoloReasonName(static_cast<SweeperSoloReason>(i)),
-             json::Value::Uint(sweeper_solo[i]));
-  }
-  doc.Set("sweeper_solo", std::move(solo));
-  doc.Set("sweeper_solo_total", json::Value::Uint(sweeper_solo_total()));
-
-  doc.Set("batch_occupancy", batch_occupancy.ToJson());
-  doc.Set("batch_footprint_lines", batch_footprint_lines.ToJson());
 
   json::Value ph = json::Value::Object();
   for (const auto& [path, cell] : phases) {
@@ -220,17 +109,6 @@ std::string ProfilerReport::ToCollapsed() const {
 json::Value ProfileJsonFromReport(const HarnessReport& report) {
   json::Value doc = json::Value::Object();
   doc.Set("profiler", report.profile.ToJson());
-
-  json::Value ex = json::Value::Object();
-  ex.Set("batches", json::Value::Uint(report.shard.batches));
-  ex.Set("batched_steps", json::Value::Uint(report.shard.batched_steps));
-  ex.Set("solo_steps", json::Value::Uint(report.shard.solo_steps));
-  doc.Set("executor", std::move(ex));
-
-  json::Value sw = json::Value::Object();
-  sw.Set("batches", json::Value::Uint(report.sweep_batches));
-  sw.Set("batched_records", json::Value::Uint(report.sweep_batched_records));
-  doc.Set("sweeper", std::move(sw));
   return doc;
 }
 

@@ -1,7 +1,6 @@
 #ifndef SMDB_OBS_PROFILER_H_
 #define SMDB_OBS_PROFILER_H_
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -9,75 +8,16 @@
 
 #include "common/json.h"
 #include "common/types.h"
-#include "obs/histogram.h"
 
 namespace smdb {
 
 struct HarnessReport;
 
-/// Why a drawn pick executed alone instead of joining a multi-pick batch.
-/// One reason is attributed per solo step (and per serial-gated step), so
-/// for any profiled run the per-reason counts sum exactly to
-/// ShardStats::solo_steps — the invariant smdb_profile_check and the
-/// obs_test matrix pin. The taxonomy maps one-to-one onto the actual
-/// rejection points in SystemExecutor::RunBatches / NodeExecutor::Peek.
-enum class BatchRejectReason : uint8_t {
-  // Serial gates: batching bypassed for the whole run regardless of width.
-  kSerialGatedGroupCommit,  ///< commit pipeline coalesces forces on poll order
-  kSerialGatedOnDemand,     ///< first-touch recovery hooks have no footprint
-
-  // Exclusive picks (Peek/PlanPick could not prove the step batchable).
-  kPollLock,              ///< step polls a queued lock
-  kPollCommit,            ///< step polls a pending group commit
-  kRestart,               ///< txn annulled underneath the script: restart
-  kAbortOp,               ///< rollback walks the log
-  kLockNotGrantable,      ///< Predict: would queue / spin / deadlock-abort
-  kInvalidArg,            ///< malformed op ends in HandleAbort
-  kWaiterPromotion,       ///< commit releases a lock with waiters (cross-node
-                          ///< promotion log append)
-  kStableTriggeredIndex,  ///< index op under ST-LBM: unknown forced logs
-  kStableTriggeredClearTag,  ///< commit-time ClearTag under ST-LBM
-  kLostLine,              ///< footprint touches a lost line (error path)
-
-  // Batch-dynamic conflicts (the pick was batchable but collided with the
-  // open batch, closing it; attributed when the closed batch had size 1).
-  kRecordFootprintCollision,  ///< slot/header line already in the batch
-  kLockStripeCollision,       ///< LCB probe-window line already in the batch
-  kIndexDescentCollision,     ///< second index-descending pick (token held)
-  kForcedLogCollision,        ///< ST-LBM third-party force targets a member
-  kPerNodeCap,                ///< ≤1-pick-per-node rule
-  kSuccessorExclusive,        ///< next draw was exclusive and closed the batch
-
-  // Structural closes and barriers.
-  kTerminalClose,    ///< pick may idle its executor: ready set would change
-  kIndexTokenClose,  ///< index token must be the batch's last member
-  kBudgetBarrier,    ///< crash / checkpoint / max_steps schedule barrier
-  kDrained,          ///< every live executor went idle mid-batch
-  kUnclassified,     ///< fallback; must stay zero in practice
-};
-inline constexpr size_t kNumBatchRejectReasons =
-    static_cast<size_t>(BatchRejectReason::kUnclassified) + 1;
-const char* BatchRejectReasonName(BatchRejectReason r);
-
-/// Why an on-demand sweeper discharge ran solo (off the ThreadPool batch
-/// path). `sweeper.solo.<reason>` in the metrics snapshot.
-enum class SweeperSoloReason : uint8_t {
-  kIndexDescent,    ///< index-key obligation descends the B+-tree
-  kPageLoad,        ///< page image still pending: lazy load first
-  kUndoObligation,  ///< undo work allocates CLR USNs: strict order
-  kTagDischarge,    ///< slot carries a dead node's tag
-  kLoneRecord,      ///< clean record but no batch partner
-  kSerialSweep,     ///< recovery_threads == 1: the whole sweep is serial
-};
-inline constexpr size_t kNumSweeperSoloReasons =
-    static_cast<size_t>(SweeperSoloReason::kSerialSweep) + 1;
-const char* SweeperSoloReasonName(SweeperSoloReason r);
-
-/// Hierarchical sim-time phases. Roots (kStep, kSweep, kRecovery) open a
-/// coordinator-thread attribution window; the others nest inside it.
+/// Hierarchical sim-time phases. Roots (kStep, kSweep, kRecovery) open an
+/// attribution window; the others nest inside it.
 enum class ProfPhase : uint8_t {
-  kStep,      ///< one solo / serial executor step
-  kSweep,     ///< one solo sweeper discharge
+  kStep,      ///< one executor step
+  kSweep,     ///< one sweeper discharge
   kRecovery,  ///< the eager crash-time recovery prefix
   kLockWait,
   kCoherence,
@@ -89,11 +29,8 @@ enum class ProfPhase : uint8_t {
 const char* ProfPhaseName(ProfPhase p);
 
 struct ProfilerConfig {
-  /// Runtime switch. When on, the SystemExecutor additionally pins its
-  /// batch planner at a canonical width (max(execution_threads, 8)) so
-  /// reason counts and occupancy are comparable across widths; the
-  /// StateDigest is plan-width-invariant by the schedule-replay
-  /// construction, so enabling the profiler never changes the final state.
+  /// Runtime switch. Attribution only observes Machine::Tick charges, so
+  /// enabling the profiler never changes the run it profiles.
   bool enabled = false;
 };
 
@@ -109,30 +46,19 @@ struct ProfPhaseCell {
 /// Copyable end-of-run snapshot (rides in HarnessReport::profile).
 struct ProfilerReport {
   bool enabled = false;
-  std::array<uint64_t, kNumBatchRejectReasons> reject{};
-  std::array<uint64_t, kNumSweeperSoloReasons> sweeper_solo{};
-  /// Steps per dispatched batch (1 = solo) / distinct footprint lines per
-  /// batch, at the *planning* width (canonical ≥8 when profiling).
-  Histogram batch_occupancy;
-  Histogram batch_footprint_lines;
   /// Keyed by semicolon-joined phase path ("step;apply;wal_append").
   std::map<std::string, ProfPhaseCell> phases;
 
-  uint64_t reject_total() const;
-  uint64_t sweeper_solo_total() const;
   json::Value ToJson() const;
   /// flamegraph.pl-compatible collapsed stacks: "stack ns\n" per bucket.
   std::string ToCollapsed() const;
 };
 
-/// The execution/recovery profiler: conflict-reason attribution for the
-/// sharded executor and the on-demand sweeper, plus exact sim-time cost
-/// accounting. Time attribution piggybacks on Machine::Tick — every
-/// simulated-time charge that lands while a root scope is open on the
-/// current thread is credited to the innermost phase path, so there is no
-/// clock sampling, no self-time reconstruction, and (because roots only
-/// open on the coordinator's solo/serial paths) no cross-thread traffic.
-/// Pool workers see a thread_local depth of zero and skip in one branch.
+/// The execution/recovery profiler: exact sim-time cost accounting per
+/// phase. Time attribution piggybacks on Machine::Tick — every
+/// simulated-time charge that lands while a root scope is open is credited
+/// to the innermost phase path, so there is no clock sampling and no
+/// self-time reconstruction.
 class Profiler {
  public:
   explicit Profiler(ProfilerConfig cfg = {}) : enabled_(cfg.enabled) {}
@@ -149,21 +75,9 @@ class Profiler {
   }
   void set_enabled(bool on) { enabled_ = on; }
 
-  /// True when a root scope is open on the *current thread* — the gate
-  /// every emission site checks first (thread-local, no sharing).
-  static bool InScope() { return tl_depth_ > 0; }
-
-  // -- Conflict attribution (coordinator thread only) ---------------------
-  void CountReject(BatchRejectReason r) {
-    ++reject_[static_cast<size_t>(r)];
-  }
-  void CountSweeperSolo(SweeperSoloReason r) {
-    ++sweeper_solo_[static_cast<size_t>(r)];
-  }
-  void RecordBatch(uint64_t occupancy, uint64_t footprint_lines) {
-    occupancy_.Record(occupancy);
-    footprint_.Record(footprint_lines);
-  }
+  /// True when a root scope is open — the gate every emission site
+  /// checks first.
+  bool InScope() const { return depth_ > 0; }
 
   // -- Sim-time attribution (use ProfRoot / ProfScope, not these) ---------
   void OnTick(SimTime ns) {
@@ -181,29 +95,24 @@ class Profiler {
   void Reset();
 
  private:
-  static thread_local uint32_t tl_depth_;
-
+  uint32_t depth_ = 0;
   bool enabled_ = false;
-  std::array<uint64_t, kNumBatchRejectReasons> reject_{};
-  std::array<uint64_t, kNumSweeperSoloReasons> sweeper_solo_{};
-  Histogram occupancy_;
-  Histogram footprint_;
   std::map<std::string, ProfPhaseCell> cells_;
   std::string path_;
   std::vector<size_t> frames_;  ///< path_ lengths to restore on Exit
   ProfPhaseCell* cur_ = nullptr;
 };
 
-/// RAII attribution window for one coordinator-path unit of work (a solo
-/// step, a sweeper discharge, the recovery prefix). No-ops when the
-/// profiler is null/disabled or a root is already open on this thread.
+/// RAII attribution window for one unit of work (an executor step, a
+/// sweeper discharge, the recovery prefix). No-ops when the profiler is
+/// null/disabled or a root is already open.
 class ProfRoot {
  public:
 #ifdef SMDB_PROFILER_DISABLED
   ProfRoot(Profiler*, ProfPhase) {}
 #else
   ProfRoot(Profiler* p, ProfPhase root) {
-    if (p != nullptr && p->enabled() && !Profiler::InScope()) {
+    if (p != nullptr && p->enabled() && !p->InScope()) {
       p_ = p;
       p->BeginRoot(root);
     }
@@ -219,15 +128,14 @@ class ProfRoot {
   ProfRoot& operator=(const ProfRoot&) = delete;
 };
 
-/// RAII nested phase. Engages only inside an open root on this thread, so
-/// pool workers pay exactly one thread-local branch.
+/// RAII nested phase. Engages only inside an open root.
 class ProfScope {
  public:
 #ifdef SMDB_PROFILER_DISABLED
   ProfScope(Profiler*, ProfPhase) {}
 #else
   ProfScope(Profiler* p, ProfPhase phase) {
-    if (Profiler::InScope() && p != nullptr) {
+    if (p != nullptr && p->InScope()) {
       p_ = p;
       p->Enter(phase);
     }
@@ -244,26 +152,23 @@ class ProfScope {
 };
 
 /// Assembles the standalone profile document `smdb_run --profile-out` and
-/// bench_throughput write (and smdb_profile_check validates): the profiler
-/// snapshot plus the executor/sweeper occupancy counters it is gated on.
+/// bench_throughput write (and smdb_profile_check validates).
 json::Value ProfileJsonFromReport(const HarnessReport& report);
 
 }  // namespace smdb
 
 /// Tick hook (sim/machine.h): attributes a sim-time charge to the current
 /// phase path. Compiled out under SMDB_PROFILER_DISABLED; otherwise one
-/// thread-local branch when no root is open.
+/// branch when no root is open.
 #ifdef SMDB_PROFILER_DISABLED
 #define SMDB_PROF_TICK(prof_expr, ns) ((void)0)
 #else
-#define SMDB_PROF_TICK(prof_expr, ns)               \
-  do {                                              \
-    if (::smdb::Profiler::InScope()) {              \
-      ::smdb::Profiler* smdb_prof_p = (prof_expr);  \
-      if (smdb_prof_p != nullptr) {                 \
-        smdb_prof_p->OnTick(ns);                    \
-      }                                             \
-    }                                               \
+#define SMDB_PROF_TICK(prof_expr, ns)                        \
+  do {                                                       \
+    ::smdb::Profiler* smdb_prof_p = (prof_expr);             \
+    if (smdb_prof_p != nullptr && smdb_prof_p->InScope()) {  \
+      smdb_prof_p->OnTick(ns);                               \
+    }                                                        \
   } while (0)
 #endif
 

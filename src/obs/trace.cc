@@ -23,8 +23,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kCrash: return "crash";
     case TraceEventKind::kRecoveryPhase: return "recovery_phase";
     case TraceEventKind::kTagDecision: return "tag_decision";
-    case TraceEventKind::kBatchReject: return "batch_reject";
-    case TraceEventKind::kSweepSolo: return "sweep_solo";
   }
   return "unknown";
 }
@@ -34,7 +32,6 @@ TraceRecorder::TraceRecorder(uint16_t num_nodes, uint32_t capacity_per_node)
       rings_(num_nodes == 0 ? 1 : num_nodes) {}
 
 void TraceRecorder::Record(TraceEvent ev) {
-  std::lock_guard<std::mutex> lk(mu_);
   Ring& ring = rings_[ev.node < rings_.size() ? ev.node : 0];
   ev.seq = seq_++;
   ++ring.recorded;
@@ -48,25 +45,22 @@ void TraceRecorder::Record(TraceEvent ev) {
 }
 
 uint64_t TraceRecorder::dropped(NodeId node) const {
-  std::lock_guard<std::mutex> lk(mu_);
   return node < rings_.size() ? rings_[node].dropped : 0;
 }
 
 uint64_t TraceRecorder::total_dropped() const {
-  std::lock_guard<std::mutex> lk(mu_);
   uint64_t total = 0;
   for (const Ring& r : rings_) total += r.dropped;
   return total;
 }
 
 uint64_t TraceRecorder::total_recorded() const {
-  std::lock_guard<std::mutex> lk(mu_);
   uint64_t total = 0;
   for (const Ring& r : rings_) total += r.recorded;
   return total;
 }
 
-std::vector<TraceEvent> TraceRecorder::EventsLocked(NodeId node) const {
+std::vector<TraceEvent> TraceRecorder::Events(NodeId node) const {
   std::vector<TraceEvent> out;
   if (node >= rings_.size()) return out;
   const Ring& ring = rings_[node];
@@ -79,16 +73,10 @@ std::vector<TraceEvent> TraceRecorder::EventsLocked(NodeId node) const {
   return out;
 }
 
-std::vector<TraceEvent> TraceRecorder::Events(NodeId node) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return EventsLocked(node);
-}
-
 std::vector<TraceEvent> TraceRecorder::AllEvents() const {
-  std::lock_guard<std::mutex> lk(mu_);
   std::vector<TraceEvent> out;
   for (NodeId n = 0; n < rings_.size(); ++n) {
-    std::vector<TraceEvent> evs = EventsLocked(n);
+    std::vector<TraceEvent> evs = Events(n);
     out.insert(out.end(), evs.begin(), evs.end());
   }
   std::sort(out.begin(), out.end(),
@@ -125,10 +113,7 @@ json::Value TraceRecorder::ToJson() const {
   for (const TraceEvent& ev : AllEvents()) events.Append(TraceEventJson(ev));
   doc.Set("events", std::move(events));
   json::Value drops = json::Value::Array();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
     for (const Ring& r : rings_) drops.Append(json::Value::Uint(r.dropped));
-  }
   doc.Set("dropped", std::move(drops));
   doc.Set("recorded", json::Value::Uint(total_recorded()));
   return doc;

@@ -2,7 +2,6 @@
 #define SMDB_OBS_TRACE_H_
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -45,16 +44,12 @@ enum class TraceEventKind : uint8_t {
   kRecoveryPhase,  ///< span: label = phase name, dur = phase sim-time
   kTagDecision,    ///< tag-scan verdict; label = "heap-undo"|"heap-stale"|
                    ///< "index-undo"|"index-stale", a = rid/key, txn = owner
-
-  // Profiler events (txn/executor.cc, core/on_demand.cc).
-  kBatchReject,  ///< a pick executed solo; label = BatchRejectReasonName
-  kSweepSolo,    ///< a sweeper discharge ran solo; label = SweeperSoloReasonName
 };
 
 /// Number of enumerators — smdb_trace_check builds its known-kind set by
 /// iterating [0, kNumTraceEventKinds). Keep in sync with the enum tail.
 inline constexpr size_t kNumTraceEventKinds =
-    static_cast<size_t>(TraceEventKind::kSweepSolo) + 1;
+    static_cast<size_t>(TraceEventKind::kTagDecision) + 1;
 
 /// Human-readable name of a kind (stable; used in exported JSON).
 const char* TraceEventKindName(TraceEventKind kind);
@@ -87,10 +82,8 @@ struct TraceConfig {
 };
 
 /// Per-node fixed-capacity ring buffers of TraceEvents with drop-oldest
-/// overflow. Thread-safe: Record takes a mutex, but the sim's emission
-/// sites all run on the recovery coordinator / harness thread, so for a
-/// fixed seed the recorded sequence (including the global `seq` order) is
-/// deterministic at any recovery_threads / --jobs setting.
+/// overflow. For a fixed seed the recorded sequence (including the global
+/// `seq` order) is deterministic at any recovery_streams / --jobs setting.
 class TraceRecorder {
  public:
   TraceRecorder(uint16_t num_nodes, uint32_t capacity_per_node);
@@ -135,9 +128,6 @@ class TraceRecorder {
     uint64_t dropped = 0;
   };
 
-  std::vector<TraceEvent> EventsLocked(NodeId node) const;
-
-  mutable std::mutex mu_;
   bool enabled_ = false;
   uint32_t capacity_;
   std::vector<Ring> rings_;

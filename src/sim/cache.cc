@@ -3,20 +3,17 @@
 namespace smdb {
 
 Cache::Entry* Cache::Find(LineAddr line) {
-  std::lock_guard<std::mutex> lk(*mu_);
   auto it = lines_.find(line);
   return it == lines_.end() ? nullptr : &it->second;
 }
 
 const Cache::Entry* Cache::Find(LineAddr line) const {
-  std::lock_guard<std::mutex> lk(*mu_);
   auto it = lines_.find(line);
   return it == lines_.end() ? nullptr : &it->second;
 }
 
 Cache::Entry& Cache::Insert(LineAddr line, LineState state,
                             const std::vector<uint8_t>& data) {
-  std::lock_guard<std::mutex> lk(*mu_);
   Entry& e = lines_[line];
   e.state = state;
   e.data = data;
@@ -25,7 +22,6 @@ Cache::Entry& Cache::Insert(LineAddr line, LineState state,
 }
 
 void Cache::Erase(LineAddr line) {
-  std::lock_guard<std::mutex> lk(*mu_);
   lines_.erase(line);
 }
 

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -34,8 +32,7 @@ class Cache {
     std::vector<uint8_t> data;
   };
 
-  explicit Cache(uint32_t line_size)
-      : line_size_(line_size), mu_(std::make_unique<std::mutex>()) {}
+  explicit Cache(uint32_t line_size) : line_size_(line_size) {}
 
   /// Returns the entry for `line`, or nullptr if not cached.
   Entry* Find(LineAddr line);
@@ -64,13 +61,6 @@ class Cache {
 
  private:
   uint32_t line_size_;
-  /// Guards lines_'s structure: sharded execution invalidates lines in a
-  /// remote node's cache while that node inserts others. Entry references
-  /// stay valid across inserts; same-entry mutation is excluded by the
-  /// executor's footprint-disjoint batching. ForEachLine/size are reserved
-  /// for quiescent points. unique_ptr keeps Cache movable (Machine stores
-  /// caches in a vector).
-  std::unique_ptr<std::mutex> mu_;
   std::unordered_map<LineAddr, Entry> lines_;
 };
 

@@ -4,7 +4,6 @@ namespace smdb {
 
 DirEntry& Directory::GetOrCreate(LineAddr line, NodeId home,
                                  uint32_t line_size) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto [it, inserted] = entries_.try_emplace(line);
   if (inserted) {
     it->second.home = home;
@@ -15,13 +14,11 @@ DirEntry& Directory::GetOrCreate(LineAddr line, NodeId home,
 }
 
 DirEntry* Directory::Find(LineAddr line) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = entries_.find(line);
   return it == entries_.end() ? nullptr : &it->second;
 }
 
 const DirEntry* Directory::Find(LineAddr line) const {
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = entries_.find(line);
   return it == entries_.end() ? nullptr : &it->second;
 }

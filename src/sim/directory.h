@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -42,14 +41,8 @@ struct DirEntry {
 
 /// The machine-wide cache directory. In hardware this is distributed among
 /// the memory controllers; here it is a single map, which is equivalent for
-/// a functional + timing simulation.
-///
-/// Thread safety: the map *structure* is latched so sharded execution can
-/// look up / create entries for different lines concurrently. Returned
-/// DirEntry references stay valid across inserts (unordered_map never
-/// relocates elements); concurrent mutation of the *same* entry is
-/// excluded by the executor's footprint-disjoint batching, not by this
-/// latch. ForEach is reserved for quiescent points (recovery, digests).
+/// a functional + timing simulation. Returned DirEntry references stay
+/// valid across inserts (unordered_map never relocates elements).
 class Directory {
  public:
   /// Returns the entry for `line`, creating it with the given home node if
@@ -66,7 +59,6 @@ class Directory {
   size_t size() const { return entries_.size(); }
 
  private:
-  mutable std::mutex mu_;  // guards entries_'s structure only
   std::unordered_map<LineAddr, DirEntry> entries_;
 };
 

@@ -5,7 +5,6 @@
 namespace smdb {
 
 SimTime LineLockTable::Acquire(LineAddr line, NodeId node, SimTime now) {
-  std::lock_guard<std::mutex> lk(mu_);
   LockState& st = locks_[line];
   SimTime grant = std::max(now, st.free_at);
   st.holder = node;
@@ -18,7 +17,6 @@ SimTime LineLockTable::Acquire(LineAddr line, NodeId node, SimTime now) {
 }
 
 void LineLockTable::Release(LineAddr line, NodeId node, SimTime now) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = locks_.find(line);
   if (it == locks_.end() || it->second.holder != node) return;
   it->second.holder = kInvalidNode;
@@ -26,14 +24,12 @@ void LineLockTable::Release(LineAddr line, NodeId node, SimTime now) {
 }
 
 bool LineLockTable::HeldBy(LineAddr line, NodeId node) const {
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = locks_.find(line);
   return it != locks_.end() && it->second.holder == node;
 }
 
 std::vector<LineAddr> LineLockTable::ReleaseAllHeldBy(NodeId node,
                                                       SimTime now) {
-  std::lock_guard<std::mutex> lk(mu_);
   std::vector<LineAddr> released;
   for (auto& [line, st] : locks_) {
     if (st.holder == node) {

@@ -2,7 +2,6 @@
 #define SMDB_SIM_LINE_LOCK_H_
 
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -42,7 +41,6 @@ class LineLockTable {
   std::vector<LineAddr> ReleaseAllHeldBy(NodeId node, SimTime now);
 
  private:
-  mutable std::mutex mu_;
   std::unordered_map<LineAddr, LockState> locks_;
 };
 

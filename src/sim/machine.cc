@@ -19,7 +19,6 @@ Machine::Machine(MachineConfig config) : config_(config) {
 }
 
 Addr Machine::AllocShared(size_t bytes) {
-  std::lock_guard<std::mutex> lk(alloc_mu_);
   Addr start = next_addr_;
   size_t lines = (bytes + config_.line_size - 1) / config_.line_size;
   next_addr_ += lines * config_.line_size;
@@ -27,7 +26,6 @@ Addr Machine::AllocShared(size_t bytes) {
 }
 
 Addr Machine::AllocLocal(NodeId node, size_t bytes) {
-  std::lock_guard<std::mutex> lk(alloc_mu_);
   Addr start = next_addr_;
   size_t lines = (bytes + config_.line_size - 1) / config_.line_size;
   for (size_t i = 0; i < lines; ++i) {
@@ -74,14 +72,13 @@ Status Machine::ReadLine(NodeId node, LineAddr line,
   if (!alive_[node]) return Status::NodeFailed("read from crashed node");
   DirEntry& e = Entry(line);
   if (e.lost) {
-    AtomicInc(stats_.lost_line_references);
-    std::atomic_ref<LineAddr>(stats_.last_lost_reference)
-        .store(line, std::memory_order_relaxed);
+    ++stats_.lost_line_references;
+    stats_.last_lost_reference = line;
     return Status::LineLost("read of lost line");
   }
   Cache& cache = caches_[node];
   if (e.cached_by(node)) {
-    AtomicInc(stats_.local_hits);
+    ++stats_.local_hits;
     Tick(node, config_.timing.cache_hit_ns);
     *data = &cache.Find(line)->data;
     return Status::Ok();
@@ -107,10 +104,10 @@ Status Machine::ReadLine(NodeId node, LineAddr line,
     cache.Insert(line, LineState::kShared, owner_entry->data);
     e.owner = kInvalidNode;
     e.sharers |= (1ULL << node);
-    AtomicInc(stats_.downgrades);
-    AtomicInc(stats_.remote_transfers);
+    ++stats_.downgrades;
+    ++stats_.remote_transfers;
     if (e.last_writer != kInvalidNode && e.last_writer != node) {
-      AtomicInc(stats_.replications);
+      ++stats_.replications;
       SMDB_TRACE(tracer_, {.kind = TraceEventKind::kReplication,
                            .node = node,
                            .peer = e.last_writer,
@@ -124,9 +121,9 @@ Status Machine::ReadLine(NodeId node, LineAddr line,
     assert(src != nullptr);
     cache.Insert(line, LineState::kShared, *src);
     e.sharers |= (1ULL << node);
-    AtomicInc(stats_.remote_transfers);
+    ++stats_.remote_transfers;
     if (e.last_writer != kInvalidNode && e.last_writer != node) {
-      AtomicInc(stats_.replications);
+      ++stats_.replications;
       SMDB_TRACE(tracer_, {.kind = TraceEventKind::kReplication,
                            .node = node,
                            .peer = e.last_writer,
@@ -137,14 +134,13 @@ Status Machine::ReadLine(NodeId node, LineAddr line,
   } else if (e.mem_valid) {
     cache.Insert(line, LineState::kShared, e.mem_data);
     e.sharers |= (1ULL << node);
-    AtomicInc(stats_.memory_fetches);
+    ++stats_.memory_fetches;
     Tick(node, config_.timing.memory_access_ns);
   } else {
     // No cached copy and stale/absent memory: only reachable after a crash,
     // and such lines are flagged lost during low-level recovery.
-    AtomicInc(stats_.lost_line_references);
-    std::atomic_ref<LineAddr>(stats_.last_lost_reference)
-        .store(line, std::memory_order_relaxed);
+    ++stats_.lost_line_references;
+    stats_.last_lost_reference = line;
     return Status::LineLost("no valid copy");
   }
   *data = &cache.Find(line)->data;
@@ -156,9 +152,8 @@ Status Machine::AcquireExclusive(NodeId node, LineAddr line,
   if (!alive_[node]) return Status::NodeFailed("access from crashed node");
   DirEntry& e = Entry(line);
   if (e.lost) {
-    AtomicInc(stats_.lost_line_references);
-    std::atomic_ref<LineAddr>(stats_.last_lost_reference)
-        .store(line, std::memory_order_relaxed);
+    ++stats_.lost_line_references;
+    stats_.last_lost_reference = line;
     return Status::LineLost("exclusive request for lost line");
   }
   Cache& cache = caches_[node];
@@ -179,18 +174,17 @@ Status Machine::AcquireExclusive(NodeId node, LineAddr line,
   } else {
     const std::vector<uint8_t>* src = CurrentData(e, line);
     if (src == nullptr) {
-      AtomicInc(stats_.lost_line_references);
-    std::atomic_ref<LineAddr>(stats_.last_lost_reference)
-        .store(line, std::memory_order_relaxed);
+      ++stats_.lost_line_references;
+      stats_.last_lost_reference = line;
       return Status::LineLost("no valid copy");
     }
     data = *src;
     if (e.sharers != 0 || e.owner != kInvalidNode) {
       cost = config_.timing.remote_transfer_ns;
-      AtomicInc(stats_.remote_transfers);
+      ++stats_.remote_transfers;
     } else {
       cost = config_.timing.memory_access_ns;
-      AtomicInc(stats_.memory_fetches);
+      ++stats_.memory_fetches;
     }
   }
 
@@ -209,7 +203,7 @@ Status Machine::AcquireExclusive(NodeId node, LineAddr line,
                          .ts = NodeClock(node),
                          .a = line});
     caches_[s].Erase(line);
-    AtomicInc(stats_.invalidations);
+    ++stats_.invalidations;
     if (e.last_writer == s && s != node) migrated = true;
     Tick(node, config_.timing.cpu_op_ns);
   }
@@ -218,7 +212,7 @@ Status Machine::AcquireExclusive(NodeId node, LineAddr line,
     migrated = true;  // dirty data now held solely by a different node
   }
   if (migrated) {
-    AtomicInc(stats_.migrations);
+    ++stats_.migrations;
     SMDB_TRACE(tracer_, {.kind = TraceEventKind::kMigration,
                          .node = node,
                          .peer = e.last_writer,
@@ -247,9 +241,8 @@ Status Machine::WriteSpan(NodeId node, LineAddr line, uint32_t offset,
       e.cached_by(node)) {
     // Write-broadcast: update every valid copy in place; all stay valid.
     if (e.lost) {
-      AtomicInc(stats_.lost_line_references);
-    std::atomic_ref<LineAddr>(stats_.last_lost_reference)
-        .store(line, std::memory_order_relaxed);
+      ++stats_.lost_line_references;
+      stats_.last_lost_reference = line;
       return Status::LineLost("write to lost line");
     }
     uint64_t sharers = e.sharers;
@@ -260,7 +253,7 @@ Status Machine::WriteSpan(NodeId node, LineAddr line, uint32_t offset,
       assert(ce != nullptr);
       std::memcpy(ce->data.data() + offset, data, len);
       if (s != node) {
-        AtomicInc(stats_.broadcast_updates);
+        ++stats_.broadcast_updates;
         Tick(node, config_.timing.cpu_op_ns);
       }
     }
@@ -287,7 +280,7 @@ Status Machine::WriteSpan(NodeId node, LineAddr line, uint32_t offset,
 
 Status Machine::Read(NodeId node, Addr addr, void* out, size_t len) {
   uint8_t* dst = static_cast<uint8_t*>(out);
-  AtomicInc(stats_.reads);
+  ++stats_.reads;
   while (len > 0) {
     LineAddr line = LineOf(addr);
     uint32_t offset = static_cast<uint32_t>(addr % config_.line_size);
@@ -304,7 +297,7 @@ Status Machine::Read(NodeId node, Addr addr, void* out, size_t len) {
 
 Status Machine::Write(NodeId node, Addr addr, const void* data, size_t len) {
   const uint8_t* src = static_cast<const uint8_t*>(data);
-  AtomicInc(stats_.writes);
+  ++stats_.writes;
   while (len > 0) {
     LineAddr line = LineOf(addr);
     uint32_t offset = static_cast<uint32_t>(addr % config_.line_size);
@@ -321,15 +314,14 @@ Status Machine::GetLine(NodeId node, LineAddr line) {
   if (!alive_[node]) return Status::NodeFailed("getline from crashed node");
   DirEntry& e = Entry(line);
   if (e.lost) {
-    AtomicInc(stats_.lost_line_references);
-    std::atomic_ref<LineAddr>(stats_.last_lost_reference)
-        .store(line, std::memory_order_relaxed);
+    ++stats_.lost_line_references;
+    stats_.last_lost_reference = line;
     return Status::LineLost("getline on lost line");
   }
   SimTime now = NodeClock(node);
   SimTime grant = line_locks_.Acquire(line, node, now);
   SimTime wait = grant - now;
-  AtomicAdvance(clocks_[node], grant, 0);
+  clocks_[node] = std::max(clocks_[node], grant);
   // Under write-invalidate the grant brings the line exclusive into the
   // local cache (the KSR-1 semantics). A write-broadcast machine has no
   // exclusive state: the lock itself provides the mutual exclusion and the
@@ -350,9 +342,9 @@ Status Machine::GetLine(NodeId node, LineAddr line) {
                            ? config_.timing.line_lock_grant_ns
                            : config_.timing.line_lock_grant_ns;
   Tick(node, grant_cost);
-  AtomicInc(stats_.line_lock_acquires);
-  AtomicInc(stats_.line_lock_wait_ns, wait);
-  AtomicInc(stats_.line_lock_total_ns, NodeClock(node) - now);
+  ++stats_.line_lock_acquires;
+  stats_.line_lock_wait_ns += wait;
+  stats_.line_lock_total_ns += NodeClock(node) - now;
   return Status::Ok();
 }
 

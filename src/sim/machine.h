@@ -3,11 +3,9 @@
 
 #include <cstdint>
 #include <cstring>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
-#include "common/atomic_util.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "obs/profiler.h"
@@ -163,14 +161,14 @@ class Machine {
   // ---------------------------------------------------------------------
   // Simulated time.
 
-  SimTime NodeClock(NodeId node) const { return AtomicLoad(clocks_[node]); }
+  SimTime NodeClock(NodeId node) const { return clocks_[node]; }
   /// Charges `ns` of simulated time to `node`. Single choke point for all
   /// sim time, so the profiler's phase attribution hooks here: any charge
-  /// landing while a profiler root scope is open on the current thread is
-  /// credited to the innermost phase path.
+  /// landing while a profiler root scope is open is credited to the
+  /// innermost phase path.
   void Tick(NodeId node, SimTime ns) {
     SMDB_PROF_TICK(prof_, ns);
-    AtomicInc(clocks_[node], ns);
+    clocks_[node] += ns;
   }
   /// Synchronises all live node clocks to the maximum (a barrier; used at
   /// the start and end of restart recovery).
@@ -203,6 +201,7 @@ class Machine {
   /// Optional profiler (owned by Database); null = none. Tick charges and
   /// coherence miss-service phases route through it.
   void set_profiler(Profiler* prof) { prof_ = prof; }
+  Profiler* profiler() const { return prof_; }
 
  private:
   /// Makes `line` valid in `node`'s cache for reading; performs coherence
@@ -241,8 +240,6 @@ class Machine {
   Observatory* obs_ = nullptr;
   Profiler* prof_ = nullptr;
 
-  std::mutex alloc_mu_;  // guards next_addr_ (B-tree splits allocate
-                         // pages from a worker thread mid-batch)
   Addr next_addr_ = 0;
   std::unordered_map<LineAddr, NodeId> home_override_;
 

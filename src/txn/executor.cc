@@ -1,11 +1,6 @@
 #include "txn/executor.h"
 
-#include <algorithm>
-#include <cassert>
-#include <set>
-
-#include "core/lbm_policy.h"
-#include "obs/trace.h"
+#include "obs/profiler.h"
 #include "sim/machine.h"
 
 namespace smdb {
@@ -197,44 +192,6 @@ bool NodeExecutor::Step() {
   return true;
 }
 
-NodeExecutor::StepPeek NodeExecutor::Peek() const {
-  StepPeek p;
-  const TxnScript* script = nullptr;
-  size_t opi = op_index_;
-  size_t queued_after = queue_.size();
-  if (phase_ == Phase::kIdle) {
-    if (queue_.empty()) return p;  // kNone: Step() would return false
-    script = &queue_.front();
-    opi = 0;
-    --queued_after;
-  } else {
-    script = &*current_;
-  }
-  p.txn = txn_;
-  p.completion_leaves_idle = queued_after == 0;
-  using A = StepPeek::Action;
-  // Mirror Step()'s dispatch order exactly.
-  if (phase_ == Phase::kWaitingCommit) {
-    p.action = A::kPollCommit;
-    return p;
-  }
-  if (txn_ != nullptr && txn_->state != TxnState::kActive) {
-    p.action = A::kRestart;
-    return p;
-  }
-  if (phase_ == Phase::kWaitingLock) {
-    p.action = A::kPollLock;
-    return p;
-  }
-  if (opi >= script->ops.size()) {
-    p.action = A::kImpliedCommit;
-    return p;
-  }
-  p.action = A::kOp;
-  p.op = &script->ops[opi];
-  return p;
-}
-
 Status NodeExecutor::Quiesce() {
   if (txn_ != nullptr && txn_->state == TxnState::kActive) {
     // A pending group commit whose record an unrelated force already made
@@ -255,12 +212,8 @@ void NodeExecutor::OnCrash() {
 }
 
 SystemExecutor::SystemExecutor(TxnManager* tm, Machine* machine,
-                               uint64_t seed, ExecutionConfig exec)
-    : tm_(tm), machine_(machine), rng_(seed), exec_(exec) {
-  if (exec_.execution_threads == 0) exec_.execution_threads = 1;
-  if (exec_.execution_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(exec_.execution_threads);
-  }
+                               uint64_t seed)
+    : tm_(tm), machine_(machine), rng_(seed) {
   for (NodeId n = 0; n < machine_->num_nodes(); ++n) {
     executors_.push_back(std::make_unique<NodeExecutor>(tm_, n));
   }
@@ -288,424 +241,11 @@ bool SystemExecutor::StepOnce() {
   if (ready.empty()) return false;
   NodeId pick = ready[rng_.Uniform(ready.size())];
   {
-    ProfRoot root(prof_, ProfPhase::kStep);
+    ProfRoot root(machine_->profiler(), ProfPhase::kStep);
     executors_[pick]->Step();
   }
   ++steps_;
   return true;
-}
-
-bool SystemExecutor::SerialGated() const {
-  // Group commit coalesces forces across nodes on poll order, and
-  // on-demand recovery's first-touch hooks can recursively discharge
-  // obligations for arbitrary objects mid-operation: neither has a
-  // plan-time footprint, so both force serial stepping.
-  return tm_->group_commit_attached() || tm_->recovery_touch_set();
-}
-
-void SystemExecutor::FinishFootprint(PlannedPick* p) const {
-  if (p->cls == PlannedPick::Class::kExclusive) return;
-  LbmPolicy* lbm = tm_->lbm();
-  for (LineAddr l : p->lines) {
-    if (machine_->IsLineLost(l)) {
-      // Touching a lost line ends in an error path (HandleAbort and
-      // friends) the planner does not model: run it alone.
-      p->cls = PlannedPick::Class::kExclusive;
-      p->why = BatchRejectReason::kLostLine;
-      p->lines.clear();
-      p->line_cls.clear();
-      p->forced.clear();
-      return;
-    }
-    // Stable-Triggered LBM: migrating an active line forces the *active
-    // updater's* log. Record the third-party logs this step may force so
-    // batch admission can keep those nodes out of the batch.
-    NodeId u = lbm->ActiveUpdater(l);
-    if (u != kInvalidNode && u != p->node) p->forced.push_back(u);
-  }
-}
-
-void SystemExecutor::PlanCommit(const Transaction* txn,
-                                PlannedPick* p) const {
-  using Outcome = LockPrediction::Outcome;
-  if (txn == nullptr) {
-    // Begin + commit of an empty script: no locks, no tags, only the own
-    // node's log. Free.
-    p->cls = PlannedPick::Class::kFree;
-    return;
-  }
-  const RecoveryConfig& rc = tm_->config();
-  PlannedPick::Class cls = PlannedPick::Class::kFree;
-  if (rc.undo_tagging() && !txn->index_keys.empty()) {
-    // Commit-time ClearTag walks the B+-tree: unknown tree lines, so the
-    // pick needs the batch's single index token; under Stable-Triggered
-    // LBM those unknown lines could force unknown third-party logs.
-    if (rc.lbm == LbmKind::kStableTriggered) {
-      p->why = BatchRejectReason::kStableTriggeredClearTag;
-      return;
-    }
-    cls = PlannedPick::Class::kIndexToken;
-  }
-  // Releasing a lock that has waiters promotes them, and the promotion is
-  // logged on the *promoted* transaction's node — a cross-node log append
-  // the batch cannot license. Snoop every lock the commit will release.
-  std::set<uint64_t> names = txn->granted_locks;
-  names.insert(txn->queued_locks.begin(), txn->queued_locks.end());
-  for (uint64_t name : names) {
-    bool lost = false;
-    if (!tm_->locks()->SnoopWaiters(name, &lost).empty() || lost) {
-      p->why = lost ? BatchRejectReason::kLostLine
-                    : BatchRejectReason::kWaiterPromotion;
-      return;
-    }
-    LockPrediction pred =
-        tm_->locks()->Predict(txn->id, name, LockMode::kShared);
-    if (pred.outcome == Outcome::kLost ||
-        pred.outcome == Outcome::kTryAgain) {
-      p->why = pred.outcome == Outcome::kLost
-                   ? BatchRejectReason::kLostLine
-                   : BatchRejectReason::kLockNotGrantable;
-      return;
-    }
-    p->lines.insert(p->lines.end(), pred.lines.begin(), pred.lines.end());
-    p->line_cls.insert(p->line_cls.end(), pred.lines.size(),
-                       PlannedPick::LineClass::kStripe);
-  }
-  if (rc.undo_tagging()) {
-    // Tag clearing rewrites each updated record's slot line.
-    for (RecordId rid : txn->updated_records) {
-      p->lines.push_back(tm_->records()->SlotLine(rid));
-      p->line_cls.push_back(PlannedPick::LineClass::kRecord);
-    }
-  }
-  p->cls = cls;
-}
-
-SystemExecutor::PlannedPick SystemExecutor::PlanPick(NodeId node) const {
-  using Outcome = LockPrediction::Outcome;
-  PlannedPick p;
-  p.node = node;
-  NodeExecutor::StepPeek peek = executors_[node]->Peek();
-  using A = NodeExecutor::StepPeek::Action;
-  p.terminal = peek.completion_leaves_idle;
-  switch (peek.action) {
-    case A::kNone:
-      return p;  // kExclusive (never drawn: ReadyNodes filters idle nodes)
-    case A::kPollLock:
-      p.why = BatchRejectReason::kPollLock;
-      return p;  // kExclusive: polls and restarts run alone
-    case A::kPollCommit:
-      p.why = BatchRejectReason::kPollCommit;
-      return p;
-    case A::kRestart:
-      p.why = BatchRejectReason::kRestart;
-      return p;
-    case A::kImpliedCommit:
-      PlanCommit(peek.txn, &p);
-      FinishFootprint(&p);
-      return p;
-    case A::kOp:
-      break;
-  }
-  const Op& op = *peek.op;
-  const Transaction* txn = peek.txn;
-  const TxnId tid = txn != nullptr ? txn->id : kInvalidTxn;
-  LockTable* locks = tm_->locks();
-  RecordStore* records = tm_->records();
-
-  switch (op.kind) {
-    case Op::Kind::kDirtyRead:
-      p.cls = PlannedPick::Class::kFree;
-      p.terminal = false;  // advances op_index_, never completes the script
-      p.lines.push_back(records->SlotLine(op.rid));
-      p.line_cls.push_back(PlannedPick::LineClass::kRecord);
-      break;
-    case Op::Kind::kRead: {
-      const uint64_t name = RecordLockName(op.rid);
-      if (txn == nullptr || !txn->granted_locks.contains(name)) {
-        // (A held lock's shared re-acquire skips the lock table entirely.)
-        LockPrediction pred = locks->Predict(tid, name, LockMode::kShared);
-        if (pred.outcome != Outcome::kGranted &&
-            pred.outcome != Outcome::kHeld) {
-          p.why = BatchRejectReason::kLockNotGrantable;
-          return p;  // would queue / spin / abort: exclusive
-        }
-        p.lines = std::move(pred.lines);
-        p.line_cls.assign(p.lines.size(), PlannedPick::LineClass::kStripe);
-      }
-      p.cls = PlannedPick::Class::kFree;
-      p.terminal = false;
-      p.lines.push_back(records->SlotLine(op.rid));
-      p.line_cls.push_back(PlannedPick::LineClass::kRecord);
-      break;
-    }
-    case Op::Kind::kUpdate: {
-      if (op.value.size() != records->layout().record_data_size()) {
-        p.why = BatchRejectReason::kInvalidArg;
-        return p;  // InvalidArgument -> HandleAbort: exclusive
-      }
-      LockPrediction pred =
-          locks->Predict(tid, RecordLockName(op.rid), LockMode::kExclusive);
-      if (pred.outcome != Outcome::kGranted &&
-          pred.outcome != Outcome::kHeld) {
-        p.why = BatchRejectReason::kLockNotGrantable;
-        return p;
-      }
-      p.cls = PlannedPick::Class::kRanked;
-      p.ranked = true;  // DoUpdate allocates exactly one USN
-      p.terminal = false;
-      p.lines = std::move(pred.lines);
-      p.line_cls.assign(p.lines.size(), PlannedPick::LineClass::kStripe);
-      p.lines.push_back(records->SlotLine(op.rid));
-      p.line_cls.push_back(PlannedPick::LineClass::kRecord);
-      p.lines.push_back(records->HeaderLine(op.rid.page));
-      p.line_cls.push_back(PlannedPick::LineClass::kRecord);
-      break;
-    }
-    case Op::Kind::kIndexInsert:
-    case Op::Kind::kIndexDelete:
-    case Op::Kind::kIndexLookup: {
-      // The tree's internal lines are unknown at plan time. Under
-      // Stable-Triggered LBM they could force unknown third-party logs —
-      // exclusive. Otherwise the single-token rule (at most one index
-      // pick, last in the batch) keeps tree traffic single-threaded.
-      if (tm_->config().lbm == LbmKind::kStableTriggered) {
-        p.why = BatchRejectReason::kStableTriggeredIndex;
-        return p;
-      }
-      const LockMode mode = op.kind == Op::Kind::kIndexLookup
-                                ? LockMode::kShared
-                                : LockMode::kExclusive;
-      LockPrediction pred = locks->Predict(
-          tid, KeyLockName(tm_->index()->tree_id(), op.key), mode);
-      if (pred.outcome != Outcome::kGranted &&
-          pred.outcome != Outcome::kHeld) {
-        p.why = BatchRejectReason::kLockNotGrantable;
-        return p;
-      }
-      p.cls = PlannedPick::Class::kIndexToken;
-      p.terminal = false;
-      p.multi_usn = op.kind != Op::Kind::kIndexLookup;
-      p.lines = std::move(pred.lines);
-      p.line_cls.assign(p.lines.size(), PlannedPick::LineClass::kStripe);
-      break;
-    }
-    case Op::Kind::kCommit:
-      PlanCommit(txn, &p);
-      FinishFootprint(&p);
-      return p;
-    case Op::Kind::kAbort:
-      p.why = BatchRejectReason::kAbortOp;
-      return p;  // rollback walks the log: exclusive
-  }
-  FinishFootprint(&p);
-  return p;
-}
-
-void SystemExecutor::ExecuteBatch(std::vector<PlannedPick>& batch,
-                                  BatchRejectReason solo_reason,
-                                  size_t footprint_lines) {
-  const bool profiled = prof_ != nullptr && prof_->enabled();
-  if (batch.size() == 1) {
-    ++shard_stats_.solo_steps;
-    if (profiled) {
-      prof_->CountReject(solo_reason);
-      prof_->RecordBatch(1, footprint_lines);
-      SMDB_TRACE(tracer_,
-                 {.kind = TraceEventKind::kBatchReject,
-                  .node = batch[0].node,
-                  .ts = machine_->NodeClock(batch[0].node),
-                  .label = BatchRejectReasonName(solo_reason)});
-    }
-    {
-      ProfRoot root(prof_, ProfPhase::kStep);
-      executors_[batch[0].node]->Step();
-    }
-    ++steps_;
-    return;
-  }
-  ++shard_stats_.batches;
-  shard_stats_.batched_steps += batch.size();
-  if (profiled) prof_->RecordBatch(batch.size(), footprint_lines);
-  if (pool_ == nullptr) {
-    // Profiled width 1: the planner ran at the canonical profile width but
-    // there is no pool — run the members sequentially in draw order. That
-    // is exactly the serial schedule, so natural USN allocation already
-    // matches the ranked order and no rank window is needed.
-    for (const PlannedPick& p : batch) {
-      ProfRoot root(prof_, ProfPhase::kStep);
-      executors_[p.node]->Step();
-    }
-    steps_ += batch.size();
-    return;
-  }
-  UsnSource* usn = tm_->usn();
-  // USN pre-assignment: ranked singles get their draw-order position in
-  // the batch's window; the (single, last) multi-allocating pick draws
-  // from the tail. Free picks allocate nothing.
-  uint32_t singles = 0;
-  std::vector<int> ranks(batch.size(), -1);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].ranked) ranks[i] = static_cast<int>(singles++);
-  }
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].multi_usn) ranks[i] = static_cast<int>(singles);
-  }
-  usn->BeginRankedBatch(singles);
-  pool_->ParallelFor(batch.size(), [&](size_t i) {
-    const PlannedPick& p = batch[i];
-    if (ranks[i] >= 0) {
-      usn->SetThreadRank(ranks[i], p.multi_usn);
-    } else {
-      usn->ClearThreadRank();
-    }
-    executors_[p.node]->Step();
-    usn->ClearThreadRank();
-  });
-  usn->EndRankedBatch();
-  steps_ += batch.size();
-}
-
-uint64_t SystemExecutor::RunBatches(uint64_t budget) {
-  if (budget == 0) return 0;
-  const uint32_t width = exec_.execution_threads;
-  const bool profiled = prof_ != nullptr && prof_->enabled();
-  if (SerialGated() || (!profiled && (pool_ == nullptr || width <= 1))) {
-    // Serial gate (or unprofiled width 1): plain StepOnce loop. Under the
-    // profiler every gated step is a solo step with the gate as its
-    // reason, keeping the reason-sum == solo_steps invariant; without the
-    // profiler the counters stay untouched (pre-profiler behaviour).
-    const bool gated = profiled && SerialGated();
-    const BatchRejectReason gate =
-        tm_->group_commit_attached()
-            ? BatchRejectReason::kSerialGatedGroupCommit
-            : BatchRejectReason::kSerialGatedOnDemand;
-    uint64_t executed = 0;
-    while (executed < budget && StepOnce()) {
-      ++executed;
-      if (gated) {
-        ++shard_stats_.solo_steps;
-        prof_->CountReject(gate);
-      }
-    }
-    return executed;
-  }
-  // Under the profiler, *plan* at the canonical width so batch composition
-  // (and with it every reason count and occupancy bucket) is identical at
-  // any execution_threads setting; the pool still executes with the
-  // configured worker count (ParallelFor handles wider batches), and the
-  // schedule-replay construction keeps the final state plan-width
-  // invariant.
-  const uint32_t plan_width =
-      profiled ? std::max(width, std::max(1u, exec_.profile_plan_width))
-               : width;
-  uint64_t executed = 0;
-  // A draw that conflicts with the open batch is *stashed*: the rng draw
-  // is already consumed, so the node must be the first member of the next
-  // batch (every pick admitted before it was non-terminal, so the ready
-  // set it was drawn against is still the serial one; it is re-classified
-  // fresh after the batch runs).
-  std::optional<NodeId> stash;
-  std::vector<PlannedPick> batch;
-  while (executed < budget || stash.has_value()) {
-    batch.clear();
-    std::set<LineAddr> batch_lines;
-    std::set<NodeId> batch_nodes;
-    std::set<NodeId> batch_forced;
-    bool has_token = false;
-    // Why the batch closed — attributed as the solo reason when it closes
-    // at size 1. Every break below names its cause; the full-width close
-    // can only happen at size >= 2, so its reason is never consumed.
-    BatchRejectReason close = BatchRejectReason::kUnclassified;
-    while (true) {
-      NodeId pick;
-      if (stash.has_value()) {
-        pick = *stash;
-        stash.reset();
-      } else {
-        // Never draw past the budget: total draws (executed + open batch)
-        // must stay <= budget so the rng stream stays aligned with the
-        // serial schedule's one-draw-per-step discipline.
-        if (executed + batch.size() >= budget) {
-          close = BatchRejectReason::kBudgetBarrier;
-          break;
-        }
-        std::vector<NodeId> ready = ReadyNodes();
-        if (ready.empty()) {
-          close = BatchRejectReason::kDrained;
-          break;
-        }
-        pick = ready[rng_.Uniform(ready.size())];
-      }
-      if (batch_nodes.contains(pick)) {
-        stash = pick;  // one pick per node per batch
-        close = BatchRejectReason::kPerNodeCap;
-        break;
-      }
-      PlannedPick p = PlanPick(pick);
-      if (p.cls == PlannedPick::Class::kExclusive) {
-        if (batch.empty()) {
-          close = p.why;
-          batch.push_back(std::move(p));  // runs alone on this thread
-        } else {
-          stash = pick;
-          close = BatchRejectReason::kSuccessorExclusive;
-        }
-        break;
-      }
-      if (p.cls == PlannedPick::Class::kIndexToken && has_token) {
-        stash = pick;
-        close = BatchRejectReason::kIndexDescentCollision;
-        break;
-      }
-      bool conflict = batch_forced.contains(pick);
-      if (conflict) close = BatchRejectReason::kForcedLogCollision;
-      if (!conflict) {
-        for (size_t i = 0; i < p.lines.size(); ++i) {
-          if (batch_lines.contains(p.lines[i])) {
-            conflict = true;
-            close = p.line_cls[i] == PlannedPick::LineClass::kStripe
-                        ? BatchRejectReason::kLockStripeCollision
-                        : BatchRejectReason::kRecordFootprintCollision;
-            break;
-          }
-        }
-      }
-      if (!conflict) {
-        for (NodeId f : p.forced) {
-          if (batch_nodes.contains(f)) {
-            conflict = true;
-            close = BatchRejectReason::kForcedLogCollision;
-            break;
-          }
-        }
-      }
-      if (conflict) {
-        stash = pick;
-        break;
-      }
-      batch_nodes.insert(pick);
-      batch_lines.insert(p.lines.begin(), p.lines.end());
-      batch_forced.insert(p.forced.begin(), p.forced.end());
-      const bool token = p.cls == PlannedPick::Class::kIndexToken;
-      const bool terminal = p.terminal;
-      if (token) has_token = true;
-      batch.push_back(std::move(p));
-      // A token must stay the batch's last member (single-threaded tree
-      // traffic + tail USNs); a terminal pick may shrink the ready set, so
-      // later draws would diverge from the serial stream.
-      if (token || terminal || batch.size() >= plan_width) {
-        close = token ? BatchRejectReason::kIndexTokenClose
-                      : (terminal ? BatchRejectReason::kTerminalClose
-                                  : BatchRejectReason::kUnclassified);
-        break;
-      }
-    }
-    if (batch.empty()) break;  // every live executor is idle
-    ExecuteBatch(batch, close, batch_lines.size());
-    executed += batch.size();
-  }
-  return executed;
 }
 
 void SystemExecutor::Run(uint64_t max_steps,

@@ -9,16 +9,11 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "common/types.h"
-#include "core/protocol.h"
-#include "obs/profiler.h"
 #include "txn/transaction.h"
 #include "txn/txn_manager.h"
 
 namespace smdb {
-
-class TraceRecorder;
 
 /// One operation in a transaction script.
 struct Op {
@@ -106,28 +101,6 @@ class NodeExecutor {
 
   ExecutorStats& stats() { return stats_; }
 
-  /// Plan-time preview of what the next Step() would do (no state change,
-  /// no machine cost). The sharded SystemExecutor classifies the step from
-  /// this — anything it cannot prove batchable runs alone, serially.
-  struct StepPeek {
-    enum class Action : uint8_t {
-      kNone,           ///< idle and queue empty: Step() returns false
-      kPollLock,       ///< waiting on a queued lock (PollLock)
-      kPollCommit,     ///< waiting on a pending group commit (PollCommit)
-      kRestart,        ///< txn annulled underneath us: restart + first op
-      kOp,             ///< execute `op` (Begin first when txn is null)
-      kImpliedCommit,  ///< past the last op: implicit Commit
-    };
-    Action action = Action::kNone;
-    const Op* op = nullptr;
-    /// The in-flight transaction; null = Step() begins a fresh one.
-    Transaction* txn = nullptr;
-    /// Completing the current script would leave this executor idle (the
-    /// ready set shrinks) — such a step must close its batch.
-    bool completion_leaves_idle = false;
-  };
-  StepPeek Peek() const;
-
  private:
   enum class Phase : uint8_t { kIdle, kRunning, kWaitingLock, kWaitingCommit };
 
@@ -150,23 +123,11 @@ class NodeExecutor {
 };
 
 /// Drives all node executors with a deterministic seeded interleaving and
-/// invokes a per-step callback (the crash scheduler hook).
-///
-/// With ExecutionConfig::execution_threads > 1 the executor *shards* that
-/// same schedule: it keeps drawing picks from the identical seeded stream,
-/// groups consecutive picks whose memory footprints are provably disjoint
-/// into a batch (at most one pick per node), and runs the batch on a
-/// work-stealing ThreadPool. Any pick it cannot prove batchable — lock
-/// conflicts, polls, aborts, structural index work under Stable-Triggered
-/// LBM — executes alone on the caller thread, exactly as before. USNs
-/// drawn inside a batch are pre-assigned in draw order (UsnSource ranked
-/// batches), so the final database state is width-invariant: the
-/// differential tests assert digest equality against width 1 for every
-/// protocol.
+/// invokes a per-step callback (the crash scheduler hook). One step runs
+/// at a time, on the calling thread: StepOnce is the only way a step runs.
 class SystemExecutor {
  public:
-  SystemExecutor(TxnManager* tm, Machine* machine, uint64_t seed,
-                 ExecutionConfig exec = {});
+  SystemExecutor(TxnManager* tm, Machine* machine, uint64_t seed);
 
   NodeExecutor& executor(NodeId node) { return *executors_[node]; }
 
@@ -180,112 +141,19 @@ class SystemExecutor {
   /// non-idle node). Returns false if all executors are idle.
   bool StepOnce();
 
-  /// Sharded drive: executes up to `budget` global steps of the same
-  /// seeded schedule, batching footprint-disjoint picks across the thread
-  /// pool. Returns the number of steps executed (< budget only when every
-  /// executor went idle). Width 1 (or a serial gate: group commit,
-  /// on-demand touch hooks) degenerates to a StepOnce loop.
-  uint64_t RunBatches(uint64_t budget);
-
-  /// Width actually used for batching (1 = serial).
-  uint32_t execution_threads() const { return exec_.execution_threads; }
-
-  /// Optional profiler: reject-reason attribution + occupancy histograms +
-  /// phase roots around solo steps. When enabled, batch *planning* runs at
-  /// the canonical profile_plan_width so counts are width-comparable; the
-  /// executed schedule (and final state) is unchanged.
-  void set_profiler(Profiler* prof) { prof_ = prof; }
-  /// Optional tracer for kBatchReject instants on solo steps.
-  void set_tracer(TraceRecorder* tracer) { tracer_ = tracer; }
-
-  /// Occupancy accounting for the sharded path (all zero at width 1).
-  struct ShardStats {
-    uint64_t batches = 0;        ///< multi-pick batches dispatched
-    uint64_t batched_steps = 0;  ///< steps run inside multi-pick batches
-    uint64_t solo_steps = 0;     ///< steps run alone (exclusive / batch of 1)
-  };
-  const ShardStats& shard_stats() const { return shard_stats_; }
-
   bool AllIdle() const;
   uint64_t steps() const { return steps_; }
 
   ExecutorStats TotalStats() const;
 
  private:
-  /// One planned (drawn but not yet executed) pick.
-  struct PlannedPick {
-    enum class Class : uint8_t {
-      /// Allocates no USN, provably grantable, known footprint.
-      kFree,
-      /// As kFree but allocates exactly one USN (an update): gets a serial
-      /// rank in the UsnSource's pre-assigned batch window.
-      kRanked,
-      /// Touches the B+-tree (index op or tag-clearing commit): unknown
-      /// extra lines inside the tree, so at most one per batch, always the
-      /// last member (it draws any USNs it needs from the window's tail).
-      kIndexToken,
-      /// Cannot be proven batchable: runs alone, serially.
-      kExclusive,
-    };
-    /// Footprint-line provenance, parallel to `lines` — when an incoming
-    /// pick's line collides with the open batch, the colliding line's
-    /// class names the reject reason (lock-stripe vs record-footprint).
-    enum class LineClass : uint8_t {
-      kStripe,  ///< LCB probe-window line (lock-table metadata)
-      kRecord,  ///< record slot / page-header line
-    };
-    NodeId node = 0;
-    Class cls = Class::kExclusive;
-    /// Why a kExclusive pick cannot batch (profiler attribution).
-    BatchRejectReason why = BatchRejectReason::kUnclassified;
-    /// May complete a script and idle the executor: must close the batch
-    /// (later draws would see a changed ready set).
-    bool terminal = false;
-    /// Every cache line the step may touch (LCB probe windows, slot and
-    /// header lines). Batch admission requires pairwise disjointness.
-    std::vector<LineAddr> lines;
-    /// Class of each entry in `lines` (same order, same length).
-    std::vector<LineClass> line_cls;
-    /// Third-party nodes whose logs this step may force (Stable-Triggered
-    /// LBM migration triggers). Such a node must not itself be executing
-    /// in the batch.
-    std::vector<NodeId> forced;
-    /// True when the step allocates exactly one USN.
-    bool ranked = false;
-    /// True when the step may allocate several USNs (index structural ops).
-    bool multi_usn = false;
-  };
-
-  /// Classifies the next step of `node` from snooped state only.
-  PlannedPick PlanPick(NodeId node) const;
-  /// Commit classification shared by explicit and implied commits.
-  void PlanCommit(const Transaction* txn, PlannedPick* p) const;
-  /// Lost-line screen + Stable-Triggered forced-log discovery over
-  /// p->lines; downgrades to kExclusive when a line is lost.
-  void FinishFootprint(PlannedPick* p) const;
-
-  /// Executes one planned batch (size >= 1) and bumps steps_.
-  /// `solo_reason` is the close reason attributed when the batch has
-  /// exactly one member; `footprint_lines` is the batch's distinct
-  /// footprint-line count (occupancy histograms).
-  void ExecuteBatch(std::vector<PlannedPick>& batch,
-                    BatchRejectReason solo_reason, size_t footprint_lines);
-
-  /// True when batching must be bypassed regardless of width.
-  bool SerialGated() const;
-
   std::vector<NodeId> ReadyNodes() const;
 
   TxnManager* tm_;
   Machine* machine_;
   Rng rng_;
-  ExecutionConfig exec_;
-  std::unique_ptr<ThreadPool> pool_;  // null at width 1
   std::vector<std::unique_ptr<NodeExecutor>> executors_;
   uint64_t steps_ = 0;
-  ShardStats shard_stats_;
-  Profiler* prof_ = nullptr;
-  TraceRecorder* tracer_ = nullptr;
 };
 
 }  // namespace smdb

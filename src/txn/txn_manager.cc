@@ -33,20 +33,17 @@ Transaction* TxnManager::Begin(NodeId node) {
   TxnId id = MakeTxnId(node, ++next_seq_[node]);
   auto txn = std::make_unique<Transaction>();
   txn->id = id;
-  txn->begin_seq = AtomicIncFetch(begin_counter_);
+  txn->begin_seq = ++begin_counter_;
   txn->begin_ts = machine_->NodeClock(node);
   Transaction* ptr = txn.get();
-  {
-    std::lock_guard<std::mutex> lk(txn_mu_);
-    txns_[id] = std::move(txn);
-  }
+  txns_[id] = std::move(txn);
   LogRecord rec;
   rec.type = LogRecordType::kBegin;
   rec.txn = id;
   rec.payload = BeginPayload{};
   ptr->last_lsn = log_->Append(node, std::move(rec));
   ptr->first_lsn = ptr->last_lsn;
-  AtomicInc(stats_.begins);
+  ++stats_.begins;
   SMDB_TRACE(tracer_, {.kind = TraceEventKind::kTxnBegin,
                        .node = node,
                        .txn = id,
@@ -58,14 +55,12 @@ Transaction* TxnManager::Begin(NodeId node) {
 }
 
 Transaction* TxnManager::Find(TxnId id) {
-  std::lock_guard<std::mutex> lk(txn_mu_);
   auto it = txns_.find(id);
   return it == txns_.end() ? nullptr : it->second.get();
 }
 
 std::vector<Transaction*> TxnManager::ActiveOn(NodeId node) {
   std::vector<Transaction*> out;
-  std::lock_guard<std::mutex> lk(txn_mu_);
   for (auto& [id, txn] : txns_) {
     if (txn->state == TxnState::kActive && txn->node() == node) {
       out.push_back(txn.get());
@@ -76,7 +71,6 @@ std::vector<Transaction*> TxnManager::ActiveOn(NodeId node) {
 
 std::vector<Transaction*> TxnManager::ActiveAll() {
   std::vector<Transaction*> out;
-  std::lock_guard<std::mutex> lk(txn_mu_);
   for (auto& [id, txn] : txns_) {
     if (txn->state == TxnState::kActive) out.push_back(txn.get());
   }
@@ -93,7 +87,6 @@ void TxnManager::NotifyAbort(TxnId id) {
 bool TxnManager::WouldDeadlock(Transaction* txn, uint64_t name) {
   // DFS over the waits-for graph: txn -> holders(name) -> what they wait
   // for -> ... A cycle back to txn means the queue attempt would deadlock.
-  std::lock_guard<std::mutex> lk(txn_mu_);
   std::set<TxnId> visited;
   std::vector<uint64_t> frontier = {name};
   while (!frontier.empty()) {
@@ -127,10 +120,9 @@ Status TxnManager::AcquireLock(Transaction* txn, uint64_t name,
       // deadlock detection (a spinner holding other locks can deadlock with
       // a queued waiter).
       if (WouldDeadlock(txn, name)) {
-        AtomicInc(stats_.deadlock_aborts);
+        ++stats_.deadlock_aborts;
         return Status::Deadlock("waits-for cycle (while spinning)");
       }
-      std::lock_guard<std::mutex> lk(txn_mu_);
       waiting_for_[txn->id] = name;
     }
     return res_or.status();
@@ -139,19 +131,15 @@ Status TxnManager::AcquireLock(Transaction* txn, uint64_t name,
   if (res == LockResult::kGranted) {
     txn->granted_locks.insert(name);
     txn->queued_locks.erase(name);
-    std::lock_guard<std::mutex> lk(txn_mu_);
     waiting_for_.erase(txn->id);
     return Status::Ok();
   }
   txn->queued_locks.insert(name);
   if (WouldDeadlock(txn, name)) {
-    AtomicInc(stats_.deadlock_aborts);
+    ++stats_.deadlock_aborts;
     return Status::Deadlock("waits-for cycle");
   }
-  {
-    std::lock_guard<std::mutex> lk(txn_mu_);
-    waiting_for_[txn->id] = name;
-  }
+  waiting_for_[txn->id] = name;
   return Status::Busy("lock queued");
 }
 
@@ -163,7 +151,6 @@ Result<LockResult> TxnManager::PollLock(Transaction* txn, uint64_t name,
   if (res == LockResult::kGranted) {
     txn->granted_locks.insert(name);
     txn->queued_locks.erase(name);
-    std::lock_guard<std::mutex> lk(txn_mu_);
     waiting_for_.erase(txn->id);
   }
   return res;
@@ -172,7 +159,7 @@ Result<LockResult> TxnManager::PollLock(Transaction* txn, uint64_t name,
 Result<std::vector<uint8_t>> TxnManager::Read(Transaction* txn, RecordId rid,
                                               Isolation isolation) {
   if (isolation == Isolation::kBrowse) {
-    AtomicInc(stats_.reads);
+    ++stats_.reads;
     return DirtyRead(txn->node(), rid);
   }
   uint64_t name = RecordLockName(rid);
@@ -184,7 +171,7 @@ Result<std::vector<uint8_t>> TxnManager::Read(Transaction* txn, RecordId rid,
     ProfScope apply(prof_, ProfPhase::kApply);
     SMDB_ASSIGN_OR_RETURN(img, records_->ReadSlot(txn->node(), rid));
   }
-  AtomicInc(stats_.reads);
+  ++stats_.reads;
   if (isolation == Isolation::kCursorStability && !held_before) {
     // Degree 2: drop the read lock immediately (never a lock the
     // transaction holds for another reason, e.g. an earlier update).
@@ -262,7 +249,7 @@ Status TxnManager::DoUpdate(Transaction* txn, RecordId rid,
 
   wal_table_->NoteUpdate(page, node, lsn);
   buffers_->MarkDirty(page);
-  if (tag != kTagNone) AtomicInc(stats_.undo_tag_writes);
+  if (tag != kTagNone) ++stats_.undo_tag_writes;
   if (deps_ != nullptr && !is_clr) deps_->OnTxnUpdate(txn->id, record_line);
   return finish(Status::Ok());
 }
@@ -277,7 +264,7 @@ Status TxnManager::Update(Transaction* txn, RecordId rid,
   if (touch_record_) SMDB_RETURN_IF_ERROR(touch_record_(txn->node(), rid));
   SMDB_RETURN_IF_ERROR(DoUpdate(txn, rid, value, /*is_clr=*/false, 0));
   txn->updated_records.push_back(rid);
-  AtomicInc(stats_.updates);
+  ++stats_.updates;
   for (auto* obs : observers_) obs->OnUpdate(txn->id, rid, value);
   return Status::Ok();
 }
@@ -439,14 +426,11 @@ Status TxnManager::FinishCommit(Transaction* txn) {
   }
   txn->granted_locks.clear();
   txn->queued_locks.clear();
-  {
-    std::lock_guard<std::mutex> lk(txn_mu_);
-    waiting_for_.erase(txn->id);
-  }
+  waiting_for_.erase(txn->id);
 
   txn->state = TxnState::kCommitted;
   if (deps_ != nullptr) deps_->OnTxnEnd(txn->id);
-  AtomicInc(stats_.commits);
+  ++stats_.commits;
   const SimTime ack_ts = machine_->NodeClock(node);
   SMDB_TRACE(tracer_, {.kind = TraceEventKind::kTxnCommit,
                        .node = node,
@@ -479,13 +463,10 @@ Status TxnManager::ResolvePendingCommits() {
     // and its tag clears).
     txn->granted_locks.clear();
     txn->queued_locks.clear();
-    {
-      std::lock_guard<std::mutex> lk(txn_mu_);
-      waiting_for_.erase(txn->id);
-    }
+    waiting_for_.erase(txn->id);
     txn->state = TxnState::kCommitted;
     if (deps_ != nullptr) deps_->OnTxnEnd(txn->id);
-    AtomicInc(stats_.commits);
+    ++stats_.commits;
     const SimTime ack_ts = machine_->NodeClock(node);
     SMDB_TRACE(tracer_, {.kind = TraceEventKind::kTxnCommit,
                          .node = node,
@@ -659,14 +640,11 @@ Status TxnManager::Abort(Transaction* txn) {
   }
   txn->granted_locks.clear();
   txn->queued_locks.clear();
-  {
-    std::lock_guard<std::mutex> lk(txn_mu_);
-    waiting_for_.erase(txn->id);
-  }
+  waiting_for_.erase(txn->id);
 
   txn->state = TxnState::kAborted;
   if (deps_ != nullptr) deps_->OnTxnEnd(txn->id);
-  AtomicInc(stats_.aborts);
+  ++stats_.aborts;
   const SimTime end_ts = machine_->NodeClock(node);
   SMDB_TRACE(tracer_, {.kind = TraceEventKind::kTxnAbort,
                        .node = txn->node(),
@@ -692,11 +670,8 @@ Result<ParallelTxn*> TxnManager::BeginParallel(
   std::vector<TxnId> ids;
   for (Transaction* t : ptxn->branches) ids.push_back(t->id);
   ParallelTxn* out = ptxn.get();
-  {
-    std::lock_guard<std::mutex> lk(txn_mu_);
-    for (TxnId id : ids) groups_[id] = ids;
-    parallel_.push_back(std::move(ptxn));
-  }
+  for (TxnId id : ids) groups_[id] = ids;
+  parallel_.push_back(std::move(ptxn));
   return out;
 }
 
@@ -728,7 +703,6 @@ Status TxnManager::AbortParallel(ParallelTxn* ptxn) {
 }
 
 const std::vector<TxnId>* TxnManager::GroupOf(TxnId branch) const {
-  std::lock_guard<std::mutex> lk(txn_mu_);
   auto it = groups_.find(branch);
   return it == groups_.end() ? nullptr : &it->second;
 }
@@ -739,10 +713,7 @@ void TxnManager::MarkCrashAnnulled(Transaction* txn) {
   txn->state = TxnState::kAborted;
   txn->granted_locks.clear();
   txn->queued_locks.clear();
-  {
-    std::lock_guard<std::mutex> lk(txn_mu_);
-    waiting_for_.erase(txn->id);
-  }
+  waiting_for_.erase(txn->id);
   if (deps_ != nullptr) deps_->OnTxnEnd(txn->id);
   const SimTime end_ts = machine_->NodeClock(txn->node());
   SMDB_TRACE(tracer_, {.kind = TraceEventKind::kTxnAbort,

@@ -3,13 +3,11 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <vector>
 
 #include "btree/btree.h"
-#include "common/atomic_util.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "core/dependency_tracker.h"
@@ -166,7 +164,6 @@ class TxnManager {
   /// Iterates every transaction ever begun, in id order (state digests and
   /// verification oracles; no machine cost).
   void ForEachTxn(const std::function<void(const Transaction&)>& fn) const {
-    std::lock_guard<std::mutex> lk(txn_mu_);
     for (const auto& [id, t] : txns_) fn(*t);
   }
 
@@ -213,17 +210,6 @@ class TxnManager {
   TxnManagerStats& stats() { return stats_; }
   const RecoveryConfig& config() const { return config_; }
 
-  /// True when the group-commit pipeline is attached (Commit may return
-  /// Busy and commits coalesce across nodes — the sharded executor falls
-  /// back to serial stepping to keep the pipeline's timing serial).
-  bool group_commit_attached() const { return gc_ != nullptr; }
-  /// True when on-demand recovery's first-touch hooks are installed (any
-  /// operation may recursively discharge recovery obligations — serial
-  /// only).
-  bool recovery_touch_set() const {
-    return static_cast<bool>(touch_record_) || static_cast<bool>(touch_key_);
-  }
-
   /// Optional event tracer (owned by Database); null = no tracing.
   void set_tracer(TraceRecorder* tracer) { tracer_ = tracer; }
   /// Optional latency observatory (owned by Database); null = none.
@@ -232,11 +218,7 @@ class TxnManager {
   /// the update protocol attribute to the apply phase, index traversals
   /// (including commit-time tag clears) to index_descent.
   void set_profiler(Profiler* prof) { prof_ = prof; }
-  LbmPolicy* lbm() { return lbm_; }
-  UsnSource* usn() { return usn_; }
-  RecordStore* records() { return records_; }
   BTree* index() { return index_; }
-  LockTable* locks() { return locks_; }
 
  private:
   /// Acquires `name` in `mode` for `txn`. Busy when queued, Deadlock when
@@ -283,20 +265,12 @@ class TxnManager {
   TouchRecordFn touch_record_;  // unset when on-demand recovery is off
   TouchKeyFn touch_key_;
 
-  /// Guards txns_ / waiting_for_ / parallel_ / groups_ structure: Begin
-  /// inserts and lock-wait edges are mutated from concurrent execution
-  /// workers. Transaction objects themselves are touched only by their own
-  /// node's pick (footprint batching admits at most one pick per node), so
-  /// the latch covers map structure, never Transaction fields. Ordering:
-  /// txn_mu_ may be held across LockTable calls (WouldDeadlock's DFS), so
-  /// the lock-table stripe latches nest inside it, never the reverse.
-  mutable std::mutex txn_mu_;
   std::map<TxnId, std::unique_ptr<Transaction>> txns_;
   std::map<TxnId, uint64_t> waiting_for_;  // txn -> lock name being awaited
   std::vector<std::unique_ptr<ParallelTxn>> parallel_;
   std::map<TxnId, std::vector<TxnId>> groups_;  // branch -> sibling ids
   std::vector<uint64_t> next_seq_;         // per-node txn sequence numbers
-  uint64_t begin_counter_ = 0;             // bumped via AtomicIncFetch
+  uint64_t begin_counter_ = 0;
   std::vector<TxnObserver*> observers_;
   TxnManagerStats stats_;
 };

@@ -21,7 +21,6 @@ std::string LogStats::ToString() const {
 LogManager::LogManager(Machine* machine, StableLogStore* stable)
     : machine_(machine), stable_(stable) {
   uint16_t n = machine_->num_nodes();
-  node_mu_ = std::make_unique<std::mutex[]>(n);
   tails_.resize(n);
   next_lsn_.assign(n, 1);
   checkpoint_lsn_.assign(n, kInvalidLsn);
@@ -31,16 +30,11 @@ LogManager::LogManager(Machine* machine, StableLogStore* stable)
 Lsn LogManager::Append(NodeId node, LogRecord rec) {
   ProfScope wal_append(prof_, ProfPhase::kWalAppend);
   const TxnId txn = rec.txn;
-  Lsn lsn;
-  {
-    std::lock_guard<std::mutex> lk(node_mu_[node]);
-    lsn = std::atomic_ref<Lsn>(next_lsn_[node])
-              .fetch_add(1, std::memory_order_relaxed);
-    rec.lsn = lsn;
-    rec.node = node;
-    tails_[node].push_back(std::move(rec));
-  }
-  AtomicInc(stats_.appends);
+  const Lsn lsn = next_lsn_[node]++;
+  rec.lsn = lsn;
+  rec.node = node;
+  tails_[node].push_back(std::move(rec));
+  ++stats_.appends;
   machine_->Tick(node, machine_->config().timing.volatile_log_write_ns);
   SMDB_TRACE(tracer_, {.kind = TraceEventKind::kLogAppend,
                        .node = node,
@@ -56,31 +50,25 @@ Status LogManager::Force(NodeId requestor, NodeId node) {
     // The tail died with the node; only the already-stable prefix exists.
     return Status::NodeFailed("cannot force log of crashed node");
   }
-  {
-    std::lock_guard<std::mutex> lk(node_mu_[node]);
-    auto& tail = tails_[node];
-    if (!tail.empty()) {
-      const size_t batch_size = tail.size();
-      AtomicInc(stats_.forces);
-      AtomicInc(stats_.forced_records, batch_size);
-      {
-        std::lock_guard<std::mutex> hlk(hist_mu_);
-        stats_.force_batches.Record(batch_size);
-      }
-      const auto& timing = machine_->config().timing;
-      machine_->Tick(requestor, machine_->config().nvram_log
-                                    ? timing.nvram_force_ns
-                                    : timing.log_force_ns);
-      std::vector<LogRecord> batch(tail.begin(), tail.end());
-      tail.clear();
-      stable_->Append(node, std::move(batch));
-      SMDB_TRACE(tracer_, {.kind = TraceEventKind::kLogForce,
-                           .node = node,
-                           .peer = requestor,
-                           .ts = machine_->NodeClock(requestor),
-                           .a = batch_size,
-                           .b = stable_->LastLsn(node)});
-    }
+  auto& tail = tails_[node];
+  if (!tail.empty()) {
+    const size_t batch_size = tail.size();
+    ++stats_.forces;
+    stats_.forced_records += batch_size;
+    stats_.force_batches.Record(batch_size);
+    const auto& timing = machine_->config().timing;
+    machine_->Tick(requestor, machine_->config().nvram_log
+                                  ? timing.nvram_force_ns
+                                  : timing.log_force_ns);
+    std::vector<LogRecord> batch(tail.begin(), tail.end());
+    tail.clear();
+    stable_->Append(node, std::move(batch));
+    SMDB_TRACE(tracer_, {.kind = TraceEventKind::kLogForce,
+                         .node = node,
+                         .peer = requestor,
+                         .ts = machine_->NodeClock(requestor),
+                         .a = batch_size,
+                         .b = stable_->LastLsn(node)});
   }
   // Hooks fire even for the empty no-op force: observers learn "this log
   // is stable through its last append", which is just as true.
@@ -89,7 +77,6 @@ Status LogManager::Force(NodeId requestor, NodeId node) {
 }
 
 void LogManager::AnnulVolatile(NodeId node, Lsn lsn) {
-  std::lock_guard<std::mutex> lk(node_mu_[node]);
   auto& tail = tails_[node];
   for (auto it = tail.begin(); it != tail.end(); ++it) {
     if (it->lsn == lsn) {
@@ -105,7 +92,6 @@ bool LogManager::IsStable(NodeId node, Lsn lsn) const {
 }
 
 void LogManager::OnNodeCrash(NodeId node) {
-  std::lock_guard<std::mutex> lk(node_mu_[node]);
   tails_[node].clear();
 }
 
@@ -116,7 +102,6 @@ void LogManager::ForEachStable(
 
 void LogManager::ForEachAll(
     NodeId node, const std::function<void(const LogRecord&)>& fn) const {
-  std::lock_guard<std::mutex> lk(node_mu_[node]);
   ForEachStable(node, fn);
   for (const auto& rec : tails_[node]) fn(rec);
 }

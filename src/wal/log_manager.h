@@ -5,12 +5,9 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "common/atomic_util.h"
 
 #include "common/status.h"
 #include "common/types.h"
@@ -106,14 +103,6 @@ void ForEachCounter(const LogStats& s, Fn&& fn) {
 
 /// Per-node write-ahead logs with volatile in-cache tails.
 ///
-/// Thread safety: every log is guarded by its own node mutex, so sharded
-/// execution can append to different nodes' logs concurrently, and a
-/// cross-node force (WAL gate, triggered LBM, lock-grant logging during a
-/// remote commit's waiter promotion) serialises against the owner's
-/// appends. Force hooks fire *outside* the node latch — the triggered LBM
-/// policy takes its own mutex and may force further logs, and holding the
-/// node latch across that would invert the lbm->log lock order.
-///
 /// Each node maintains a log whose updates happen in the node's cache
 /// (volatile); the tail is destroyed if the node crashes. Forcing moves the
 /// tail to the node's stream in the StableLogStore on a shared disk. Log
@@ -146,7 +135,7 @@ class LogManager {
   bool IsStable(NodeId node, Lsn lsn) const;
 
   Lsn stable_lsn(NodeId node) const { return stable_->LastLsn(node); }
-  Lsn last_lsn(NodeId node) const { return AtomicLoad(next_lsn_[node]) - 1; }
+  Lsn last_lsn(NodeId node) const { return next_lsn_[node] - 1; }
 
   /// Destroys `node`'s volatile tail (crash injection path; Database wires
   /// this to the machine's crash hook).
@@ -163,7 +152,6 @@ class LogManager {
 
   /// Volatile tail size (diagnostics/tests).
   size_t TailSize(NodeId node) const {
-    std::lock_guard<std::mutex> lk(node_mu_[node]);
     return tails_[node].size();
   }
 
@@ -193,7 +181,7 @@ class LogManager {
       if (usn > max_truncated_usn_[node]) max_truncated_usn_[node] = usn;
     });
     size_t n = stable_->Truncate(node, lsn);
-    AtomicInc(stats_.truncated_records, n);
+    stats_.truncated_records += n;
     return n;
   }
 
@@ -223,10 +211,6 @@ class LogManager {
   TraceRecorder* tracer_ = nullptr;
   Profiler* prof_ = nullptr;
   StableLogStore* stable_;
-  /// One latch per node log (tail + next LSN + that node's stable stream).
-  std::unique_ptr<std::mutex[]> node_mu_;
-  /// Guards the force-batch histogram (forces of distinct logs race).
-  std::mutex hist_mu_;
   std::vector<std::deque<LogRecord>> tails_;
   std::vector<Lsn> next_lsn_;
   std::vector<Lsn> checkpoint_lsn_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/on_demand.h"
-
 namespace smdb {
 
 Harness::Harness(HarnessConfig config)
@@ -26,10 +24,7 @@ Status Harness::Setup() {
                         config_.db.record_data_size);
   auto scripts = gen.Generate();
   exec_ = std::make_unique<SystemExecutor>(&db_->txn(), &db_->machine(),
-                                           config_.seed ^ 0x5eed,
-                                           config_.exec);
-  exec_->set_profiler(db_->profiler_ptr());
-  exec_->set_tracer(db_->tracer_ptr());
+                                           config_.seed ^ 0x5eed);
   for (NodeId n = 0; n < config_.db.machine.num_nodes; ++n) {
     for (auto& s : scripts[n]) exec_->executor(n).Enqueue(std::move(s));
   }
@@ -85,8 +80,8 @@ Result<HarnessReport> Harness::Run() {
         continue;
       }
       size_t fired = report.recoveries.size();
-      if (fired < config_.recovery_thread_overrides.size()) {
-        db_->SetRecoveryThreads(config_.recovery_thread_overrides[fired]);
+      if (fired < config_.recovery_stream_overrides.size()) {
+        db_->SetRecoveryStreams(config_.recovery_stream_overrides[fired]);
       }
       for (NodeId n : to_crash) exec_->executor(n).OnCrash();
       SMDB_ASSIGN_OR_RETURN(RecoveryOutcome outcome, db_->Crash(to_crash));
@@ -120,59 +115,20 @@ Result<HarnessReport> Harness::Run() {
       }
     }
 
-    if (exec_->execution_threads() <= 1 && !db_->profiler().enabled()) {
-      // Classic path: one step, then the per-step daemons — byte-for-byte
-      // the pre-sharding behaviour. A profiled width-1 run routes through
-      // RunBatches instead so reject attribution sees the same canonical
-      // batch plan as every other width (execution stays sequential and
-      // bit-identical when steal_flush_prob is 0).
-      if (!exec_->StepOnce()) break;
+    if (!exec_->StepOnce()) break;
 
-      if (config_.pump_recovery_per_step > 0 && db_->RecoveringActive()) {
-        SMDB_ASSIGN_OR_RETURN(
-            int swept, db_->PumpRecovery(config_.pump_recovery_per_step));
-        (void)swept;
-      }
-      if (config_.steal_flush_prob > 0.0 &&
-          rng_.Bernoulli(config_.steal_flush_prob)) {
-        // The daemon pauses while Recovering: a steal flush could overwrite
-        // a stable image that pending lazy redo still needs to load from.
-        // (The Bernoulli draw stays unconditional so the rng stream matches
-        // runs without the pause.)
-        if (!db_->RecoveringActive()) SMDB_RETURN_IF_ERROR(StealFlushOne());
-      }
-    } else {
-      // Sharded path: run up to the next schedule barrier (crash plan,
-      // checkpoint multiple, max_steps) as footprint-disjoint batches, then
-      // replay the per-step daemons in step order. The harness rng draws
-      // the identical sequence either way; only steal-flush timing is
-      // batch-granular.
-      uint64_t budget = config_.max_steps - exec_->steps();
-      if (next_crash < config_.crashes.size()) {
-        budget = std::min(budget,
-                          config_.crashes[next_crash].at_step - exec_->steps());
-      }
-      if (config_.checkpoint_every_steps > 0) {
-        uint64_t n = config_.checkpoint_every_steps;
-        budget = std::min(budget, n - (exec_->steps() % n));
-      }
-      if (config_.pump_recovery_per_step > 0 && db_->RecoveringActive()) {
-        // The sweeper must interleave with every step while Recovering.
-        budget = 1;
-      }
-      uint64_t executed = exec_->RunBatches(budget);
-      if (executed == 0) break;
-      for (uint64_t i = 0; i < executed; ++i) {
-        if (config_.pump_recovery_per_step > 0 && db_->RecoveringActive()) {
-          SMDB_ASSIGN_OR_RETURN(
-              int swept, db_->PumpRecovery(config_.pump_recovery_per_step));
-          (void)swept;
-        }
-        if (config_.steal_flush_prob > 0.0 &&
-            rng_.Bernoulli(config_.steal_flush_prob)) {
-          if (!db_->RecoveringActive()) SMDB_RETURN_IF_ERROR(StealFlushOne());
-        }
-      }
+    if (config_.pump_recovery_per_step > 0 && db_->RecoveringActive()) {
+      SMDB_ASSIGN_OR_RETURN(
+          int swept, db_->PumpRecovery(config_.pump_recovery_per_step));
+      (void)swept;
+    }
+    if (config_.steal_flush_prob > 0.0 &&
+        rng_.Bernoulli(config_.steal_flush_prob)) {
+      // The daemon pauses while Recovering: a steal flush could overwrite a
+      // stable image that pending lazy redo still needs to load from. (The
+      // Bernoulli draw stays unconditional so the rng stream matches runs
+      // without the pause.)
+      if (!db_->RecoveringActive()) SMDB_RETURN_IF_ERROR(StealFlushOne());
     }
     if (config_.checkpoint_every_steps > 0 &&
         exec_->steps() % config_.checkpoint_every_steps == 0) {
@@ -199,7 +155,7 @@ Result<HarnessReport> Harness::Run() {
   }
   if (config_.capture_digests) {
     // Final end-of-run digest. Note: only digests up to and including the
-    // first parallelised recovery are comparable against a serial run —
+    // first partitioned recovery are comparable against a one-stream run —
     // CLR/log placement after that point is performer-dependent
     // (performance state) and can steer later forces and the *next*
     // recovery differently. The differential tests therefore override one
@@ -226,12 +182,6 @@ void Harness::FillReport(HarnessReport* report) {
   report->steps = exec_->steps();
   report->total_time_ns = db_->machine().GlobalTime();
   report->latency = db_->observatory().Snapshot();
-  report->shard = exec_->shard_stats();
-  if (db_->on_demand() != nullptr) {
-    report->sweep_batches = db_->on_demand()->stats().sweep_batches;
-    report->sweep_batched_records =
-        db_->on_demand()->stats().sweep_batched_records;
-  }
   report->profile = db_->profiler().Snapshot();
 }
 

@@ -15,13 +15,6 @@ namespace smdb {
 
 struct HarnessConfig {
   DatabaseConfig db;
-  /// Execution sharding: width 1 (default) is the classic single-threaded
-  /// dispatch loop, bit-for-bit; width N > 1 batches footprint-disjoint
-  /// steps of the same seeded schedule across the ThreadPool. Steal-flush
-  /// daemon timing is then batch-granular (the differential width matrix
-  /// runs with steal_flush_prob = 0, where the final state is provably
-  /// width-invariant).
-  ExecutionConfig exec;
   WorkloadSpec workload;
   size_t num_records = 256;
   std::vector<CrashPlan> crashes;
@@ -35,7 +28,7 @@ struct HarnessConfig {
   uint64_t seed = 99;
   /// Snapshot a StateDigest right after each recovery (before verification
   /// and any node restart) into HarnessReport::digests. The differential
-  /// parallel-recovery oracle compares these across thread counts.
+  /// recovery-stream oracle compares these across stream counts.
   bool capture_digests = false;
   /// On-demand recovery only: drain every lazy obligation right after the
   /// crash-time prefix returns, before digests, verification, and restart.
@@ -48,12 +41,13 @@ struct HarnessConfig {
   /// Recovering state is active (0 = no sweeping; first touch and the
   /// final drain do all the work).
   int pump_recovery_per_step = 0;
-  /// Element i overrides recovery_threads for the i-th *fired* recovery
+  /// Element i overrides recovery_streams for the i-th *fired* recovery
   /// (skipped crash plans don't consume an entry). Recoveries beyond the
-  /// vector keep the config's value. Lets the equivalence tests parallelise
+  /// vector keep the config's value. Lets the equivalence tests partition
   /// exactly one recovery of a multi-crash schedule while every other
-  /// recovery stays serial, so earlier digests are comparable one by one.
-  std::vector<uint32_t> recovery_thread_overrides;
+  /// recovery stays single-stream, so earlier digests are comparable one
+  /// by one.
+  std::vector<uint32_t> recovery_stream_overrides;
 };
 
 /// A crash plan that never fired, and why. The fuzzer needs this to tell
@@ -88,13 +82,6 @@ struct HarnessReport {
   /// Observatory snapshot; enabled=false (and otherwise empty) unless
   /// DatabaseConfig::obs.enabled was set.
   LatencyReport latency;
-  /// Batch-occupancy counters from the sharded executor (all zero on the
-  /// classic width-1 unprofiled path).
-  SystemExecutor::ShardStats shard;
-  /// On-demand sweeper parallel-batch counters (zero when on_demand is off
-  /// or the sweeper never batched).
-  uint64_t sweep_batches = 0;
-  uint64_t sweep_batched_records = 0;
   /// Profiler snapshot; enabled=false (and otherwise empty) unless
   /// DatabaseConfig::profiler.enabled was set.
   ProfilerReport profile;

@@ -10,9 +10,9 @@
 //      under SelectiveRedo is caught within a small seed budget, shrinks
 //      to a tiny crash schedule, and the emitted replay document
 //      round-trips and reproduces the failure.
-//   4. The parallel-recovery differential (Options::recovery_threads > 1)
+//   4. The recovery-stream differential (Options::recovery_streams > 1)
 //      composes with all of the above: clean seeds stay clean, replay
-//      documents record the thread count, and the shrinker minimises
+//      documents record the stream count, and the shrinker minimises
 //      failures through the differential predicate.
 
 //   5. Campaign sharding (RunFuzzCampaign with jobs > 1) is invisible in
@@ -110,11 +110,11 @@ TEST(FuzzSmoke, BrokenUndoTaggingIsCaughtShrunkAndReplayable) {
   EXPECT_EQ(replayed.detail, direct.detail);
 }
 
-TEST(FuzzSmoke, ParallelDifferentialIsCleanAndRecordedInReplays) {
+TEST(FuzzSmoke, StreamDifferentialIsCleanAndRecordedInReplays) {
   CrashScheduleFuzzer::Options opts;
   opts.protocols = {RecoveryConfig::VolatileSelectiveRedo(),
                     RecoveryConfig::StableEagerRedoAll()};
-  opts.recovery_threads = 2;
+  opts.recovery_streams = 2;
   CrashScheduleFuzzer fuzzer(opts);
   for (uint64_t seed = 0; seed < 10; ++seed) {
     auto failure = fuzzer.RunSeed(seed);
@@ -126,31 +126,34 @@ TEST(FuzzSmoke, ParallelDifferentialIsCleanAndRecordedInReplays) {
   // The differential actually ran: more harness runs than cases x protocols.
   EXPECT_GT(fuzzer.stats().runs, 20u);
 
-  // Replay documents carry the thread count so a parallel-only divergence
-  // re-executes at the width that exposed it.
+  // Replay documents carry the stream count so a stream-only divergence
+  // re-executes at the stream count that exposed it.
   FuzzFailure failure;
   failure.seed = 7;
   failure.fuzz_case = SampleFuzzCase(7);
   failure.protocol = RecoveryConfig::VolatileSelectiveRedo();
-  failure.verdict = {true, "parallel-divergence", "digest mismatch"};
+  failure.verdict = {true, "stream-divergence", "digest mismatch"};
   std::string text = fuzzer.ReplayJson(failure, failure.fuzz_case);
+  EXPECT_NE(text.find("\"recovery_streams\""), std::string::npos);
+  EXPECT_EQ(text.find("recovery_threads"), std::string::npos);
+  EXPECT_EQ(text.find("execution_threads"), std::string::npos);
   auto doc = CrashScheduleFuzzer::ParseReplay(text);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  EXPECT_EQ(doc->recovery_threads, 2u);
-  EXPECT_EQ(doc->recorded_kind, "parallel-divergence");
+  EXPECT_EQ(doc->recovery_streams, 2u);
+  EXPECT_EQ(doc->recorded_kind, "stream-divergence");
 }
 
 TEST(FuzzSmoke, ShrinkerMinimisesThroughTheDifferentialPredicate) {
-  // With recovery_threads set, every still-fails probe of the shrinker
-  // re-runs the serial leg *and* the per-recovery differential leg, so a
-  // minimised schedule is guaranteed to still fail under the combined
-  // predicate — the property that makes shrunk parallel-divergence
+  // With recovery_streams set, every still-fails probe of the shrinker
+  // re-runs the single-stream leg *and* the per-recovery differential leg,
+  // so a minimised schedule is guaranteed to still fail under the combined
+  // predicate — the property that makes shrunk stream-divergence
   // reproducers trustworthy. Forced here with the undo-tagging fault,
   // which the serial leg catches.
   CrashScheduleFuzzer::Options opts;
   opts.protocols = {RecoveryConfig::VolatileSelectiveRedo()};
   opts.disable_undo_tagging = true;
-  opts.recovery_threads = 2;
+  opts.recovery_streams = 2;
   opts.max_shrink_runs = 120;
   CrashScheduleFuzzer fuzzer(opts);
 
@@ -260,20 +263,14 @@ TEST(FuzzSmoke, RebootAllSurvivesSplitHeavySchedules) {
 
 TEST(FuzzSmoke, EnvDrivenCampaignMatrix) {
   // CI hook: SMDB_FUZZ_GROUP_COMMIT=1 / SMDB_FUZZ_ON_DEMAND=1 /
-  // SMDB_FUZZ_EXEC_THREADS=W / SMDB_FUZZ_JOBS=N re-run a slice of
-  // the default campaign in the sanitizer build's configuration without a
-  // dedicated test binary per matrix cell. Unset, this is a plain small
-  // serial campaign.
+  // SMDB_FUZZ_JOBS=N re-run a slice of the default campaign in the
+  // sanitizer build's configuration without a dedicated test binary per
+  // matrix cell. Unset, this is a plain small single-job campaign.
   CrashScheduleFuzzer::Options opts;
   const char* gc = std::getenv("SMDB_FUZZ_GROUP_COMMIT");
   opts.group_commit = gc != nullptr && std::string(gc) == "1";
   const char* od = std::getenv("SMDB_FUZZ_ON_DEMAND");
   opts.on_demand = od != nullptr && std::string(od) == "1";
-  const char* ew = std::getenv("SMDB_FUZZ_EXEC_THREADS");
-  if (ew != nullptr) {
-    int v = std::atoi(ew);
-    if (v > 0) opts.execution_threads = static_cast<uint32_t>(v);
-  }
   const char* jobs_env = std::getenv("SMDB_FUZZ_JOBS");
   unsigned jobs = 1;
   if (jobs_env != nullptr) {

@@ -5,7 +5,7 @@
 // drained immediately after the crash-time prefix (before any new traffic)
 // must be bit-identical — every captured StateDigest — to the plain eager
 // run of the same schedule, across fuzz seeds, protocol presets, and
-// recovery thread widths. On top of that, lazy runs that actually serve
+// recovery stream counts. On top of that, lazy runs that actually serve
 // traffic through the Recovering window (first-touch discharge racing the
 // background sweeper, crashes landing mid-recovery) must keep the IFA
 // oracle clean, and the availability decoupling must be visible: commits
@@ -42,17 +42,17 @@ std::vector<RecoveryConfig> OnDemandProtocols() {
   };
 }
 
-/// Eager vs drain-immediately at one thread width: with the Recovering
+/// Eager vs drain-immediately at one stream count: with the Recovering
 /// window collapsed the two runs must be step-for-step identical, so every
 /// digest (per recovery and final) matches bit for bit.
 void ExpectLazyDrainMatchesEager(uint64_t seed, const RecoveryConfig& rc,
-                                 uint32_t threads) {
+                                 uint32_t streams) {
   std::string where = "seed " + std::to_string(seed) + " protocol " +
-                      rc.Name() + " W=" + std::to_string(threads);
+                      rc.Name() + " streams=" + std::to_string(streams);
   FuzzCase fc = SampleFuzzCase(seed);
 
   HarnessConfig eager = MakeHarnessConfig(fc, rc);
-  eager.db.recovery.recovery_threads = threads;
+  eager.db.recovery.recovery_streams = streams;
   eager.capture_digests = true;
   Harness he(eager);
   auto eager_report = he.Run();
@@ -101,85 +101,23 @@ void ExpectLazyDrainMatchesEager(uint64_t seed, const RecoveryConfig& rc,
       << where;
 }
 
-void RunDigestMatrix(uint64_t begin, uint64_t end, uint32_t threads) {
+void RunDigestMatrix(uint64_t begin, uint64_t end, uint32_t streams) {
   for (uint64_t seed = begin; seed < end; ++seed) {
     for (const RecoveryConfig& rc : OnDemandProtocols()) {
-      ExpectLazyDrainMatchesEager(seed, rc, threads);
+      ExpectLazyDrainMatchesEager(seed, rc, streams);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
 
-TEST(OnDemandDigest, DrainMatchesEagerSerialShard0) {
+TEST(OnDemandDigest, DrainMatchesEagerOneStreamShard0) {
   RunDigestMatrix(0, 12, 1);
 }
-TEST(OnDemandDigest, DrainMatchesEagerSerialShard1) {
+TEST(OnDemandDigest, DrainMatchesEagerOneStreamShard1) {
   RunDigestMatrix(12, 24, 1);
 }
-TEST(OnDemandDigest, DrainMatchesEagerW4) { RunDigestMatrix(0, 8, 4); }
-TEST(OnDemandDigest, DrainMatchesEagerW8) { RunDigestMatrix(8, 16, 8); }
-
-// The pool-backed sweeper: with a per-step budget and recovery_threads > 1,
-// SweepStep dispatches batches of clean heap records (USN-guarded redo
-// only, pairwise-distinct pages) onto the RecoveryManager's ThreadPool.
-// Performers are drawn at plan time in sweep order and USN-allocating work
-// runs solo, so the USN stream — and therefore every captured digest —
-// must match the serial sweep bit for bit. Single-crash schedules only:
-// CLR placement inside the eager prefix is performer-dependent at W > 1
-// and feeds later recoveries' log scans, so only the first parallelised
-// recovery is digest-comparable (the repo-wide caveat, cf.
-// recovery_equivalence_test).
-TEST(OnDemandDigest, ParallelSweepMatchesSerialSweep) {
-  uint64_t batched_total = 0;
-  for (uint64_t seed : {2u, 9u, 17u, 29u}) {
-    FuzzCase fc = SampleFuzzCase(seed);
-    for (const RecoveryConfig& rc : OnDemandProtocols()) {
-      HarnessConfig base = MakeHarnessConfig(fc, rc);
-      if (base.crashes.empty()) continue;
-      base.crashes.resize(1);
-      base.db.recovery.on_demand = true;
-      // Small pages spread the fuzz table across many heap pages: batch
-      // members must sit on pairwise-distinct pages (they share the header
-      // line and Page-LSN otherwise), so a one-page table can never batch.
-      base.db.page_size = 512;
-      base.pump_recovery_per_step = 4;
-      base.capture_digests = true;
-      std::string ctx = "seed " + std::to_string(seed) + " " + rc.Name();
-
-      Harness hs(base);
-      auto serial = hs.Run();
-      ASSERT_TRUE(serial.ok()) << ctx << ": " << serial.status().ToString();
-      ASSERT_TRUE(serial->verify_status.ok())
-          << ctx << ": " << serial->verify_status.ToString();
-
-      for (uint32_t threads : {4u, 8u}) {
-        std::string where = ctx + " W=" + std::to_string(threads);
-        HarnessConfig par = base;
-        par.db.recovery.recovery_threads = threads;
-        Harness hp(par);
-        auto report = hp.Run();
-        ASSERT_TRUE(report.ok())
-            << where << ": " << report.status().ToString();
-        ASSERT_TRUE(report->verify_status.ok())
-            << where << ": " << report->verify_status.ToString();
-        ASSERT_EQ(report->digests.size(), serial->digests.size()) << where;
-        for (size_t i = 0; i < serial->digests.size(); ++i) {
-          ASSERT_EQ(report->digests[i], serial->digests[i])
-              << where << " digest " << i
-              << "\n  serial:   " << serial->digests[i].ToString()
-              << "\n  parallel: " << report->digests[i].ToString();
-        }
-        EXPECT_EQ(report->exec.committed, serial->exec.committed) << where;
-        if (hp.db().on_demand() != nullptr) {
-          batched_total += hp.db().on_demand()->stats().sweep_batched_records;
-        }
-      }
-    }
-  }
-  EXPECT_GT(batched_total, 0u)
-      << "no run ever dispatched a pool batch — the parallel sweep path "
-         "was never exercised";
-}
+TEST(OnDemandDigest, DrainMatchesEagerStreams4) { RunDigestMatrix(0, 8, 4); }
+TEST(OnDemandDigest, DrainMatchesEagerStreams8) { RunDigestMatrix(8, 16, 8); }
 
 // Serving traffic through the Recovering window: first-touch discharges
 // race the background sweeper at several budgets, and the IFA oracle must
@@ -366,7 +304,7 @@ TEST(OnDemandServing, DrainTimestampExtendsPastEagerPrefix) {
 
 // The fuzzer's on-demand mode (Options::on_demand, smdb_fuzz
 // --on-demand-recovery) composes with every default protocol and with the
-// parallel differential, and the flag round-trips through replay files.
+// recovery-stream differential, and the flag round-trips through replay files.
 // Runs the DEFAULT protocol set — including the baselines. The knob must
 // be a strict no-op for RebootAll/AbortDependents: they delegate into the
 // schemes (AbortDependents calls RunSelectiveRedo) and their contracts
@@ -385,6 +323,29 @@ TEST(OnDemandFuzz, CampaignSliceRunsClean) {
   }
   EXPECT_GT(fuzzer.stats().committed, 0u);
   EXPECT_GT(fuzzer.stats().crashes_fired, 0u);
+}
+
+// Regressions from a 2000-seed on-demand campaign, all under Selective
+// Redo with a node restarted during the Recovering window:
+//  * 223, 380, 1257, 1629: a second crash superseded the recovery before
+//    its deferred tag scan ran. The restarted node was no longer dead, so
+//    the superseding recovery ignored its pre-crash tags and an uncommitted
+//    update (or index insert) survived. The superseding recovery now
+//    inherits the old dead nodes' tags up to the old cutoff.
+//  * 1710: the restarted node's new traffic pulled a tagged leaf line into
+//    its own cache, which the deferred scan (crash-time survivors only)
+//    never visited. The deferred scan now covers every live cache.
+TEST(OnDemandFuzz, RestartDuringRecoveringKeepsTheRestartedNodesTags) {
+  CrashScheduleFuzzer::Options opts;
+  opts.on_demand = true;
+  opts.protocols = {RecoveryConfig::VolatileSelectiveRedo()};
+  CrashScheduleFuzzer fuzzer(opts);
+  for (uint64_t seed : {223u, 380u, 1257u, 1629u, 1710u}) {
+    auto failure = fuzzer.RunSeed(seed);
+    ASSERT_FALSE(failure.has_value())
+        << "seed " << seed << ": [" << failure->verdict.kind << "] "
+        << failure->verdict.detail;
+  }
 }
 
 TEST(OnDemandFuzz, FlagRoundTripsThroughReplays) {

@@ -5,12 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
-#include <set>
-
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/database.h"
 #include "core/ifa_checker.h"
 #include "core/recovery_manager.h"
@@ -39,8 +35,8 @@ struct Fx {
     c.machine.num_nodes = 6;
     c.recovery = rc;
     // Small pages (header + 3 record lines = 12 records) spread the table
-    // across several heap pages, so the worker-stepped-branch tests below
-    // can build page-disjoint footprints. The group semantics tests are
+    // across several heap pages, so the interleaved-branch tests below can
+    // give every branch its own page. The group semantics tests are
     // geometry-agnostic.
     c.page_size = 512;
     return c;
@@ -268,15 +264,12 @@ TEST(ParallelTxnTest, RandomizedParallelCrash) {
   }
 }
 
-// --- Worker-stepped branches -------------------------------------------
+// --- Interleaved branches ----------------------------------------------
 //
-// The simulator's concurrency contract is the sharded executor's: steps
-// may run on different host threads only when their machine footprints
-// (lock-table lines, record slot line, page header line) are pairwise
-// disjoint — there is no internal per-line latching to fall back on. The
-// helpers below replicate the executor's plan/admit cycle for hand-driven
-// ParallelTxn branches, so these tests exercise real concurrent branch
-// traffic under the same discipline RunBatches enforces.
+// Hand-driven ParallelTxn branches stepped in lockstep rounds: each round
+// runs every queue's next update, one after another, so branches of one
+// group (and of different groups) interleave op by op the way the seeded
+// executor schedule interleaves nodes.
 
 struct BranchStep {
   Transaction* txn = nullptr;
@@ -284,110 +277,39 @@ struct BranchStep {
   std::vector<uint8_t> value;
 };
 
-// Footprint of one Update as the ThreadPool-backed executor plans it.
-// nullopt = the acquisition would queue or abort: not admissible.
-std::optional<std::vector<LineAddr>> PlanUpdateLines(TxnManager& tm,
-                                                     const BranchStep& s) {
-  LockPrediction pred = tm.locks()->Predict(
-      s.txn->id, RecordLockName(s.rid), LockMode::kExclusive);
-  if (pred.outcome != LockPrediction::Outcome::kGranted &&
-      pred.outcome != LockPrediction::Outcome::kHeld) {
-    return std::nullopt;
-  }
-  std::vector<LineAddr> lines = std::move(pred.lines);
-  lines.push_back(tm.records()->SlotLine(s.rid));
-  lines.push_back(tm.records()->HeaderLine(s.rid.page));
-  return lines;
-}
-
-// Runs the queues in lockstep rounds: each round plans every queue's next
-// step serially, dispatches a pairwise-line-disjoint subset to the pool
-// (USN source armed for atomic draws, as for an unranked batch miss), and
-// steps the rest on this thread. Returns how many steps ran concurrently
-// with at least one other.
-Result<uint64_t> RunStepsSharded(TxnManager& tm, ThreadPool& pool,
-                                 std::vector<std::vector<BranchStep>> queues) {
-  uint64_t concurrent = 0;
-  std::vector<size_t> next(queues.size(), 0);
-  for (;;) {
-    std::vector<size_t> ready;
-    for (size_t q = 0; q < queues.size(); ++q) {
-      if (next[q] < queues[q].size()) ready.push_back(q);
+Status RunStepsInterleaved(TxnManager& tm,
+                           const std::vector<std::vector<BranchStep>>& queues) {
+  for (size_t round = 0;; ++round) {
+    bool stepped = false;
+    for (const auto& q : queues) {
+      if (round >= q.size()) continue;
+      SMDB_RETURN_IF_ERROR(tm.Update(q[round].txn, q[round].rid,
+                                     q[round].value));
+      stepped = true;
     }
-    if (ready.empty()) return concurrent;
-    std::vector<size_t> batch;
-    std::vector<size_t> solo;
-    std::set<LineAddr> used;
-    for (size_t q : ready) {
-      auto lines = PlanUpdateLines(tm, queues[q][next[q]]);
-      bool disjoint = lines.has_value();
-      if (disjoint) {
-        for (LineAddr l : *lines) {
-          if (used.contains(l)) {
-            disjoint = false;
-            break;
-          }
-        }
-      }
-      if (disjoint) {
-        used.insert(lines->begin(), lines->end());
-        batch.push_back(q);
-      } else {
-        solo.push_back(q);
-      }
-    }
-    if (batch.size() < 2) {
-      solo.insert(solo.end(), batch.begin(), batch.end());
-      batch.clear();
-    }
-    std::vector<Status> st(batch.size());
-    if (!batch.empty()) {
-      tm.usn()->BeginRankedBatch(0);
-      pool.ParallelFor(batch.size(), [&](size_t i) {
-        const BranchStep& s = queues[batch[i]][next[batch[i]]];
-        st[i] = tm.Update(s.txn, s.rid, s.value);
-      });
-      tm.usn()->EndRankedBatch();
-      concurrent += batch.size();
-    }
-    for (const Status& s : st) SMDB_RETURN_IF_ERROR(s);
-    for (size_t q : solo) {
-      const BranchStep& s = queues[q][next[q]];
-      SMDB_RETURN_IF_ERROR(tm.Update(s.txn, s.rid, s.value));
-    }
-    for (size_t q : ready) ++next[q];
+    if (!stepped) return Status::Ok();
   }
 }
 
-// Sharded execution: a group's branches step on different worker threads,
-// exactly as the ThreadPool-backed executor would drive them. Each branch
-// updates its own disjoint record slice; rounds that pass the footprint
-// check run on the pool, the rest serially. Run under TSan this pins the
-// txn-layer latching (striped lock table, per-node WAL, shared txn table)
-// for concurrent branch traffic.
-TEST(ParallelTxnTest, BranchesStepOnWorkerThreads) {
+// A group's branches step interleaved, each updating its own disjoint
+// record slice; the group commit must then apply every branch's work.
+TEST(ParallelTxnTest, InterleavedBranchesCommitAsOneGroup) {
   Fx fx;
   constexpr size_t kBranches = 4;
   constexpr size_t kOpsPerBranch = 6;
   auto ptxn = fx.db.txn().BeginParallel({0, 1, 2, 3});
   ASSERT_TRUE(ptxn.ok());
-  ThreadPool pool(kBranches);
   std::vector<std::vector<BranchStep>> queues(kBranches);
   for (size_t b = 0; b < kBranches; ++b) {
     Transaction* br = (*ptxn)->branch(static_cast<NodeId>(b));
     for (size_t i = 0; i < kOpsPerBranch; ++i) {
-      // Branch b works its own heap page (12 records per 512-byte page):
-      // a round's four steps touch four distinct pages.
+      // Branch b works its own heap page (12 records per 512-byte page).
       queues[b].push_back({br, fx.table[b * 12 + i],
                            Value(uint8_t(16 * b + i + 1))});
     }
   }
-  auto concurrent =
-      RunStepsSharded(fx.db.txn(), pool, std::move(queues));
-  ASSERT_TRUE(concurrent.ok()) << concurrent.status().ToString();
-  EXPECT_GT(*concurrent, 0u)
-      << "no round ever admitted two branch steps concurrently — the "
-         "footprint partition degenerated to fully serial";
+  Status run = RunStepsInterleaved(fx.db.txn(), queues);
+  ASSERT_TRUE(run.ok()) << run.ToString();
   ASSERT_TRUE(fx.db.txn().CommitParallel(*ptxn).ok());
   for (size_t b = 0; b < kBranches; ++b) {
     for (size_t i = 0; i < kOpsPerBranch; ++i) {
@@ -400,15 +322,14 @@ TEST(ParallelTxnTest, BranchesStepOnWorkerThreads) {
   EXPECT_TRUE(fx.checker.VerifyAll().ok());
 }
 
-// Concurrently-stepped branches plus a participant crash: all the work the
-// workers raced to do must be annulled as one group, while a solo
-// transaction stepped on another worker survives untouched.
-TEST(ParallelTxnTest, WorkerSteppedBranchesAnnulAsOneGroupOnCrash) {
+// Interleaved branches plus a participant crash: all the group's work must
+// be annulled as one group, while a solo transaction interleaved with it
+// survives untouched.
+TEST(ParallelTxnTest, InterleavedBranchesAnnulAsOneGroupOnCrash) {
   Fx fx;
   auto ptxn = fx.db.txn().BeginParallel({0, 1, 2});
   ASSERT_TRUE(ptxn.ok());
   Transaction* solo = fx.db.txn().Begin(4);
-  ThreadPool pool(4);
   std::vector<std::vector<BranchStep>> queues(4);
   for (size_t b = 0; b < 3; ++b) {
     Transaction* br = (*ptxn)->branch(static_cast<NodeId>(b));
@@ -417,8 +338,8 @@ TEST(ParallelTxnTest, WorkerSteppedBranchesAnnulAsOneGroupOnCrash) {
     }
   }
   queues[3].push_back({solo, fx.table[40], Value(0x55)});
-  auto concurrent = RunStepsSharded(fx.db.txn(), pool, std::move(queues));
-  ASSERT_TRUE(concurrent.ok()) << concurrent.status().ToString();
+  Status run = RunStepsInterleaved(fx.db.txn(), queues);
+  ASSERT_TRUE(run.ok()) << run.ToString();
 
   auto outcome = fx.db.Crash({2});
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
@@ -440,11 +361,10 @@ TEST(ParallelTxnTest, WorkerSteppedBranchesAnnulAsOneGroupOnCrash) {
   EXPECT_EQ(slot->data, Value(0x55));
 }
 
-// Several groups step concurrently on disjoint record slices — the
-// worker-thread analogue of RandomizedParallelCrash's soup, pinning that
-// group bookkeeping (branch registration, group commit ordering) keeps no
-// hidden serial assumption.
-TEST(ParallelTxnTest, ConcurrentGroupsOnDisjointRecordsCommit) {
+// Several groups step interleaved on disjoint record slices, pinning that
+// group bookkeeping (branch registration, group commit ordering) keeps
+// groups independent.
+TEST(ParallelTxnTest, InterleavedGroupsOnDisjointRecordsCommit) {
   Fx fx;
   constexpr size_t kGroups = 3;
   std::vector<ParallelTxn*> groups;
@@ -454,9 +374,7 @@ TEST(ParallelTxnTest, ConcurrentGroupsOnDisjointRecordsCommit) {
     ASSERT_TRUE(p.ok());
     groups.push_back(*p);
   }
-  // 6 branch queues across 3 groups; each branch owns its own heap page so
-  // rounds of steps have pairwise-disjoint line footprints.
-  ThreadPool pool(6);
+  // 6 branch queues across 3 groups; each branch owns its own heap page.
   std::vector<std::vector<BranchStep>> queues(2 * kGroups);
   for (size_t t = 0; t < 2 * kGroups; ++t) {
     Transaction* br = groups[t / 2]->branches[t % 2];
@@ -464,8 +382,8 @@ TEST(ParallelTxnTest, ConcurrentGroupsOnDisjointRecordsCommit) {
       queues[t].push_back({br, fx.table[t * 12 + i], Value(uint8_t(t + 1))});
     }
   }
-  auto concurrent = RunStepsSharded(fx.db.txn(), pool, std::move(queues));
-  ASSERT_TRUE(concurrent.ok()) << concurrent.status().ToString();
+  Status run = RunStepsInterleaved(fx.db.txn(), queues);
+  ASSERT_TRUE(run.ok()) << run.ToString();
   for (size_t g = 0; g < kGroups; ++g) {
     ASSERT_TRUE(fx.db.txn().CommitParallel(groups[g]).ok()) << "group " << g;
   }

@@ -1,14 +1,14 @@
-// Differential test matrix for the parallel partitioned recovery pipeline:
-// N-thread recovery must be *machine-state equivalent* to serial recovery.
+// Differential test matrix for partitioned recovery streams: N-stream
+// recovery must be *machine-state equivalent* to one-stream recovery.
 //
-// For every sampled fuzz scenario and every protocol preset, a serial run
-// (recovery_threads = 1) captures a StateDigest — stable DB bytes, coherent
-// heap/index pages, lock table, transaction verdicts — right after each
-// recovery. Then, per fired recovery k and per thread count W ∈ {2, 4, 8},
-// the schedule re-runs with exactly recovery k at W worker streams (all
-// earlier recoveries serial) and the k-th digest must match the serial
-// run's bit for bit, along with the recovery outcome's logical counters.
-// Digests past the parallelised recovery are not compared: CLR log
+// For every sampled fuzz scenario and every protocol preset, a one-stream
+// run (recovery_streams = 1) captures a StateDigest — stable DB bytes,
+// coherent heap/index pages, lock table, transaction verdicts — right after
+// each recovery. Then, per fired recovery k and per stream count
+// W ∈ {2, 4, 8}, the schedule re-runs with exactly recovery k at W streams
+// (all earlier recoveries one-stream) and the k-th digest must match the
+// one-stream run's bit for bit, along with the recovery outcome's logical
+// counters. Digests past the partitioned recovery are not compared: CLR log
 // placement is performer-dependent (performance state, like timing) and
 // may legitimately steer later log forces differently.
 //
@@ -28,7 +28,7 @@
 namespace smdb {
 namespace {
 
-/// Logical outcome fields that must be thread-count-invariant (everything
+/// Logical outcome fields that must be stream-count-invariant (everything
 /// in RecoveryOutcome except recovery_time_ns, which is performance).
 void ExpectSameOutcome(const RecoveryOutcome& serial,
                        const RecoveryOutcome& parallel,
@@ -83,8 +83,8 @@ void RunSeedRange(uint64_t begin, uint64_t end) {
           std::string where = ctx_base + " W=" + std::to_string(w) +
                               " recovery #" + std::to_string(k);
           HarnessConfig cfg = base;
-          cfg.recovery_thread_overrides.assign(k + 1, 1u);
-          cfg.recovery_thread_overrides[k] = w;
+          cfg.recovery_stream_overrides.assign(k + 1, 1u);
+          cfg.recovery_stream_overrides[k] = w;
           Harness hp(cfg);
           auto report = hp.Run();
           ASSERT_TRUE(report.ok())
@@ -103,7 +103,7 @@ void RunSeedRange(uint64_t begin, uint64_t end) {
       }
     }
   }
-  // The shard must actually exercise parallel recoveries — a sampler
+  // The shard must actually exercise partitioned recoveries — a sampler
   // regression that stops firing crashes would otherwise pass vacuously.
   EXPECT_GT(parallel_runs, 0u);
 }
@@ -113,12 +113,12 @@ TEST(RecoveryEquivalence, SeedsShard1) { RunSeedRange(50, 100); }
 TEST(RecoveryEquivalence, SeedsShard2) { RunSeedRange(100, 150); }
 TEST(RecoveryEquivalence, SeedsShard3) { RunSeedRange(150, 200); }
 
-// The fuzzer-integrated differential (Options::recovery_threads) must see
-// the same clean matrix — this is the path `smdb_fuzz --recovery-threads`
+// The fuzzer-integrated differential (Options::recovery_streams) must see
+// the same clean matrix — this is the path `smdb_fuzz --recovery-streams`
 // and its shrinker use.
 TEST(RecoveryEquivalence, FuzzerDifferentialPathIsClean) {
   CrashScheduleFuzzer::Options opts;
-  opts.recovery_threads = 4;
+  opts.recovery_streams = 4;
   CrashScheduleFuzzer fuzzer(opts);
   for (uint64_t seed = 200; seed < 212; ++seed) {
     auto failure = fuzzer.RunSeed(seed);
@@ -128,9 +128,9 @@ TEST(RecoveryEquivalence, FuzzerDifferentialPathIsClean) {
   }
 }
 
-// Sweeping more worker streams than the machine has survivors (or nodes)
-// must degrade gracefully to sharing performers, never crash or diverge.
-TEST(RecoveryEquivalence, MoreThreadsThanSurvivors) {
+// Sweeping more streams than the machine has survivors (or nodes) must
+// degrade gracefully to sharing performers, never crash or diverge.
+TEST(RecoveryEquivalence, MoreStreamsThanSurvivors) {
   FuzzCase fc = SampleFuzzCase(3);
   RecoveryConfig rc = RecoveryConfig::VolatileRedoAll();
   HarnessConfig base = MakeHarnessConfig(fc, rc);
@@ -140,8 +140,8 @@ TEST(RecoveryEquivalence, MoreThreadsThanSurvivors) {
   ASSERT_TRUE(serial.ok());
   for (size_t k = 0; k < serial->recoveries.size(); ++k) {
     HarnessConfig cfg = base;
-    cfg.recovery_thread_overrides.assign(k + 1, 1u);
-    cfg.recovery_thread_overrides[k] = 32;  // >> num_nodes
+    cfg.recovery_stream_overrides.assign(k + 1, 1u);
+    cfg.recovery_stream_overrides[k] = 32;  // >> num_nodes
     Harness hp(cfg);
     auto report = hp.Run();
     ASSERT_TRUE(report.ok()) << report.status().ToString();

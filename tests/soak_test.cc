@@ -22,10 +22,9 @@ RecoveryConfig PickProtocol(Rng& rng) {
   }
 }
 
-void RunRandomRounds(Rng& meta, int rounds, uint32_t execution_threads) {
+void RunRandomRounds(Rng& meta, int rounds) {
   for (int round = 0; round < rounds; ++round) {
     HarnessConfig cfg;
-    cfg.exec.execution_threads = execution_threads;
     RecoveryConfig rc = PickProtocol(meta);
     cfg.db.recovery = rc;
     cfg.db.machine.num_nodes = static_cast<uint16_t>(meta.Range(2, 12));
@@ -64,8 +63,7 @@ void RunRandomRounds(Rng& meta, int rounds, uint32_t execution_threads) {
                  rc.Name() + " nodes " +
                  std::to_string(cfg.db.machine.num_nodes) + " recsz " +
                  std::to_string(cfg.db.record_data_size) + " crashes " +
-                 std::to_string(crashes) + " W=" +
-                 std::to_string(execution_threads));
+                 std::to_string(crashes));
     Harness h(cfg);
     auto report = h.Run();
     ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -85,16 +83,7 @@ void RunRandomRounds(Rng& meta, int rounds, uint32_t execution_threads) {
 
 TEST(SoakTest, RandomConfigurations) {
   Rng meta(0xC0FFEE);
-  RunRandomRounds(meta, 24, /*execution_threads=*/1);
-}
-
-// The same randomized soup with execution sharded across 8 pool workers —
-// the schedule-replay batcher must keep IFA through every protocol, crash
-// schedule, and geometry it meets. Run under TSan (label "parallel") this
-// is the concurrency soak for the execution hot path.
-TEST(SoakTest, RandomConfigurationsExecutionThreads8) {
-  Rng meta(0x8EED);
-  RunRandomRounds(meta, 12, /*execution_threads=*/8);
+  RunRandomRounds(meta, 24);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for the StateDigest helper (core/state_digest.h) — the
-// differential oracle of the parallel recovery pipeline. Pins down:
+// differential oracle of partitioned recovery streams. Pins down:
 //   * determinism: digesting the same state twice is bit-identical, and
 //     digesting is a pure observation (it never changes the digest);
 //   * sensitivity: each covered component (heap bytes, index entries,

@@ -34,13 +34,12 @@ struct Flags {
   bool break_undo_tags = false;
   bool shrink = true;
   bool verbose = false;
-  uint64_t recovery_threads = 1;
+  uint64_t recovery_streams = 1;
   uint64_t jobs = 1;
   bool group_commit = false;
   uint64_t group_commit_window = 0;
   uint64_t group_commit_max_batch = 0;
   bool on_demand = false;
-  uint64_t exec_threads = 1;
   bool forensics = true;
   uint64_t trace_capacity = 0;  // 0 = keep the option default
   std::string stats_json;       // campaign summary path ("" = none)
@@ -60,10 +59,10 @@ void Usage() {
       "                        stable-triggered-selective | reboot-all |\n"
       "                        abort-dependents   (default: all)\n"
       "  --break=no-undo-tags  fault injection: disable undo tagging\n"
-      "  --recovery-threads=N  also run the parallel-recovery differential:\n"
-      "                        every recovery re-runs at N worker streams\n"
-      "                        and must produce the serial run's state\n"
-      "                        digest (default 1 = off)\n"
+      "  --recovery-streams=N  also run the recovery-stream differential:\n"
+      "                        every recovery re-runs at N simulated\n"
+      "                        streams and must produce the single-stream\n"
+      "                        run's state digest (default 1 = off)\n"
       "  --jobs=N              shard seeds across N worker threads; the\n"
       "                        verdict, stats, and replay file are\n"
       "                        byte-identical to --jobs=1 (default 1)\n"
@@ -76,8 +75,6 @@ void Usage() {
       "  --on-demand-recovery  run every protocol with on-demand (instant)\n"
       "                        recovery: traffic resumes in the Recovering\n"
       "                        state and obligations discharge lazily\n"
-      "  --exec-threads=N      shard transaction execution across N pool\n"
-      "                        workers in every run (default 1 = serial)\n"
       "  --no-shrink           keep the original failing schedule\n"
       "  --no-forensics        skip the traced forensic re-run of a shrunk\n"
       "                        failure (replay files omit \"forensics\")\n"
@@ -94,8 +91,7 @@ void Usage() {
 bool TakesValue(const std::string& key) {
   return key == "--seeds" || key == "--seed-start" || key == "--protocol" ||
          key == "--break" || key == "--out" || key == "--replay" ||
-         key == "--recovery-threads" || key == "--jobs" ||
-         key == "--exec-threads" ||
+         key == "--recovery-streams" || key == "--jobs" ||
          key == "--group-commit-window" ||
          key == "--group-commit-max-batch" || key == "--trace-capacity" ||
          key == "--stats-json";
@@ -125,14 +121,12 @@ bool ParseFlag(Flags& f, const std::string& key, const std::string& val) {
   } else if (key == "--break") {
     if (val != "no-undo-tags") return false;
     f.break_undo_tags = true;
-  } else if (key == "--recovery-threads") {
-    if (!ParseUint(val, &f.recovery_threads) || f.recovery_threads == 0) {
+  } else if (key == "--recovery-streams") {
+    if (!ParseUint(val, &f.recovery_streams) || f.recovery_streams == 0) {
       return false;
     }
   } else if (key == "--jobs") {
     if (!ParseUint(val, &f.jobs) || f.jobs == 0) return false;
-  } else if (key == "--exec-threads") {
-    if (!ParseUint(val, &f.exec_threads) || f.exec_threads == 0) return false;
   } else if (key == "--group-commit") {
     f.group_commit = true;
   } else if (key == "--group-commit-window") {
@@ -254,14 +248,12 @@ int Replay(const Flags& flags) {
     }
   }
   CrashScheduleFuzzer::Options opts;
-  // A --recovery-threads flag overrides the value recorded in the file, so
-  // a serial failure can be probed at other widths (and vice versa).
-  opts.recovery_threads = flags.recovery_threads > 1
-                              ? static_cast<uint32_t>(flags.recovery_threads)
-                              : doc->recovery_threads;
-  opts.execution_threads = flags.exec_threads > 1
-                               ? static_cast<uint32_t>(flags.exec_threads)
-                               : doc->execution_threads;
+  // A --recovery-streams flag overrides the value recorded in the file, so
+  // a single-stream failure can be probed at other stream counts (and vice
+  // versa).
+  opts.recovery_streams = flags.recovery_streams > 1
+                              ? static_cast<uint32_t>(flags.recovery_streams)
+                              : doc->recovery_streams;
   CrashScheduleFuzzer fuzzer(opts);
   FuzzVerdict verdict = fuzzer.RunCase(doc->fuzz_case, doc->protocol);
   if (verdict.failed) {
@@ -277,13 +269,12 @@ int Fuzz(const Flags& flags) {
   CrashScheduleFuzzer::Options opts;
   opts.protocols = flags.protocols;  // empty = defaults
   opts.disable_undo_tagging = flags.break_undo_tags;
-  opts.recovery_threads = static_cast<uint32_t>(flags.recovery_threads);
+  opts.recovery_streams = static_cast<uint32_t>(flags.recovery_streams);
   opts.group_commit = flags.group_commit;
   opts.group_commit_window_ns = flags.group_commit_window;
   opts.group_commit_max_batch =
       static_cast<uint32_t>(flags.group_commit_max_batch);
   opts.on_demand = flags.on_demand;
-  opts.execution_threads = static_cast<uint32_t>(flags.exec_threads);
   opts.forensics = flags.forensics;
   if (flags.trace_capacity != 0) {
     opts.trace_capacity = static_cast<uint32_t>(flags.trace_capacity);

@@ -2,17 +2,12 @@
 // `smdb_run --profile-out=...` (or bench_throughput's BENCH_exec_profile
 // snapshots).
 //
-// Structural checks: the document parses, carries profiler/executor/sweeper
-// sections, every reject and sweeper-solo reason name is one this build
-// knows (and every known name is present, zeros included), and every phase
-// path is rooted at step/sweep/recovery. Semantic checks: the taxonomy is
-// exhaustive — sum(executor.reject.*) == reject_total == executor.solo_steps
-// and sum(sweeper.solo.*) == sweeper_solo_total — and the occupancy
-// histogram's population is consistent with the batch counters.
+// Checks: the document parses, carries a profiler section, and every phase
+// path is rooted at step/sweep/recovery with ns/ticks/samples cells.
 //
 // Accepts either a single profile document (smdb_run) or a snapshot map of
-// them keyed by series name (bench_throughput's BENCH_exec_profile.json:
-// {"w1": {...}, "w2": {...}}); every member is validated.
+// them keyed by series name (bench_throughput's BENCH_exec_profile.json);
+// every member is validated.
 //
 // With a second argument, also validates a collapsed-stack file (the
 // `--profile-out` sibling PATH.collapsed): every line is "<stack> <uint>"
@@ -25,7 +20,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 
@@ -47,45 +41,6 @@ bool ReadAll(const std::string& path, std::string* out) {
   return true;
 }
 
-/// Checks one reason table: every key known, every known name present,
-/// values sum to `total_key`'s value. Returns the sum via *sum.
-bool CheckReasons(const std::string& path, const json::Value& doc,
-                  const char* table_key, const char* total_key,
-                  const std::set<std::string>& known, uint64_t* sum) {
-  const json::Value* table = doc.Find(table_key);
-  if (table == nullptr || !table->is_object()) {
-    std::fprintf(stderr, "%s: missing %s object\n", path.c_str(), table_key);
-    return false;
-  }
-  *sum = 0;
-  std::set<std::string> seen;
-  for (const auto& [name, count] : table->members()) {
-    if (known.find(name) == known.end()) {
-      std::fprintf(stderr, "%s: %s has unknown reason \"%s\"\n", path.c_str(),
-                   table_key, name.c_str());
-      return false;
-    }
-    seen.insert(name);
-    *sum += count.AsUint();
-  }
-  for (const std::string& name : known) {
-    if (seen.find(name) == seen.end()) {
-      std::fprintf(stderr, "%s: %s lacks reason \"%s\" (zeros are exported "
-                   "too)\n", path.c_str(), table_key, name.c_str());
-      return false;
-    }
-  }
-  const uint64_t total = doc.GetUint(total_key);
-  if (total != *sum) {
-    std::fprintf(stderr,
-                 "%s: %s = %llu but %s sums to %llu\n", path.c_str(),
-                 total_key, static_cast<unsigned long long>(total), table_key,
-                 static_cast<unsigned long long>(*sum));
-    return false;
-  }
-  return true;
-}
-
 bool IsPhaseRoot(const std::string& frame) {
   return frame == ProfPhaseName(ProfPhase::kStep) ||
          frame == ProfPhaseName(ProfPhase::kSweep) ||
@@ -94,13 +49,8 @@ bool IsPhaseRoot(const std::string& frame) {
 
 int CheckProfileDoc(const std::string& path, const json::Value& doc) {
   const json::Value* prof = doc.Find("profiler");
-  const json::Value* exec = doc.Find("executor");
-  const json::Value* sweeper = doc.Find("sweeper");
-  if (prof == nullptr || !prof->is_object() || exec == nullptr ||
-      !exec->is_object() || sweeper == nullptr || !sweeper->is_object()) {
-    std::fprintf(stderr,
-                 "%s: missing profiler/executor/sweeper sections\n",
-                 path.c_str());
+  if (prof == nullptr || !prof->is_object()) {
+    std::fprintf(stderr, "%s: missing profiler section\n", path.c_str());
     return 1;
   }
   if (!prof->GetBool("enabled")) {
@@ -109,59 +59,6 @@ int CheckProfileDoc(const std::string& path, const json::Value& doc) {
     std::printf("%s: ok — profiler disabled, nothing to validate\n",
                 path.c_str());
     return 0;
-  }
-
-  std::set<std::string> reject_names;
-  for (size_t i = 0; i < kNumBatchRejectReasons; ++i) {
-    reject_names.insert(
-        BatchRejectReasonName(static_cast<BatchRejectReason>(i)));
-  }
-  std::set<std::string> solo_names;
-  for (size_t i = 0; i < kNumSweeperSoloReasons; ++i) {
-    solo_names.insert(
-        SweeperSoloReasonName(static_cast<SweeperSoloReason>(i)));
-  }
-  uint64_t reject_sum = 0;
-  uint64_t solo_sum = 0;
-  if (!CheckReasons(path, *prof, "reject", "reject_total", reject_names,
-                    &reject_sum) ||
-      !CheckReasons(path, *prof, "sweeper_solo", "sweeper_solo_total",
-                    solo_names, &solo_sum)) {
-    return 1;
-  }
-
-  // The load-bearing invariant: every solo step carries exactly one typed
-  // reason. A counter missed at a rejection point breaks this equality.
-  const uint64_t solo_steps = exec->GetUint("solo_steps");
-  if (reject_sum != solo_steps) {
-    std::fprintf(stderr,
-                 "%s: reject reasons sum to %llu but executor.solo_steps is "
-                 "%llu — a rejection point is not attributed\n",
-                 path.c_str(), static_cast<unsigned long long>(reject_sum),
-                 static_cast<unsigned long long>(solo_steps));
-    return 1;
-  }
-
-  const json::Value* occupancy = prof->Find("batch_occupancy");
-  const json::Value* footprint = prof->Find("batch_footprint_lines");
-  if (occupancy == nullptr || !occupancy->is_object() || footprint == nullptr ||
-      !footprint->is_object()) {
-    std::fprintf(stderr, "%s: missing occupancy/footprint histograms\n",
-                 path.c_str());
-    return 1;
-  }
-  // Each dispatched batch (solo or multi) on the planned path records one
-  // occupancy sample; serial-gated solo steps don't (there is no batch).
-  const uint64_t batches = exec->GetUint("batches");
-  const uint64_t occ_count = occupancy->GetUint("count");
-  if (occ_count < batches || occ_count > batches + solo_steps) {
-    std::fprintf(stderr,
-                 "%s: batch_occupancy.count %llu outside [batches %llu, "
-                 "batches + solo_steps %llu]\n",
-                 path.c_str(), static_cast<unsigned long long>(occ_count),
-                 static_cast<unsigned long long>(batches),
-                 static_cast<unsigned long long>(batches + solo_steps));
-    return 1;
   }
 
   const json::Value* phases = prof->Find("phases");
@@ -184,11 +81,8 @@ int CheckProfileDoc(const std::string& path, const json::Value& doc) {
     }
   }
 
-  std::printf(
-      "%s: ok — %llu solo steps fully attributed, %llu batches, "
-      "%zu phase cells\n",
-      path.c_str(), static_cast<unsigned long long>(solo_steps),
-      static_cast<unsigned long long>(batches), phases->members().size());
+  std::printf("%s: ok — %zu phase cells\n", path.c_str(),
+              phases->members().size());
   return 0;
 }
 

@@ -52,11 +52,8 @@ void Usage() {
       "restarts)\n"
       "  --steal=F                per-step steal flush probability\n"
       "  --checkpoint-every=N     steps between checkpoints (default 0)\n"
-      "  --recovery-threads=N     worker streams for restart recovery\n"
-      "                           (default 1 = serial)\n"
-      "  --exec-threads=N         shard transaction execution across N\n"
-      "                           ThreadPool workers; digest-identical to\n"
-      "                           serial (default 1)\n"
+      "  --recovery-streams=N     simulated survivor streams for restart\n"
+      "                           recovery (default 1)\n"
       "  --on-demand-recovery     instant recovery: run only the eager\n"
       "                           crash-time prefix, serve traffic in the\n"
       "                           Recovering state, discharge obligations\n"
@@ -87,8 +84,7 @@ void Usage() {
       "                           through-crash (default 200000)\n"
       "  --obs-top-contended=N    lock-contention profile size (default 8)\n"
       "  --profile-out=PATH       enable the execution/recovery profiler\n"
-      "                           and write its JSON export (reject-reason\n"
-      "                           attribution, occupancy histograms, phase\n"
+      "                           and write its JSON export (sim-time phase\n"
       "                           costs) plus PATH.collapsed, a\n"
       "                           flamegraph.pl-compatible collapsed stack\n"
       "  --verbose                dump per-subsystem statistics\n");
@@ -144,14 +140,10 @@ bool ParseFlag(Flags& f, const std::string& arg) {
     cfg.steal_flush_prob = std::stod(val);
   } else if (key == "--checkpoint-every") {
     cfg.checkpoint_every_steps = std::stoull(val);
-  } else if (key == "--recovery-threads") {
-    unsigned long threads = std::stoul(val);
-    if (threads == 0) return false;
-    cfg.db.recovery.recovery_threads = static_cast<uint32_t>(threads);
-  } else if (key == "--exec-threads") {
-    unsigned long threads = std::stoul(val);
-    if (threads == 0) return false;
-    cfg.exec.execution_threads = static_cast<uint32_t>(threads);
+  } else if (key == "--recovery-streams") {
+    unsigned long streams = std::stoul(val);
+    if (streams == 0) return false;
+    cfg.db.recovery.recovery_streams = static_cast<uint32_t>(streams);
   } else if (key == "--on-demand-recovery") {
     cfg.db.recovery.on_demand = true;
     if (cfg.pump_recovery_per_step == 0) cfg.pump_recovery_per_step = 1;
