@@ -604,8 +604,7 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
   for (NodeId s : scanners) {
     // Snapshot the resident lines first (collection itself reads only).
     std::vector<LineAddr> lines;
-    m.cache(s).ForEachLine(
-        [&](LineAddr line, const Cache::Entry&) { lines.push_back(line); });
+    m.ForEachCachedLine(s, [&](LineAddr line) { lines.push_back(line); });
     for (LineAddr line : lines) {
       ++ctx.out.tags_scanned;
       // --- Heap records ---

@@ -10,53 +10,57 @@ namespace smdb {
 
 Machine::Machine(MachineConfig config) : config_(config) {
   assert(config_.num_nodes > 0 && config_.num_nodes <= kMaxNodes);
-  caches_.reserve(config_.num_nodes);
-  for (uint16_t i = 0; i < config_.num_nodes; ++i) {
-    caches_.emplace_back(config_.line_size);
-  }
   alive_.assign(config_.num_nodes, true);
   clocks_.assign(config_.num_nodes, 0);
+}
+
+void Machine::Grow(LineAddr end) {
+  if (end <= lines_.size()) return;
+  LineAddr first = lines_.size();
+  lines_.resize(end);
+  for (LineAddr line = first; line < end; ++line) {
+    lines_[line].home = static_cast<NodeId>(line % config_.num_nodes);
+  }
+  images_.resize(2 * end * config_.line_size, 0);
+}
+
+LineEntry& Machine::Entry(LineAddr line) {
+  Grow(line + 1);
+  LineEntry& e = lines_[line];
+  if (!e.created) {
+    e.created = true;
+    e.mem_valid = true;  // zero-filled fresh memory is "current"
+  }
+  return e;
 }
 
 Addr Machine::AllocShared(size_t bytes) {
   Addr start = next_addr_;
   size_t lines = (bytes + config_.line_size - 1) / config_.line_size;
   next_addr_ += lines * config_.line_size;
+  Grow(LineOf(next_addr_));
   return start;
 }
 
 Addr Machine::AllocLocal(NodeId node, size_t bytes) {
-  Addr start = next_addr_;
-  size_t lines = (bytes + config_.line_size - 1) / config_.line_size;
-  for (size_t i = 0; i < lines; ++i) {
-    home_override_[LineOf(start) + i] = node;
+  Addr start = AllocShared(bytes);
+  for (LineAddr line = LineOf(start); line < LineOf(next_addr_); ++line) {
+    lines_[line].home = node;
   }
-  next_addr_ += lines * config_.line_size;
   return start;
 }
 
 NodeId Machine::HomeOf(LineAddr line) const {
-  auto it = home_override_.find(line);
-  if (it != home_override_.end()) return it->second;
+  if (line < lines_.size()) return lines_[line].home;
   return static_cast<NodeId>(line % config_.num_nodes);
 }
 
-const std::vector<uint8_t>* Machine::CurrentData(const DirEntry& e,
-                                                 LineAddr line) const {
+const uint8_t* Machine::CurrentData(LineAddr line) const {
+  const LineEntry& e = lines_[line];
   if (e.lost) return nullptr;
-  // Prefer a cached copy (owner first, then any sharer).
-  if (e.owner != kInvalidNode) {
-    const Cache::Entry* ce = caches_[e.owner].Find(line);
-    assert(ce != nullptr);
-    return &ce->data;
-  }
-  if (e.sharers != 0) {
-    NodeId n = static_cast<NodeId>(__builtin_ctzll(e.sharers));
-    const Cache::Entry* ce = caches_[n].Find(line);
-    assert(ce != nullptr);
-    return &ce->data;
-  }
-  if (e.mem_valid) return &e.mem_data;
+  // Every valid cached copy holds the same bytes (see LineEntry).
+  if (e.sharers != 0) return CachedImage(line);
+  if (e.mem_valid) return MemImage(line);
   return nullptr;
 }
 
@@ -67,20 +71,18 @@ void Machine::FireCoherence(CoherenceEvent::Kind kind, LineAddr line,
   for (const auto& hook : coherence_hooks_) hook(ev);
 }
 
-Status Machine::ReadLine(NodeId node, LineAddr line,
-                         const std::vector<uint8_t>** data) {
+Status Machine::ReadLine(NodeId node, LineAddr line, const uint8_t** data) {
   if (!alive_[node]) return Status::NodeFailed("read from crashed node");
-  DirEntry& e = Entry(line);
+  LineEntry& e = Entry(line);
   if (e.lost) {
     ++stats_.lost_line_references;
     stats_.last_lost_reference = line;
     return Status::LineLost("read of lost line");
   }
-  Cache& cache = caches_[node];
   if (e.cached_by(node)) {
     ++stats_.local_hits;
     Tick(node, config_.timing.cache_hit_ns);
-    *data = &cache.Find(line)->data;
+    *data = CachedImage(line);
     return Status::Ok();
   }
   // Miss. Find the current data. The whole miss service (downgrades,
@@ -98,10 +100,6 @@ Status Machine::ReadLine(NodeId node, LineAddr line,
                          .peer = e.owner,
                          .ts = NodeClock(node),
                          .a = line});
-    Cache::Entry* owner_entry = caches_[e.owner].Find(line);
-    assert(owner_entry != nullptr);
-    owner_entry->state = LineState::kShared;
-    cache.Insert(line, LineState::kShared, owner_entry->data);
     e.owner = kInvalidNode;
     e.sharers |= (1ULL << node);
     ++stats_.downgrades;
@@ -117,9 +115,6 @@ Status Machine::ReadLine(NodeId node, LineAddr line,
     Tick(node, config_.timing.remote_transfer_ns);
   } else if (e.sharers != 0) {
     // Shared at one or more remote caches: copy from one of them.
-    const std::vector<uint8_t>* src = CurrentData(e, line);
-    assert(src != nullptr);
-    cache.Insert(line, LineState::kShared, *src);
     e.sharers |= (1ULL << node);
     ++stats_.remote_transfers;
     if (e.last_writer != kInvalidNode && e.last_writer != node) {
@@ -132,7 +127,7 @@ Status Machine::ReadLine(NodeId node, LineAddr line,
     }
     Tick(node, config_.timing.remote_transfer_ns);
   } else if (e.mem_valid) {
-    cache.Insert(line, LineState::kShared, e.mem_data);
+    std::memcpy(CachedImage(line), MemImage(line), config_.line_size);
     e.sharers |= (1ULL << node);
     ++stats_.memory_fetches;
     Tick(node, config_.timing.memory_access_ns);
@@ -143,22 +138,20 @@ Status Machine::ReadLine(NodeId node, LineAddr line,
     stats_.last_lost_reference = line;
     return Status::LineLost("no valid copy");
   }
-  *data = &cache.Find(line)->data;
+  *data = CachedImage(line);
   return Status::Ok();
 }
 
 Status Machine::AcquireExclusive(NodeId node, LineAddr line,
                                  bool for_line_lock) {
   if (!alive_[node]) return Status::NodeFailed("access from crashed node");
-  DirEntry& e = Entry(line);
+  LineEntry& e = Entry(line);
   if (e.lost) {
     ++stats_.lost_line_references;
     stats_.last_lost_reference = line;
     return Status::LineLost("exclusive request for lost line");
   }
-  Cache& cache = caches_[node];
-  Cache::Entry* mine = cache.Find(line);
-  if (mine != nullptr && mine->state == LineState::kExclusive) {
+  if (e.owner == node) {
     Tick(node, config_.timing.cache_hit_ns);
     return Status::Ok();  // already exclusive here
   }
@@ -166,26 +159,20 @@ Status Machine::AcquireExclusive(NodeId node, LineAddr line,
   // Fetch current data if we do not hold a valid copy. From here on
   // (fetch, invalidations, migration) is coherence miss service.
   ProfScope coherence(prof_, ProfPhase::kCoherence);
-  std::vector<uint8_t> data;
   SimTime cost = 0;
-  if (mine != nullptr) {
-    data = mine->data;
+  if (e.cached_by(node)) {
     cost = config_.timing.cache_hit_ns;
+  } else if (CurrentData(line) == nullptr) {
+    ++stats_.lost_line_references;
+    stats_.last_lost_reference = line;
+    return Status::LineLost("no valid copy");
+  } else if (e.sharers != 0) {
+    cost = config_.timing.remote_transfer_ns;
+    ++stats_.remote_transfers;
   } else {
-    const std::vector<uint8_t>* src = CurrentData(e, line);
-    if (src == nullptr) {
-      ++stats_.lost_line_references;
-      stats_.last_lost_reference = line;
-      return Status::LineLost("no valid copy");
-    }
-    data = *src;
-    if (e.sharers != 0 || e.owner != kInvalidNode) {
-      cost = config_.timing.remote_transfer_ns;
-      ++stats_.remote_transfers;
-    } else {
-      cost = config_.timing.memory_access_ns;
-      ++stats_.memory_fetches;
-    }
+    std::memcpy(CachedImage(line), MemImage(line), config_.line_size);
+    cost = config_.timing.memory_access_ns;
+    ++stats_.memory_fetches;
   }
 
   // Invalidate every other copy (write-invalidate semantics; getline does
@@ -202,7 +189,6 @@ Status Machine::AcquireExclusive(NodeId node, LineAddr line,
                          .peer = s,
                          .ts = NodeClock(node),
                          .a = line});
-    caches_[s].Erase(line);
     ++stats_.invalidations;
     if (e.last_writer == s && s != node) migrated = true;
     Tick(node, config_.timing.cpu_op_ns);
@@ -220,7 +206,6 @@ Status Machine::AcquireExclusive(NodeId node, LineAddr line,
                          .a = line});
   }
 
-  cache.Insert(line, LineState::kExclusive, data);
   e.sharers = (1ULL << node);
   e.owner = node;
   Tick(node, cost);
@@ -229,12 +214,12 @@ Status Machine::AcquireExclusive(NodeId node, LineAddr line,
 
 Status Machine::WriteSpan(NodeId node, LineAddr line, uint32_t offset,
                           const uint8_t* data, size_t len) {
-  DirEntry& e = Entry(line);
+  LineEntry& e = Entry(line);
   if (config_.coherence == CoherenceKind::kWriteBroadcast &&
       !e.cached_by(node) && !e.lost) {
     // A broadcast machine first obtains a valid copy (shared), then updates
     // every copy in place; no invalidation ever occurs.
-    const std::vector<uint8_t>* unused = nullptr;
+    const uint8_t* unused = nullptr;
     SMDB_RETURN_IF_ERROR(ReadLine(node, line, &unused));
   }
   if (config_.coherence == CoherenceKind::kWriteBroadcast &&
@@ -245,17 +230,12 @@ Status Machine::WriteSpan(NodeId node, LineAddr line, uint32_t offset,
       stats_.last_lost_reference = line;
       return Status::LineLost("write to lost line");
     }
-    uint64_t sharers = e.sharers;
-    while (sharers != 0) {
-      NodeId s = static_cast<NodeId>(__builtin_ctzll(sharers));
-      sharers &= sharers - 1;
-      Cache::Entry* ce = caches_[s].Find(line);
-      assert(ce != nullptr);
-      std::memcpy(ce->data.data() + offset, data, len);
-      if (s != node) {
-        ++stats_.broadcast_updates;
-        Tick(node, config_.timing.cpu_op_ns);
-      }
+    // The one cached image is every sharer's copy; each remote copy still
+    // costs its update message.
+    std::memcpy(CachedImage(line) + offset, data, len);
+    for (int i = 1; i < e.num_sharers(); ++i) {
+      ++stats_.broadcast_updates;
+      Tick(node, config_.timing.cpu_op_ns);
     }
     e.owner = (e.num_sharers() == 1) ? node : kInvalidNode;
     e.mem_valid = false;
@@ -266,8 +246,7 @@ Status Machine::WriteSpan(NodeId node, LineAddr line, uint32_t offset,
   // Write-invalidate path (also the write-broadcast path when the writer
   // holds no copy yet: it must first fetch the line).
   SMDB_RETURN_IF_ERROR(AcquireExclusive(node, line, /*for_line_lock=*/false));
-  Cache::Entry* ce = caches_[node].Find(line);
-  std::memcpy(ce->data.data() + offset, data, len);
+  std::memcpy(CachedImage(line) + offset, data, len);
   e.mem_valid = false;
   e.last_writer = node;
   if (config_.coherence == CoherenceKind::kWriteBroadcast) {
@@ -285,9 +264,9 @@ Status Machine::Read(NodeId node, Addr addr, void* out, size_t len) {
     LineAddr line = LineOf(addr);
     uint32_t offset = static_cast<uint32_t>(addr % config_.line_size);
     size_t chunk = std::min<size_t>(len, config_.line_size - offset);
-    const std::vector<uint8_t>* data = nullptr;
+    const uint8_t* data = nullptr;
     SMDB_RETURN_IF_ERROR(ReadLine(node, line, &data));
-    std::memcpy(dst, data->data() + offset, chunk);
+    std::memcpy(dst, data + offset, chunk);
     dst += chunk;
     addr += chunk;
     len -= chunk;
@@ -312,44 +291,54 @@ Status Machine::Write(NodeId node, Addr addr, const void* data, size_t len) {
 
 Status Machine::GetLine(NodeId node, LineAddr line) {
   if (!alive_[node]) return Status::NodeFailed("getline from crashed node");
-  DirEntry& e = Entry(line);
+  LineEntry& e = Entry(line);
   if (e.lost) {
     ++stats_.lost_line_references;
     stats_.last_lost_reference = line;
     return Status::LineLost("getline on lost line");
   }
-  SimTime now = NodeClock(node);
-  SimTime grant = line_locks_.Acquire(line, node, now);
-  SimTime wait = grant - now;
-  clocks_[node] = std::max(clocks_[node], grant);
+  // Queue behind the previous holder's release. free_at becomes the grant
+  // time (a release raises it to the release time), which keeps
+  // back-to-back acquisitions by distinct nodes strictly ordered even if a
+  // holder never releases.
+  const SimTime now = NodeClock(node);
+  const SimTime wait = std::max(now, e.lock_free_at) - now;
+  e.lock_holder = node;
+  e.lock_free_at = now + wait;
+  if (wait > 0) {
+    ProfScope lock_wait(prof_, ProfPhase::kLockWait);
+    Tick(node, wait);
+  }
   // Under write-invalidate the grant brings the line exclusive into the
   // local cache (the KSR-1 semantics). A write-broadcast machine has no
   // exclusive state: the lock itself provides the mutual exclusion and the
   // grant merely ensures a valid local copy, leaving other sharers valid.
-  bool local_exclusive = e.owner == node;
   Status s;
   if (config_.coherence == CoherenceKind::kWriteBroadcast) {
-    const std::vector<uint8_t>* data = nullptr;
+    const uint8_t* data = nullptr;
     s = ReadLine(node, line, &data);
   } else {
     s = AcquireExclusive(node, line, /*for_line_lock=*/true);
   }
   if (!s.ok()) {
-    line_locks_.Release(line, node, NodeClock(node));
+    Unlock(e, node, NodeClock(node));
     return s;
   }
-  SimTime grant_cost = local_exclusive
-                           ? config_.timing.line_lock_grant_ns
-                           : config_.timing.line_lock_grant_ns;
-  Tick(node, grant_cost);
+  Tick(node, config_.timing.line_lock_grant_ns);
   ++stats_.line_lock_acquires;
   stats_.line_lock_wait_ns += wait;
   stats_.line_lock_total_ns += NodeClock(node) - now;
   return Status::Ok();
 }
 
+void Machine::Unlock(LineEntry& e, NodeId node, SimTime now) {
+  if (e.lock_holder != node) return;
+  e.lock_holder = kInvalidNode;
+  e.lock_free_at = std::max(e.lock_free_at, now);
+}
+
 void Machine::ReleaseLine(NodeId node, LineAddr line) {
-  line_locks_.Release(line, node, NodeClock(node));
+  if (line < lines_.size()) Unlock(lines_[line], node, NodeClock(node));
   Tick(node, config_.timing.cpu_op_ns);
 }
 
@@ -359,21 +348,12 @@ void Machine::InstallToMemory(Addr addr, const void* data, size_t len) {
     LineAddr line = LineOf(addr);
     uint32_t offset = static_cast<uint32_t>(addr % config_.line_size);
     size_t chunk = std::min<size_t>(len, config_.line_size - offset);
-    DirEntry& e = Entry(line);
+    LineEntry& e = Entry(line);
     // Drop every cached copy: DMA bypasses the caches, and the install is
     // the new authoritative version.
-    uint64_t sharers = e.sharers;
-    while (sharers != 0) {
-      NodeId s = static_cast<NodeId>(__builtin_ctzll(sharers));
-      sharers &= sharers - 1;
-      caches_[s].Erase(line);
-    }
     e.sharers = 0;
     e.owner = kInvalidNode;
-    if (e.mem_data.size() != config_.line_size) {
-      e.mem_data.assign(config_.line_size, 0);
-    }
-    std::memcpy(e.mem_data.data() + offset, src, chunk);
+    std::memcpy(MemImage(line) + offset, src, chunk);
     e.mem_valid = true;
     e.lost = false;
     e.last_writer = kInvalidNode;
@@ -390,13 +370,12 @@ Status Machine::SnoopRead(Addr addr, void* out, size_t len) const {
     LineAddr line = addr / config_.line_size;
     uint32_t offset = static_cast<uint32_t>(addr % config_.line_size);
     size_t chunk = std::min<size_t>(len, config_.line_size - offset);
-    const DirEntry* e = directory_.Find(line);
-    if (e == nullptr) {
+    if (FindLine(line) == nullptr) {
       std::memset(dst, 0, chunk);  // never-touched memory reads as zero
     } else {
-      const std::vector<uint8_t>* data = CurrentData(*e, line);
+      const uint8_t* data = CurrentData(line);
       if (data == nullptr) return Status::LineLost("snoop of lost line");
-      std::memcpy(dst, data->data() + offset, chunk);
+      std::memcpy(dst, data + offset, chunk);
     }
     dst += chunk;
     addr += chunk;
@@ -410,7 +389,7 @@ void Machine::SetLineActive(LineAddr line, bool active) {
 }
 
 bool Machine::LineActive(LineAddr line) const {
-  const DirEntry* e = directory_.Find(line);
+  const LineEntry* e = FindLine(line);
   return e != nullptr && e->active_bit;
 }
 
@@ -420,29 +399,29 @@ void Machine::CrashNode(NodeId node) {
   alive_[node] = false;
   ++stats_.node_crashes;
 
-  // Hardware flushes outstanding requests of the failed node, releasing any
-  // line locks it held.
-  line_locks_.ReleaseAllHeldBy(node, clocks_[node]);
-
-  // Destroy the node's cache and home memory; restore the directory to a
-  // state consistent with the surviving caches (FLASH low-level recovery).
-  caches_[node].Clear();
-  directory_.ForEach([&](LineAddr line, DirEntry& e) {
-    (void)line;
+  for (LineAddr line = 0; line < lines_.size(); ++line) {
+    LineEntry& e = lines_[line];
+    // Hardware flushes outstanding requests of the failed node, releasing
+    // any line locks it held.
+    Unlock(e, node, clocks_[node]);
+    if (!e.created) continue;
+    // Destroy the node's cached copies and home memory; restore the
+    // directory to a state consistent with the surviving caches (FLASH
+    // low-level recovery).
     if (e.cached_by(node)) {
       e.sharers &= ~(1ULL << node);
       if (e.owner == node) e.owner = kInvalidNode;
     }
     if (e.home == node) {
       e.mem_valid = false;
-      std::fill(e.mem_data.begin(), e.mem_data.end(), 0);
+      std::memset(MemImage(line), 0, config_.line_size);
     }
     bool home_alive = e.home < config_.num_nodes && alive_[e.home];
     if (!e.lost && e.sharers == 0 && !(e.mem_valid && home_alive)) {
       e.lost = true;
       ++stats_.lines_lost;
     }
-  });
+  }
 
   SMDB_TRACE(tracer_, {.kind = TraceEventKind::kCrash,
                        .node = node,
@@ -455,8 +434,7 @@ void Machine::CrashNode(NodeId node) {
 void Machine::RestartNode(NodeId node) {
   assert(node < config_.num_nodes);
   if (alive_[node]) return;
-  alive_[node] = true;
-  caches_[node].Clear();
+  alive_[node] = true;  // with a cold cache: the crash cleared its bits
   clocks_[node] = GlobalTime();
   SMDB_OBS(obs_, OnNodeUp(node, clocks_[node]));
 }
@@ -467,24 +445,24 @@ void Machine::RebootAll() {
     if (alive_[n]) SMDB_OBS(obs_, OnNodeDown(n, t));
   }
   for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-    caches_[n].Clear();
     alive_[n] = true;
     clocks_[n] = t;
     SMDB_OBS(obs_, OnNodeUp(n, t));
   }
-  directory_.ForEach([&](LineAddr line, DirEntry& e) {
-    (void)line;
+  for (LineAddr line = 0; line < lines_.size(); ++line) {
+    LineEntry& e = lines_[line];
+    if (!e.created) continue;
     e.sharers = 0;
     e.owner = kInvalidNode;
     e.mem_valid = false;
-    std::fill(e.mem_data.begin(), e.mem_data.end(), 0);
+    std::memset(MemImage(line), 0, config_.line_size);
     if (!e.lost) {
       e.lost = true;
       ++stats_.lines_lost;
     }
     e.active_bit = false;
     e.last_writer = kInvalidNode;
-  });
+  }
 }
 
 std::vector<NodeId> Machine::AliveNodes() const {
@@ -496,7 +474,7 @@ std::vector<NodeId> Machine::AliveNodes() const {
 }
 
 bool Machine::ProbeLine(LineAddr line) const {
-  const DirEntry* e = directory_.Find(line);
+  const LineEntry* e = FindLine(line);
   if (e == nullptr) return false;
   if (e->lost) return false;
   if (e->sharers != 0) return true;
@@ -504,25 +482,19 @@ bool Machine::ProbeLine(LineAddr line) const {
 }
 
 bool Machine::IsLineLost(LineAddr line) const {
-  const DirEntry* e = directory_.Find(line);
+  const LineEntry* e = FindLine(line);
   return e != nullptr && e->lost;
 }
 
 void Machine::DiscardLine(LineAddr line) {
-  DirEntry* e = directory_.Find(line);
-  if (e == nullptr) return;
-  uint64_t sharers = e->sharers;
-  while (sharers != 0) {
-    NodeId s = static_cast<NodeId>(__builtin_ctzll(sharers));
-    sharers &= sharers - 1;
-    caches_[s].Erase(line);
-  }
-  e->sharers = 0;
-  e->owner = kInvalidNode;
-  e->mem_valid = false;
-  e->lost = true;
-  e->active_bit = false;
-  e->last_writer = kInvalidNode;
+  if (FindLine(line) == nullptr) return;
+  LineEntry& e = lines_[line];
+  e.sharers = 0;
+  e.owner = kInvalidNode;
+  e.mem_valid = false;
+  e.lost = true;
+  e.active_bit = false;
+  e.last_writer = kInvalidNode;
 }
 
 void Machine::DiscardRange(Addr addr, size_t len) {

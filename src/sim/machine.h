@@ -3,23 +3,58 @@
 
 #include <cstdint>
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
 #include "obs/profiler.h"
-#include "sim/cache.h"
 #include "sim/config.h"
-#include "sim/directory.h"
 #include "sim/events.h"
-#include "sim/line_lock.h"
 #include "sim/stats.h"
 
 namespace smdb {
 
 class TraceRecorder;
 class Observatory;
+
+/// One entry of the machine's line table: the directory state, the line
+/// lock and the home of one cache line. The line's bytes live beside it in
+/// the machine's image slab (a home-memory image and a cached image).
+///
+/// One cached image serves every sharer because all valid cached copies of
+/// a line are byte-identical: a miss copies from a valid copy or from
+/// memory, an exclusive request invalidates the other copies, and a
+/// write-broadcast updates every copy. A node's copy is valid iff its
+/// `sharers` bit is set, so migrations and downgrades move bits, not bytes.
+struct LineEntry {
+  /// Node whose (distributed) main memory is the home of this line.
+  NodeId home = kInvalidNode;
+  /// Node holding the line exclusively (kInvalidNode unless exactly one
+  /// cached copy exists in the exclusive state).
+  NodeId owner = kInvalidNode;
+  /// Last node to write this line; used for the sharing-pattern statistics.
+  NodeId last_writer = kInvalidNode;
+  /// Line-lock holder, and the simulated time from which the next request
+  /// may be granted (the grant time while held, the release time after).
+  NodeId lock_holder = kInvalidNode;
+  SimTime lock_free_at = 0;
+  /// Bitmask of nodes holding a valid cached copy.
+  uint64_t sharers = 0;
+  /// False until the line is first touched. An untouched line reads as
+  /// zeros, probes false, is never lost and is skipped by crash recovery.
+  bool created = false;
+  /// True if the home memory copy matches the most recent write.
+  bool mem_valid = false;
+  /// True if no valid copy survived a crash: references return an invalid
+  /// flag until software re-materialises the line.
+  bool lost = false;
+  /// The "active data" bit the paper proposes adding per cache line to
+  /// trigger Stable LBM log forces on migration (section 5.2).
+  bool active_bit = false;
+
+  bool cached_by(NodeId n) const { return (sharers >> n) & 1; }
+  int num_sharers() const { return __builtin_popcountll(sharers); }
+};
 
 /// Deterministic functional + timing simulator of a cache-coherent shared
 /// memory multiprocessor with independent node failures — the substrate the
@@ -32,7 +67,9 @@ class Observatory;
 ///    (interleaved by line, or pinned by AllocLocal).
 ///  * A directory-based write-invalidate protocol (write-broadcast is also
 ///    available) keeps the caches coherent; every access charges simulated
-///    time to the issuing node's clock.
+///    time to the issuing node's clock. Caches, directory and line locks
+///    are one dense line table indexed by LineAddr (the bump allocator
+///    hands out dense addresses), with a memory and a cached image per line.
 ///  * CrashNode destroys the node's cache and home memory, then performs the
 ///    FLASH-style low-level recovery step: the directory is restored to a
 ///    state consistent with the surviving caches. A line with no surviving
@@ -90,13 +127,18 @@ class Machine {
 
   /// Acquires the line lock on `line`, bringing it exclusive into `node`'s
   /// cache. Charges the queueing delay and transfer cost to the node clock.
+  ///
+  /// Critical sections under a line lock execute atomically in this
+  /// simulator (they are short by construction, the property the paper
+  /// exploits), so the lock's job is timing: it serialises holders and
+  /// charges the queueing delay, reproducing the KSR-1 contention behaviour.
   Status GetLine(NodeId node, LineAddr line);
 
   /// Releases a previously acquired line lock.
   void ReleaseLine(NodeId node, LineAddr line);
 
   bool LineLockHeldBy(LineAddr line, NodeId node) const {
-    return line_locks_.HeldBy(line, node);
+    return line < lines_.size() && lines_[line].lock_holder == node;
   }
 
   // ---------------------------------------------------------------------
@@ -149,13 +191,21 @@ class Machine {
   void DiscardLine(LineAddr line);
   void DiscardRange(Addr addr, size_t len);
 
-  /// Read-only view of a node's cache, for Selective Redo's sequential
-  /// cache scan.
-  const Cache& cache(NodeId node) const { return caches_[node]; }
+  /// Calls fn(line) for every line `node` caches, in ascending address
+  /// order: Selective Redo's restart step, in which "each surviving node
+  /// will perform a sequential search of all cache lines".
+  template <typename Fn>
+  void ForEachCachedLine(NodeId node, Fn&& fn) const {
+    for (LineAddr line = 0; line < lines_.size(); ++line) {
+      if (lines_[line].cached_by(node)) fn(line);
+    }
+  }
 
-  /// Read-only directory entry (diagnostics/tests).
-  const DirEntry* FindLine(LineAddr line) const {
-    return directory_.Find(line);
+  /// Read-only line-table entry, or nullptr for a never-touched line
+  /// (diagnostics/tests).
+  const LineEntry* FindLine(LineAddr line) const {
+    return line < lines_.size() && lines_[line].created ? &lines_[line]
+                                                         : nullptr;
   }
 
   // ---------------------------------------------------------------------
@@ -205,13 +255,13 @@ class Machine {
 
  private:
   /// Makes `line` valid in `node`'s cache for reading; performs coherence
-  /// transitions and charges costs. On success *data points at the node's
-  /// cached copy.
-  Status ReadLine(NodeId node, LineAddr line, const std::vector<uint8_t>** data);
+  /// transitions and charges costs. On success *data points at the line's
+  /// cached image.
+  Status ReadLine(NodeId node, LineAddr line, const uint8_t** data);
 
   /// Makes `node` the exclusive holder of `line` with current contents
-  /// (write-invalidate) and returns a mutable pointer to the cached copy.
-  /// Under write-broadcast, WriteSpan updates all copies instead.
+  /// (write-invalidate). Under write-broadcast, WriteSpan updates all
+  /// copies instead.
   Status AcquireExclusive(NodeId node, LineAddr line, bool for_line_lock);
 
   /// Applies a write of [offset, offset+len) within `line`.
@@ -220,28 +270,45 @@ class Machine {
 
   /// Returns a pointer to the authoritative current bytes of `line`, or
   /// nullptr if the line is lost.
-  const std::vector<uint8_t>* CurrentData(const DirEntry& e, LineAddr line) const;
+  const uint8_t* CurrentData(LineAddr line) const;
 
   void FireCoherence(CoherenceEvent::Kind kind, LineAddr line, NodeId from,
                      NodeId to, bool active_bit);
 
-  DirEntry& Entry(LineAddr line) {
-    return directory_.GetOrCreate(line, HomeOf(line), config_.line_size);
+  /// Returns the entry of `line`, marking it touched: fresh zero-filled
+  /// memory is current. Grows the table for a line beyond every allocation.
+  LineEntry& Entry(LineAddr line);
+  /// Extends the line table (and the image slab) to cover [0, end).
+  void Grow(LineAddr end);
+  /// Frees `e`'s line lock if `node` holds it, at simulated time `now`.
+  static void Unlock(LineEntry& e, NodeId node, SimTime now);
+
+  uint8_t* MemImage(LineAddr line) {
+    return images_.data() + 2 * line * config_.line_size;
+  }
+  const uint8_t* MemImage(LineAddr line) const {
+    return images_.data() + 2 * line * config_.line_size;
+  }
+  uint8_t* CachedImage(LineAddr line) {
+    return MemImage(line) + config_.line_size;
+  }
+  const uint8_t* CachedImage(LineAddr line) const {
+    return MemImage(line) + config_.line_size;
   }
 
   MachineConfig config_;
-  Directory directory_;
-  std::vector<Cache> caches_;
+  /// The line table, indexed by LineAddr.
+  std::vector<LineEntry> lines_;
+  /// Two images per line, in line order: home memory, then the cached copy.
+  std::vector<uint8_t> images_;
   std::vector<bool> alive_;
   std::vector<SimTime> clocks_;
-  LineLockTable line_locks_;
   MachineStats stats_;
   TraceRecorder* tracer_ = nullptr;
   Observatory* obs_ = nullptr;
   Profiler* prof_ = nullptr;
 
   Addr next_addr_ = 0;
-  std::unordered_map<LineAddr, NodeId> home_override_;
 
   std::vector<CoherenceHook> coherence_hooks_;
   std::vector<CrashHook> crash_hooks_;

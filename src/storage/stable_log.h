@@ -1,6 +1,7 @@
 #ifndef SMDB_STORAGE_STABLE_LOG_H_
 #define SMDB_STORAGE_STABLE_LOG_H_
 
+#include <deque>
 #include <iterator>
 #include <vector>
 
@@ -14,6 +15,9 @@ namespace smdb {
 /// "can be made stable by writing [them] to one of the shared disks").
 /// Contents survive node crashes and whole-machine reboots; any surviving
 /// node may read any node's stable log during restart recovery.
+///
+/// Each stream is a chunked deque: an append or a prefix truncation costs
+/// O(batch), and a durable record never moves once written.
 class StableLogStore {
  public:
   explicit StableLogStore(uint16_t num_nodes) : streams_(num_nodes) {}
@@ -22,19 +26,14 @@ class StableLogStore {
   /// batched disk write in the model; record order — and therefore LSN
   /// order — is preserved).
   void Append(NodeId node, std::vector<LogRecord> records) {
-    auto& s = streams_[node];
-    if (s.empty()) {
-      s = std::move(records);
-      return;
-    }
-    s.reserve(s.size() + records.size());
-    s.insert(s.end(), std::make_move_iterator(records.begin()),
-             std::make_move_iterator(records.end()));
+    streams_[node].insert(streams_[node].end(),
+                          std::make_move_iterator(records.begin()),
+                          std::make_move_iterator(records.end()));
   }
 
   /// All durable records of `node`'s log, in LSN order (the retained
   /// suffix, after any truncation).
-  const std::vector<LogRecord>& Records(NodeId node) const {
+  const std::deque<LogRecord>& Records(NodeId node) const {
     return streams_[node];
   }
 
@@ -57,7 +56,7 @@ class StableLogStore {
   uint16_t num_nodes() const { return static_cast<uint16_t>(streams_.size()); }
 
  private:
-  std::vector<std::vector<LogRecord>> streams_;
+  std::vector<std::deque<LogRecord>> streams_;
 };
 
 }  // namespace smdb

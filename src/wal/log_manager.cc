@@ -60,9 +60,8 @@ Status LogManager::Force(NodeId requestor, NodeId node) {
     machine_->Tick(requestor, machine_->config().nvram_log
                                   ? timing.nvram_force_ns
                                   : timing.log_force_ns);
-    std::vector<LogRecord> batch(tail.begin(), tail.end());
-    tail.clear();
-    stable_->Append(node, std::move(batch));
+    stable_->Append(node, std::move(tail));
+    tail.clear();  // leave the moved-from tail in a defined empty state
     SMDB_TRACE(tracer_, {.kind = TraceEventKind::kLogForce,
                          .node = node,
                          .peer = requestor,

@@ -2,7 +2,6 @@
 #define SMDB_WAL_LOG_MANAGER_H_
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -168,8 +167,8 @@ class LogManager {
     // a checkpoint-truncated record (usn at or below this mark: its
     // transaction had finished, the stable database covers it) from one
     // that only ever existed in a lost volatile tail (above the mark).
-    ForEachStable(node, [&](const LogRecord& rec) {
-      if (rec.lsn > lsn) return;
+    for (const LogRecord& rec : stable_->Records(node)) {
+      if (rec.lsn > lsn) break;
       uint64_t usn = 0;
       if (rec.type == LogRecordType::kUpdate) {
         usn = rec.update().usn;
@@ -179,7 +178,7 @@ class LogManager {
         usn = rec.structural().usn;
       }
       if (usn > max_truncated_usn_[node]) max_truncated_usn_[node] = usn;
-    });
+    }
     size_t n = stable_->Truncate(node, lsn);
     stats_.truncated_records += n;
     return n;
@@ -211,7 +210,7 @@ class LogManager {
   TraceRecorder* tracer_ = nullptr;
   Profiler* prof_ = nullptr;
   StableLogStore* stable_;
-  std::vector<std::deque<LogRecord>> tails_;
+  std::vector<std::vector<LogRecord>> tails_;
   std::vector<Lsn> next_lsn_;
   std::vector<Lsn> checkpoint_lsn_;
   std::vector<uint64_t> max_truncated_usn_;

@@ -196,8 +196,8 @@ TEST(StableLogStoreTest, BulkAppendPreservesLsnOrder) {
     }
     return out;
   };
-  // First append takes the empty-stream fast path, the rest the bulk-move
-  // insert; both must keep the stream in LSN order across batch boundaries.
+  // Batches of 3, 1 and 64 records must keep the stream in LSN order across
+  // batch boundaries.
   store.Append(0, batch(1, 3));
   store.Append(0, batch(4, 1));
   store.Append(0, batch(5, 64));

@@ -70,7 +70,8 @@ struct Figure2 {
     EXPECT_TRUE(fx.db.txn().Update(tx, r1, Value(0xAA)).ok());
     EXPECT_TRUE(fx.db.txn().Update(ty, r2, Value(0xBB)).ok());
     // The line now lives exclusively on node y.
-    const DirEntry* e = fx.db.machine().FindLine(fx.db.records().SlotLine(r1));
+    const LineEntry* e =
+        fx.db.machine().FindLine(fx.db.records().SlotLine(r1));
     EXPECT_EQ(e->owner, 1);
   }
   Fixture& fx;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "common/rng.h"
@@ -39,7 +40,7 @@ INSTANTIATE_TEST_SUITE_P(
 void CheckDirectoryInvariants(const Machine& m, LineAddr first,
                               size_t lines) {
   for (size_t i = 0; i < lines; ++i) {
-    const DirEntry* e = m.FindLine(first + i);
+    const LineEntry* e = m.FindLine(first + i);
     if (e == nullptr) continue;
     if (e->owner != kInvalidNode) {
       // An exclusive owner is the sole sharer.
@@ -154,6 +155,90 @@ TEST_P(MachinePropertyTest, CrashPartitionsIntoLostAndIntact) {
   std::vector<uint8_t> all(kBytes);
   ASSERT_TRUE(m.SnoopRead(base, all.data(), kBytes).ok());
   EXPECT_EQ(all, shadow);
+}
+
+// Random reads, writes, line locks and crash/restart cycles. The line
+// table keeps one cached image per line, which is exact only while every
+// sharer's copy is byte-identical: each sharer must read what SnoopRead
+// reports, the directory view must agree with the per-node scans, and the
+// whole address space must match a shadow copy once lost lines are
+// re-installed from it.
+TEST_P(MachinePropertyTest, SharersAgreeAcrossCrashes) {
+  const auto& p = GetParam();
+  MachineConfig cfg;
+  cfg.num_nodes = 8;
+  cfg.coherence = p.coherence;
+  Machine m(cfg);
+  const size_t kLines = 48;
+  const size_t kBytes = kLines * cfg.line_size;
+  Addr base = m.AllocShared(kBytes);
+  LineAddr first = m.LineOf(base);
+  std::vector<uint8_t> shadow(kBytes, 0);
+  Rng rng(p.seed * 977 + 5);
+
+  auto heal = [&] {
+    for (size_t i = 0; i < kLines; ++i) {
+      if (!m.IsLineLost(first + i)) continue;
+      m.InstallToMemory(base + i * cfg.line_size,
+                        shadow.data() + i * cfg.line_size, cfg.line_size);
+    }
+  };
+  auto check = [&](int op) {
+    std::vector<std::vector<LineAddr>> scanned(cfg.num_nodes);
+    for (NodeId n = 0; n < cfg.num_nodes; ++n) {
+      m.ForEachCachedLine(n, [&](LineAddr l) { scanned[n].push_back(l); });
+    }
+    std::vector<uint8_t> snoop(cfg.line_size), copy(cfg.line_size);
+    for (size_t i = 0; i < kLines; ++i) {
+      const LineEntry* e = m.FindLine(first + i);
+      Addr a = base + i * cfg.line_size;
+      ASSERT_TRUE(m.SnoopRead(a, snoop.data(), snoop.size()).ok());
+      ASSERT_EQ(0, std::memcmp(snoop.data(), shadow.data() + i * cfg.line_size,
+                               cfg.line_size))
+          << "line " << i << " op " << op;
+      if (e == nullptr) continue;
+      if (e->owner != kInvalidNode) {
+        ASSERT_EQ(e->sharers, 1ULL << e->owner) << "line " << i;
+      }
+      for (NodeId n = 0; n < cfg.num_nodes; ++n) {
+        bool listed = std::find(scanned[n].begin(), scanned[n].end(),
+                                first + i) != scanned[n].end();
+        ASSERT_EQ(listed, e->cached_by(n)) << "line " << i << " node " << n;
+        if (!e->cached_by(n)) continue;
+        ASSERT_TRUE(m.NodeAlive(n));
+        ASSERT_TRUE(m.Read(n, a, copy.data(), copy.size()).ok());
+        ASSERT_EQ(copy, snoop) << "sharer " << n << " line " << i;
+      }
+    }
+  };
+
+  for (int op = 0; op < 6000; ++op) {
+    NodeId node = static_cast<NodeId>(rng.Uniform(cfg.num_nodes));
+    if (!m.NodeAlive(node)) {
+      m.RestartNode(node);
+      continue;
+    }
+    size_t i = rng.Uniform(kLines);
+    Addr a = base + i * cfg.line_size;
+    double dice = rng.NextDouble();
+    if (dice < 0.45) {
+      size_t off = rng.Uniform(cfg.line_size - 8);
+      uint64_t v = rng.Next();
+      ASSERT_TRUE(m.Write(node, a + off, &v, sizeof(v)).ok());
+      std::memcpy(shadow.data() + i * cfg.line_size + off, &v, sizeof(v));
+    } else if (dice < 0.85) {
+      uint64_t v = 0;
+      ASSERT_TRUE(m.Read(node, a, &v, sizeof(v)).ok());
+    } else if (dice < 0.99) {
+      ASSERT_TRUE(m.GetLine(node, first + i).ok());
+      m.ReleaseLine(node, first + i);
+    } else {
+      m.CrashNode(node);
+      heal();
+    }
+    if (op % 250 == 0) check(op);
+  }
+  check(-1);
 }
 
 TEST(MachineTimingTest, CostsFollowTheModel) {

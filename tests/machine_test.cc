@@ -45,7 +45,7 @@ TEST(MachineTest, WwMigrationLeavesSoleCopy) {
   LineAddr line = m.LineOf(a);
   ASSERT_TRUE(m.WriteValue<uint32_t>(0, a, 1).ok());
   ASSERT_TRUE(m.WriteValue<uint32_t>(1, a, 2).ok());
-  const DirEntry* e = m.FindLine(line);
+  const LineEntry* e = m.FindLine(line);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->owner, 1);
   EXPECT_EQ(e->num_sharers(), 1);
@@ -60,7 +60,7 @@ TEST(MachineTest, WrReplication) {
   ASSERT_TRUE(m.WriteValue<uint32_t>(0, a, 1).ok());
   auto r = m.ReadValue<uint32_t>(2, a);
   ASSERT_TRUE(r.ok());
-  const DirEntry* e = m.FindLine(line);
+  const LineEntry* e = m.FindLine(line);
   EXPECT_EQ(e->num_sharers(), 2);
   EXPECT_TRUE(e->cached_by(0));
   EXPECT_TRUE(e->cached_by(2));
@@ -177,7 +177,7 @@ TEST(MachineTest, WriteBroadcastKeepsAllCopiesValid) {
   ASSERT_TRUE(m.WriteValue<uint32_t>(0, a, 1).ok());
   ASSERT_TRUE(m.ReadValue<uint32_t>(1, a).ok());  // replicate
   ASSERT_TRUE(m.WriteValue<uint32_t>(1, a, 2).ok());
-  const DirEntry* e = m.FindLine(m.LineOf(a));
+  const LineEntry* e = m.FindLine(m.LineOf(a));
   // Under write-broadcast the write updates node 0's copy in place.
   EXPECT_EQ(e->num_sharers(), 2);
   auto r = m.ReadValue<uint32_t>(0, a);
@@ -238,7 +238,7 @@ TEST(MachineTest, SnoopReadSeesCoherentPicture) {
   ASSERT_TRUE(m.SnoopRead(a, &v, sizeof(v)).ok());
   EXPECT_EQ(v, 77u);
   // Snooping must not change any state.
-  const DirEntry* e = m.FindLine(m.LineOf(a));
+  const LineEntry* e = m.FindLine(m.LineOf(a));
   EXPECT_EQ(e->owner, 2);
 }
 
@@ -259,6 +259,57 @@ TEST(MachineTest, AllocLocalHomesOnNode) {
   for (uint32_t i = 0; i < 4096 / m.line_size(); ++i) {
     EXPECT_EQ(m.HomeOf(m.LineOf(a) + i), 2);
   }
+}
+
+TEST(MachineTest, ForEachCachedLineVisitsAscendingAddresses) {
+  Machine m(SmallConfig());
+  Addr a = m.AllocShared(64 * 128);
+  LineAddr first = m.LineOf(a);
+  // Node 0 pulls every third line in, highest address first; node 1 then
+  // takes line 3 exclusive away from it.
+  std::vector<LineAddr> expected;
+  for (int i = 63; i >= 0; --i) {
+    if (i % 3 != 0) continue;
+    ASSERT_TRUE(m.ReadValue<uint32_t>(0, a + i * 128).ok());
+    if (i != 3) expected.insert(expected.begin(), first + i);
+  }
+  ASSERT_TRUE(m.WriteValue<uint32_t>(1, a + 3 * 128, 9).ok());
+  std::vector<LineAddr> seen;
+  m.ForEachCachedLine(0, [&](LineAddr line) { seen.push_back(line); });
+  EXPECT_EQ(seen, expected);
+  seen.clear();
+  m.ForEachCachedLine(1, [&](LineAddr line) { seen.push_back(line); });
+  EXPECT_EQ(seen, std::vector<LineAddr>{first + 3});
+}
+
+TEST(MachineTest, NeverTouchedLineKeepsItsSemantics) {
+  Machine m(SmallConfig());
+  Addr a = m.AllocShared(4 * 128);
+  LineAddr untouched = m.LineOf(a) + 2;
+  ASSERT_TRUE(m.WriteValue<uint32_t>(0, a, 1).ok());  // touch line 0 only
+  // Beyond every allocation, too.
+  LineAddr beyond = m.LineOf(a) + 100;
+  for (LineAddr line : {untouched, beyond}) {
+    EXPECT_EQ(m.FindLine(line), nullptr);
+    EXPECT_FALSE(m.ProbeLine(line));
+    EXPECT_FALSE(m.IsLineLost(line));
+    EXPECT_FALSE(m.LineActive(line));
+    std::vector<uint8_t> out(128, 0xFF);
+    ASSERT_TRUE(m.SnoopRead(m.AddrOfLine(line), out.data(), out.size()).ok());
+    EXPECT_EQ(out, std::vector<uint8_t>(128, 0));
+    m.DiscardLine(line);  // discarding an untouched line leaves it untouched
+    EXPECT_EQ(m.FindLine(line), nullptr);
+  }
+  // Only the touched line is counted lost, by a crash and by a reboot.
+  m.CrashNode(0);
+  EXPECT_EQ(m.stats().lines_lost, 1u);
+  EXPECT_FALSE(m.IsLineLost(untouched));
+  m.RestartNode(0);
+  ASSERT_TRUE(m.WriteValue<uint32_t>(1, a + 128, 2).ok());  // touch line 1
+  m.RebootAll();
+  EXPECT_EQ(m.stats().lines_lost, 2u);  // line 1; line 0 was already lost
+  EXPECT_FALSE(m.IsLineLost(untouched));
+  EXPECT_EQ(m.FindLine(untouched), nullptr);
 }
 
 }  // namespace

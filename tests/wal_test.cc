@@ -58,6 +58,86 @@ TEST(LogManagerTest, ForceMovesTailToStable) {
   EXPECT_EQ(f.stable.Records(0).size(), 2u);
 }
 
+TEST(LogManagerTest, ForceOntoLongStreamLeavesRecordsInPlace) {
+  WalFixture f;
+  TxnId t = MakeTxnId(0, 1);
+  for (uint64_t i = 1; i <= 10000; ++i) {
+    f.log.Append(0, f.Update(t, {1, 0}, i));
+    if (i % 100 == 0) {
+      ASSERT_TRUE(f.log.Force(0, 0).ok());
+    }
+  }
+  const auto& recs = f.stable.Records(0);
+  ASSERT_EQ(recs.size(), 10000u);
+  const LogRecord* first = &recs[0];
+  const LogRecord* last = &recs[9999];
+  // A batch twice the stream's size: storage that grows by reallocating
+  // would have to move every record.
+  for (uint64_t i = 10001; i <= 30000; ++i) {
+    f.log.Append(0, f.Update(t, {1, 0}, i));
+  }
+  ASSERT_TRUE(f.log.Force(0, 0).ok());
+  // A durable record never moves: the force appended behind it.
+  EXPECT_EQ(&recs[0], first);
+  EXPECT_EQ(&recs[9999], last);
+  ASSERT_EQ(recs.size(), 30000u);
+  size_t out_of_order = 0;
+  for (size_t i = 0; i < recs.size(); ++i) {
+    if (recs[i].lsn != i + 1 || recs[i].update().usn != i + 1) ++out_of_order;
+  }
+  EXPECT_EQ(out_of_order, 0u);
+}
+
+TEST(LogManagerTest, TruncateDropsExactlyThePrefix) {
+  WalFixture f;
+  TxnId t = MakeTxnId(0, 1);
+  for (uint64_t i = 1; i <= 300; ++i) {
+    f.log.Append(0, f.Update(t, {1, 0}, i));
+    if (i == 123) f.log.AnnulVolatile(0, 123);  // an LSN gap at `through`
+    if (i % 7 == 0) {
+      ASSERT_TRUE(f.log.Force(0, 0).ok());
+    }
+  }
+  ASSERT_TRUE(f.log.Force(0, 0).ok());
+  ASSERT_EQ(f.stable.Records(0).size(), 299u);
+  // Records at or below 123 go; the gap means that is 122 of them.
+  EXPECT_EQ(f.log.TruncateThrough(0, 123), 122u);
+  EXPECT_EQ(f.log.max_truncated_usn(0), 122u);
+  const auto& recs = f.stable.Records(0);
+  ASSERT_EQ(recs.size(), 177u);
+  for (size_t i = 0; i < recs.size(); ++i) {
+    ASSERT_EQ(recs[i].lsn, 124 + i);
+    ASSERT_EQ(recs[i].update().usn, 124 + i);
+  }
+  EXPECT_EQ(f.stable.LastLsn(0), 300u);
+  // A point behind the retained prefix drops nothing.
+  EXPECT_EQ(f.log.TruncateThrough(0, 100), 0u);
+  // Through a present record: it goes too.
+  EXPECT_EQ(f.log.TruncateThrough(0, 200), 77u);
+  ASSERT_EQ(recs.front().lsn, 201u);
+  EXPECT_EQ(recs.size(), 100u);
+  EXPECT_EQ(f.log.stats().truncated_records, 199u);
+}
+
+TEST(LogManagerTest, ForceEmptiesTailWithoutDuplicates) {
+  WalFixture f;
+  TxnId t = MakeTxnId(1, 1);
+  for (uint64_t i = 1; i <= 5; ++i) f.log.Append(1, f.Update(t, {1, 0}, i));
+  ASSERT_TRUE(f.log.Force(1, 1).ok());
+  EXPECT_EQ(f.log.TailSize(1), 0u);
+  for (uint64_t i = 6; i <= 8; ++i) f.log.Append(1, f.Update(t, {1, 0}, i));
+  EXPECT_EQ(f.log.TailSize(1), 3u);
+  ASSERT_TRUE(f.log.Force(1, 1).ok());
+  ASSERT_TRUE(f.log.Force(1, 1).ok());  // empty: moves nothing
+  EXPECT_EQ(f.log.TailSize(1), 0u);
+  f.log.Append(1, f.Update(t, {1, 0}, 9));  // stays in the tail
+  std::vector<Lsn> all;
+  f.log.ForEachAll(1, [&](const LogRecord& rec) { all.push_back(rec.lsn); });
+  EXPECT_EQ(all, (std::vector<Lsn>{1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(f.stable.Records(1).size(), 8u);
+  EXPECT_EQ(f.log.stats().forced_records, 8u);
+}
+
 TEST(LogManagerTest, ForceChargesRequestor) {
   WalFixture f;
   f.log.Append(2, f.Update(MakeTxnId(2, 1), {1, 0}, 1));
