@@ -25,7 +25,7 @@ HarnessConfig ProfileConfig() {
   cfg.workload.txns_per_node = 200;
   cfg.workload.index_op_ratio = 0.15;
   cfg.steal_flush_prob = 0.0;
-  cfg.db.profiler.enabled = true;
+  cfg.db.obs.profile = true;
   return cfg;
 }
 

@@ -15,8 +15,7 @@
 #include "db/record_store.h"
 #include "db/wal_table.h"
 #include "lockmgr/lock_table.h"
-#include "obs/observatory.h"
-#include "obs/trace.h"
+#include "obs/instruments.h"
 #include "sim/machine.h"
 #include "storage/disk.h"
 #include "storage/stable_db.h"
@@ -40,12 +39,9 @@ struct DatabaseConfig {
   uint16_t record_data_size = 22;
   LockTableConfig lock_table;
   RecoveryConfig recovery;
-  /// Event tracing (off by default; zero overhead when disabled).
-  TraceConfig trace;
-  /// Latency observatory (off by default; same zero-cost discipline).
+  /// The instrumentation plane's views: event trace, latency observatory
+  /// and phase profiler (all off by default).
   ObsConfig obs;
-  /// Execution/recovery profiler (off by default; same discipline).
-  ProfilerConfig profiler;
 };
 
 /// The assembled shared-memory database system: the simulated multiprocessor
@@ -121,21 +117,9 @@ class Database {
   RecoveryManager& recovery() { return *recovery_; }
   /// Null unless recovery.on_demand is on.
   OnDemandRecovery* on_demand() { return on_demand_.get(); }
-  /// The event tracer. Always constructed; recording is gated by
-  /// DatabaseConfig::trace.enabled (and set_enabled at runtime).
-  TraceRecorder& tracer() { return *tracer_; }
-  /// Tracer as a pointer, for SMDB_TRACE call sites.
-  TraceRecorder* tracer_ptr() { return tracer_.get(); }
-  /// The latency observatory. Always constructed; recording is gated by
-  /// DatabaseConfig::obs.enabled (and set_enabled at runtime).
-  Observatory& observatory() { return *observatory_; }
-  /// Observatory as a pointer, for SMDB_OBS call sites.
-  Observatory* observatory_ptr() { return observatory_.get(); }
-  /// The profiler. Always constructed; recording is gated by
-  /// DatabaseConfig::profiler.enabled (and set_enabled at runtime).
-  Profiler& profiler() { return *profiler_; }
-  /// Profiler as a pointer, for ProfScope/ProfRoot call sites.
-  Profiler* profiler_ptr() { return profiler_.get(); }
+  /// The instrumentation plane: the trace ring, the latency observatory
+  /// and the profiler are its views, each gated by DatabaseConfig::obs.
+  Instruments& instruments() { return instruments_; }
   const DatabaseConfig& config() const { return config_; }
 
   /// Simulated survivor streams for subsequent restart recoveries (1 = a
@@ -149,9 +133,7 @@ class Database {
  private:
   DatabaseConfig config_;
   UsnSource usn_;
-  std::unique_ptr<TraceRecorder> tracer_;
-  std::unique_ptr<Observatory> observatory_;
-  std::unique_ptr<Profiler> profiler_;
+  Instruments instruments_;
   std::unique_ptr<Machine> machine_;
   std::unique_ptr<Disk> db_disk_;
   std::unique_ptr<StableDb> stable_db_;

@@ -343,7 +343,7 @@ Status OnDemandRecovery::DischargeKeyTag(NodeId performer, KeyId key) {
 
 Result<int> OnDemandRecovery::SweepStep(int max_objects) {
   if (!active_) return 0;
-  Profiler* prof = db_->profiler_ptr();
+  Instruments* inst = &db_->instruments();
   int done = 0;
   while (done < max_objects && sweep_pos_ < sweep_order_.size()) {
     auto [usn, which] = sweep_order_[sweep_pos_++];
@@ -351,13 +351,13 @@ Result<int> OnDemandRecovery::SweepStep(int max_objects) {
     if (!which.first) {
       RecordId rid = sweep_rids_[which.second];
       if (discharged_rids_.contains(rid)) continue;  // first touch beat us
-      ProfRoot root(prof, ProfPhase::kSweep);
+      ProfRoot root(inst, ProfPhase::kSweep);
       SMDB_RETURN_IF_ERROR(
           DischargeRecord(ctx_.NextSurvivor(), rid, Via::kSweep));
     } else {
       KeyId key = sweep_keys_[which.second];
       if (discharged_keys_.contains(key)) continue;
-      ProfRoot root(prof, ProfPhase::kSweep);
+      ProfRoot root(inst, ProfPhase::kSweep);
       SMDB_RETURN_IF_ERROR(
           DischargeKey(ctx_.NextSurvivor(), key, Via::kSweep));
     }
@@ -469,8 +469,9 @@ Status OnDemandRecovery::DrainAll() {
 
 void OnDemandRecovery::Deactivate() {
   active_ = false;
-  SMDB_OBS(db_->observatory_ptr(),
-           OnRecoveryDrained(db_->machine().GlobalTime()));
+  SMDB_EMIT(&db_->instruments(),
+            {.kind = TraceEventKind::kRecoveryDrained,
+             .ts = db_->machine().GlobalTime()});
 }
 
 }  // namespace smdb

@@ -8,7 +8,7 @@
 #include "core/on_demand.h"
 #include "core/stable_state.h"
 #include "db/page_layout.h"
-#include "obs/trace.h"
+#include "obs/instruments.h"
 
 namespace smdb {
 
@@ -206,12 +206,12 @@ Status RecoveryManager::TimedPhase(Ctx& ctx, RecoveryPhase phase,
   const SimTime dt = m.GlobalTime() - t0;
   ctx.out.phase_ns[static_cast<size_t>(phase)] += dt;
   if (!ctx.survivors.empty()) {
-    SMDB_TRACE(db_->tracer_ptr(),
-               {.kind = TraceEventKind::kRecoveryPhase,
-                .node = ctx.survivors.front(),
-                .ts = t0,
-                .dur = dt,
-                .label = RecoveryPhaseName(phase)});
+    SMDB_EMIT(&db_->instruments(),
+              {.kind = TraceEventKind::kRecoveryPhase,
+               .node = ctx.survivors.front(),
+               .ts = t0,
+               .dur = dt,
+               .label = RecoveryPhaseName(phase)});
   }
   return s;
 }
@@ -673,14 +673,14 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
       Status st = rs.WriteTag(p, c.rid, kTagNone);
       m.ReleaseLine(p, line);
       SMDB_RETURN_IF_ERROR(st);
-      SMDB_TRACE(db_->tracer_ptr(),
-                 {.kind = TraceEventKind::kTagDecision,
-                  .node = p,
-                  .txn = owner_of(c.usn),
-                  .ts = m.NodeClock(p),
-                  .a = rid_enc,
-                  .b = c.usn,
-                  .label = "heap-stale"});
+      SMDB_EMIT(&db_->instruments(),
+                {.kind = TraceEventKind::kTagDecision,
+                 .node = p,
+                 .txn = owner_of(c.usn),
+                 .ts = m.NodeClock(p),
+                 .a = rid_enc,
+                 .b = c.usn,
+                 .label = "heap-stale"});
       continue;
     }
     // Undo: install the last committed value (from stable store).
@@ -707,27 +707,27 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
     db_->buffers().MarkDirty(c.rid.page);
     ++ctx.out.tag_undos;
     ++ctx.out.undo_applied;
-    SMDB_TRACE(db_->tracer_ptr(),
-               {.kind = TraceEventKind::kTagDecision,
-                .node = p,
-                .txn = owner_of(c.usn),
-                .ts = m.NodeClock(p),
-                .a = rid_enc,
-                .b = c.usn,
-                .label = "heap-undo"});
+    SMDB_EMIT(&db_->instruments(),
+              {.kind = TraceEventKind::kTagDecision,
+               .node = p,
+               .txn = owner_of(c.usn),
+               .ts = m.NodeClock(p),
+               .a = rid_enc,
+               .b = c.usn,
+               .label = "heap-undo"});
   }
   for (const IdxCand& c : idx_cands) {
     NodeId p = idx_performer(c);
     if (c.stale_clear) {
       SMDB_RETURN_IF_ERROR(index.ClearTag(p, c.ref.entry.key));
-      SMDB_TRACE(db_->tracer_ptr(),
-                 {.kind = TraceEventKind::kTagDecision,
-                  .node = p,
-                  .txn = owner_of(c.ref.entry.usn),
-                  .ts = m.NodeClock(p),
-                  .a = c.ref.entry.key,
-                  .b = c.ref.entry.usn,
-                  .label = "index-stale"});
+      SMDB_EMIT(&db_->instruments(),
+                {.kind = TraceEventKind::kTagDecision,
+                 .node = p,
+                 .txn = owner_of(c.ref.entry.usn),
+                 .ts = m.NodeClock(p),
+                 .a = c.ref.entry.key,
+                 .b = c.ref.entry.usn,
+                 .label = "index-stale"});
       continue;
     }
     if (c.ref.entry.state == LeafEntryState::kLive) {
@@ -741,14 +741,14 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
     }
     ++ctx.out.tag_undos;
     ++ctx.out.undo_applied;
-    SMDB_TRACE(db_->tracer_ptr(),
-               {.kind = TraceEventKind::kTagDecision,
-                .node = p,
-                .txn = owner_of(c.ref.entry.usn),
-                .ts = m.NodeClock(p),
-                .a = c.ref.entry.key,
-                .b = c.ref.entry.usn,
-                .label = "index-undo"});
+    SMDB_EMIT(&db_->instruments(),
+              {.kind = TraceEventKind::kTagDecision,
+               .node = p,
+               .txn = owner_of(c.ref.entry.usn),
+               .ts = m.NodeClock(p),
+               .a = c.ref.entry.key,
+               .b = c.ref.entry.usn,
+               .label = "index-undo"});
   }
   return Status::Ok();
 }
@@ -947,12 +947,12 @@ Result<RecoveryOutcome> RecoveryManager::Run(
   // Whole-recovery envelope span (the per-phase spans nest inside it in
   // the Chrome trace view). survivors is never empty here: the
   // whole-machine-restart path repopulates it with every node.
-  SMDB_TRACE(db_->tracer_ptr(),
-             {.kind = TraceEventKind::kRecoveryPhase,
-              .node = ctx.survivors.front(),
-              .ts = t0,
-              .dur = ctx.out.recovery_time_ns,
-              .label = "recovery"});
+  SMDB_EMIT(&db_->instruments(),
+            {.kind = TraceEventKind::kRecoveryPhase,
+             .node = ctx.survivors.front(),
+             .ts = t0,
+             .dur = ctx.out.recovery_time_ns,
+             .label = "recovery"});
   return ctx.out;
 }
 

@@ -258,8 +258,8 @@ json::Value CrashScheduleFuzzer::CollectForensics(const FuzzFailure& failure,
   // the violation when the report is built.
   HarnessConfig cfg =
       MakeHarnessConfig(shrunk, EffectiveProtocol(failure.protocol));
-  cfg.db.trace.enabled = true;
-  cfg.db.trace.capacity_per_node = opts_.trace_capacity;
+  cfg.db.obs.trace = true;
+  cfg.db.obs.trace_capacity_per_node = opts_.trace_capacity;
   Harness h(cfg);
   auto report = h.Run();
   ++stats_.runs;

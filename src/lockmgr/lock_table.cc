@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "obs/observatory.h"
-#include "obs/trace.h"
 #include "sim/machine.h"
 
 namespace smdb {
@@ -27,9 +25,10 @@ uint64_t HashName(uint64_t x) {
 }  // namespace
 
 LockTable::LockTable(Machine* machine, LogManager* log,
-                     LockTableConfig config)
+                     LockTableConfig config, Instruments* inst)
     : machine_(machine),
       log_(log),
+      inst_(inst),
       config_(config),
       codec_(machine->line_size(), config.two_line_lcb) {
   base_ = machine_->AllocShared(static_cast<size_t>(config_.buckets) *
@@ -121,7 +120,7 @@ bool LockTable::PromoteWaiters(Lcb& lcb) {
 
 Result<LockResult> LockTable::Acquire(NodeId node, TxnId txn, uint64_t name,
                                       LockMode mode, Lsn* chain_prev) {
-  ProfScope lock_wait(prof_, ProfPhase::kLockWait);
+  ProfScope lock_wait(inst_, ProfPhase::kLockWait);
   SMDB_ASSIGN_OR_RETURN(uint32_t slot, FindSlot(node, name, /*create=*/true));
   LineAddr l0 = SlotFirstLine(slot);
   SMDB_RETURN_IF_ERROR(machine_->GetLine(node, l0));
@@ -160,13 +159,13 @@ Result<LockResult> LockTable::Acquire(NodeId node, TxnId txn, uint64_t name,
       release_lines();
       if (!s.ok()) return s;
       ++stats_.acquires;
-      SMDB_TRACE(tracer_, {.kind = TraceEventKind::kLockAcquire,
-                           .node = node,
-                           .txn = txn,
-                           .ts = machine_->NodeClock(node),
-                           .a = name,
-                           .b = static_cast<uint64_t>(mode),
-                           .label = "upgrade"});
+      SMDB_EMIT(inst_, {.kind = TraceEventKind::kLockAcquire,
+                        .node = node,
+                        .txn = txn,
+                        .ts = machine_->NodeClock(node),
+                        .a = name,
+                        .b = static_cast<uint64_t>(mode),
+                        .label = "upgrade"});
       return LockResult::kGranted;
     }
     // Fall through to queueing the upgrade.
@@ -182,12 +181,12 @@ Result<LockResult> LockTable::Acquire(NodeId node, TxnId txn, uint64_t name,
     release_lines();
     if (!s.ok()) return s;
     ++stats_.acquires;
-    SMDB_TRACE(tracer_, {.kind = TraceEventKind::kLockAcquire,
-                         .node = node,
-                         .txn = txn,
-                         .ts = machine_->NodeClock(node),
-                         .a = name,
-                         .b = static_cast<uint64_t>(mode)});
+    SMDB_EMIT(inst_, {.kind = TraceEventKind::kLockAcquire,
+                      .node = node,
+                      .txn = txn,
+                      .ts = machine_->NodeClock(node),
+                      .a = name,
+                      .b = static_cast<uint64_t>(mode)});
     return LockResult::kGranted;
   }
 
@@ -204,7 +203,12 @@ Result<LockResult> LockTable::Acquire(NodeId node, TxnId txn, uint64_t name,
     Status s = WriteLcb(node, slot, lcb);
     release_lines();
     if (!s.ok()) return s;
-    SMDB_OBS(obs_, OnLockQueued(txn, name, machine_->NodeClock(node)));
+    SMDB_EMIT(inst_, {.kind = TraceEventKind::kLockQueued,
+                      .node = node,
+                      .txn = txn,
+                      .ts = machine_->NodeClock(node),
+                      .a = name,
+                      .b = static_cast<uint64_t>(mode)});
   } else {
     release_lines();
   }
@@ -214,7 +218,7 @@ Result<LockResult> LockTable::Acquire(NodeId node, TxnId txn, uint64_t name,
 
 Result<LockResult> LockTable::PollGrant(NodeId node, TxnId txn, uint64_t name,
                                         LockMode mode, Lsn* chain_prev) {
-  ProfScope lock_wait(prof_, ProfPhase::kLockWait);
+  ProfScope lock_wait(inst_, ProfPhase::kLockWait);
   SMDB_ASSIGN_OR_RETURN(uint32_t slot, FindSlot(node, name, /*create=*/false));
   SMDB_ASSIGN_OR_RETURN(Lcb lcb, ReadLcb(node, slot));
   LockEntry* mine = lcb.FindHolder(txn);
@@ -227,14 +231,13 @@ Result<LockResult> LockTable::PollGrant(NodeId node, TxnId txn, uint64_t name,
   SMDB_RETURN_IF_ERROR(LogLockOp(node, txn, name, mode,
                                  LockOpPayload::Op::kAcquire, chain_prev));
   ++stats_.acquires;
-  SMDB_TRACE(tracer_, {.kind = TraceEventKind::kLockAcquire,
-                       .node = node,
-                       .txn = txn,
-                       .ts = machine_->NodeClock(node),
-                       .a = name,
-                       .b = static_cast<uint64_t>(mode),
-                       .label = "poll"});
-  SMDB_OBS(obs_, OnLockGranted(txn, name, machine_->NodeClock(node)));
+  SMDB_EMIT(inst_, {.kind = TraceEventKind::kLockAcquire,
+                    .node = node,
+                    .txn = txn,
+                    .ts = machine_->NodeClock(node),
+                    .a = name,
+                    .b = static_cast<uint64_t>(mode),
+                    .label = "poll"});
   return LockResult::kGranted;
 }
 
@@ -299,11 +302,11 @@ Status LockTable::Release(NodeId node, TxnId txn, uint64_t name,
   release_lines();
   if (!s.ok()) return s;
   ++stats_.releases;
-  SMDB_TRACE(tracer_, {.kind = TraceEventKind::kLockRelease,
-                       .node = node,
-                       .txn = txn,
-                       .ts = machine_->NodeClock(node),
-                       .a = name});
+  SMDB_EMIT(inst_, {.kind = TraceEventKind::kLockRelease,
+                    .node = node,
+                    .txn = txn,
+                    .ts = machine_->NodeClock(node),
+                    .a = name});
   return Status::Ok();
 }
 

@@ -8,14 +8,12 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "lockmgr/lcb.h"
-#include "obs/profiler.h"
+#include "obs/instruments.h"
 #include "wal/log_manager.h"
 
 namespace smdb {
 
 class Machine;
-class TraceRecorder;
-class Observatory;
 
 /// Canonical lock names. Records and index keys share one name space.
 constexpr uint64_t RecordLockName(RecordId rid) {
@@ -72,7 +70,10 @@ enum class LockResult : uint8_t { kGranted, kQueued };
 /// operations are logged and the restart procedure rebuilds lost LCBs.
 class LockTable {
  public:
-  LockTable(Machine* machine, LogManager* log, LockTableConfig config);
+  /// `inst` (may be null) receives acquire/queue/release events and
+  /// attributes Acquire/PollGrant sim time to the lock_wait phase.
+  LockTable(Machine* machine, LogManager* log, LockTableConfig config,
+            Instruments* inst = nullptr);
 
   /// Attempts to acquire `name` in `mode` for `txn` running on `node`.
   /// Returns kGranted or kQueued; logs the operation first (when enabled),
@@ -125,15 +126,6 @@ class LockTable {
   LockTableStats& stats() { return stats_; }
   const LcbCodec& codec() const { return codec_; }
 
-  /// Optional event tracer (owned by Database); null = no tracing.
-  void set_tracer(TraceRecorder* tracer) { tracer_ = tracer; }
-  /// Optional latency observatory (owned by Database); null = none. The
-  /// lock table feeds it queued->granted wait spans.
-  void set_observatory(Observatory* obs) { obs_ = obs; }
-  /// Optional profiler (owned by Database); null = none. Acquire/PollGrant
-  /// sim time is attributed to the lock_wait phase.
-  void set_profiler(Profiler* prof) { prof_ = prof; }
-
  private:
   /// Finds the slot holding `name`, or the first empty slot when
   /// `create` is true. Returns the slot index or NotFound/Busy.
@@ -156,9 +148,7 @@ class LockTable {
 
   Machine* machine_;
   LogManager* log_;
-  TraceRecorder* tracer_ = nullptr;
-  Observatory* obs_ = nullptr;
-  Profiler* prof_ = nullptr;
+  Instruments* inst_;
   LockTableConfig config_;
   LcbCodec codec_;
   Addr base_ = 0;

@@ -7,15 +7,13 @@
 
 #include "common/status.h"
 #include "common/types.h"
-#include "obs/profiler.h"
+#include "obs/instruments.h"
 #include "sim/config.h"
 #include "sim/events.h"
 #include "sim/stats.h"
 
 namespace smdb {
 
-class TraceRecorder;
-class Observatory;
 
 /// One entry of the machine's line table: the directory state, the line
 /// lock and the home of one cache line. The line's bytes live beside it in
@@ -81,7 +79,9 @@ struct LineEntry {
 /// interleaving of transaction steps (see txn/executor.h).
 class Machine {
  public:
-  explicit Machine(MachineConfig config);
+  /// `inst` (owned by Database; may be null) receives the coherence,
+  /// crash and node up/down events and every Tick charge.
+  explicit Machine(MachineConfig config, Instruments* inst = nullptr);
 
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
@@ -217,7 +217,7 @@ class Machine {
   /// landing while a profiler root scope is open is credited to the
   /// innermost phase path.
   void Tick(NodeId node, SimTime ns) {
-    SMDB_PROF_TICK(prof_, ns);
+    ProfTick(inst_, ns);
     clocks_[node] += ns;
   }
   /// Synchronises all live node clocks to the maximum (a barrier; used at
@@ -240,18 +240,8 @@ class Machine {
   uint16_t num_nodes() const { return config_.num_nodes; }
   uint32_t line_size() const { return config_.line_size; }
 
-  /// Optional event tracer (owned by Database); null = no tracing. The
-  /// machine emits coherence-action and crash events through it.
-  void set_tracer(TraceRecorder* tracer) { tracer_ = tracer; }
-
-  /// Optional latency observatory (owned by Database); null = none. The
-  /// machine emits node down/up transitions through it.
-  void set_observatory(Observatory* obs) { obs_ = obs; }
-
-  /// Optional profiler (owned by Database); null = none. Tick charges and
-  /// coherence miss-service phases route through it.
-  void set_profiler(Profiler* prof) { prof_ = prof; }
-  Profiler* profiler() const { return prof_; }
+  /// The instrumentation plane given at construction (may be null).
+  Instruments* instruments() const { return inst_; }
 
  private:
   /// Makes `line` valid in `node`'s cache for reading; performs coherence
@@ -304,9 +294,7 @@ class Machine {
   std::vector<bool> alive_;
   std::vector<SimTime> clocks_;
   MachineStats stats_;
-  TraceRecorder* tracer_ = nullptr;
-  Observatory* obs_ = nullptr;
-  Profiler* prof_ = nullptr;
+  Instruments* inst_;
 
   Addr next_addr_ = 0;
 

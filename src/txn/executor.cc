@@ -241,7 +241,7 @@ bool SystemExecutor::StepOnce() {
   if (ready.empty()) return false;
   NodeId pick = ready[rng_.Uniform(ready.size())];
   {
-    ProfRoot root(machine_->profiler(), ProfPhase::kStep);
+    ProfRoot root(machine_->instruments(), ProfPhase::kStep);
     executors_[pick]->Step();
   }
   ++steps_;

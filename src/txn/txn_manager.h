@@ -24,8 +24,6 @@ namespace smdb {
 
 class Machine;
 class GroupCommitPipeline;
-class TraceRecorder;
-class Observatory;
 
 struct TxnManagerStats {
   uint64_t begins = 0;
@@ -61,7 +59,8 @@ class TxnManager {
   TxnManager(Machine* machine, LogManager* log, LockTable* locks,
              RecordStore* records, BTree* index, WalTable* wal_table,
              BufferManager* buffers, LbmPolicy* lbm, UsnSource* usn,
-             DependencyTracker* deps, RecoveryConfig config);
+             DependencyTracker* deps, RecoveryConfig config,
+             Instruments* inst = nullptr);
 
   // ----------------------------------------------------------------------
   // Lifecycle.
@@ -210,14 +209,6 @@ class TxnManager {
   TxnManagerStats& stats() { return stats_; }
   const RecoveryConfig& config() const { return config_; }
 
-  /// Optional event tracer (owned by Database); null = no tracing.
-  void set_tracer(TraceRecorder* tracer) { tracer_ = tracer; }
-  /// Optional latency observatory (owned by Database); null = none.
-  void set_observatory(Observatory* obs) { obs_ = obs; }
-  /// Optional profiler (owned by Database); null = none. Slot reads and
-  /// the update protocol attribute to the apply phase, index traversals
-  /// (including commit-time tag clears) to index_descent.
-  void set_profiler(Profiler* prof) { prof_ = prof; }
   BTree* index() { return index_; }
 
  private:
@@ -257,9 +248,10 @@ class TxnManager {
   UsnSource* usn_;
   DependencyTracker* deps_;  // may be null
   GroupCommitPipeline* gc_ = nullptr;  // may be null (group commit off)
-  TraceRecorder* tracer_ = nullptr;    // may be null (tracing off)
-  Observatory* obs_ = nullptr;         // may be null (observatory off)
-  Profiler* prof_ = nullptr;           // may be null (profiler off)
+  /// May be null. Receives the lifecycle events; slot reads and the
+  /// update protocol attribute to the apply phase, index traversals
+  /// (including commit-time tag clears) to index_descent.
+  Instruments* inst_;
   RecoveryConfig config_;
   std::set<TxnId> resolved_commit_ids_;
   TouchRecordFn touch_record_;  // unset when on-demand recovery is off

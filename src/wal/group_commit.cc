@@ -2,17 +2,18 @@
 
 #include <algorithm>
 
-#include "obs/observatory.h"
-#include "obs/trace.h"
+#include "obs/instruments.h"
 #include "sim/machine.h"
 #include "wal/log_manager.h"
 
 namespace smdb {
 
 GroupCommitPipeline::GroupCommitPipeline(Machine* machine, LogManager* log,
-                                         SimTime window_ns, uint32_t max_batch)
+                                         SimTime window_ns, uint32_t max_batch,
+                                         Instruments* inst)
     : machine_(machine),
       log_(log),
+      inst_(inst),
       window_ns_(window_ns),
       max_batch_(std::max<uint32_t>(1, max_batch)),
       nodes_(machine->num_nodes()) {
@@ -38,11 +39,11 @@ Status GroupCommitPipeline::FlushNow(NodeId node, bool size_bound) {
   } else {
     ++stats_.deadline_flushes;
   }
-  SMDB_TRACE(tracer_, {.kind = TraceEventKind::kGroupCommitFlush,
-                       .node = node,
-                       .ts = machine_->NodeClock(node),
-                       .a = ns.commits.size(),
-                       .label = size_bound ? "size" : "deadline"});
+  SMDB_EMIT(inst_, {.kind = TraceEventKind::kGroupCommitFlush,
+                    .node = node,
+                    .ts = machine_->NodeClock(node),
+                    .a = ns.commits.size(),
+                    .label = size_bound ? "size" : "deadline"});
   SMDB_RETURN_IF_ERROR(log_->Force(node, node));
   // A pipeline flush that covered an eager-LBM intent is a Stable-LBM
   // force for accounting purposes (it replaces what would have been one
@@ -56,13 +57,17 @@ Status GroupCommitPipeline::EnqueueCommit(NodeId node, TxnId txn, Lsn lsn) {
   SimTime now = machine_->NodeClock(node);
   ns.commits.push_back(PendingCommit{txn, lsn, now});
   ++stats_.enqueued_commits;
-  SMDB_OBS(obs_, OnGcEnqueued(node, ns.commits.size(), now));
-  SMDB_TRACE(tracer_, {.kind = TraceEventKind::kForceIntent,
-                       .node = node,
-                       .txn = txn,
-                       .ts = now,
-                       .a = lsn,
-                       .label = "commit"});
+  SMDB_EMIT(inst_, {.kind = TraceEventKind::kGcEnqueue,
+                    .node = node,
+                    .txn = txn,
+                    .ts = now,
+                    .a = ns.commits.size()});
+  SMDB_EMIT(inst_, {.kind = TraceEventKind::kForceIntent,
+                    .node = node,
+                    .txn = txn,
+                    .ts = now,
+                    .a = lsn,
+                    .label = "commit"});
   ArmDeadline(&ns, now);
   return MaybeSizeFlush(node);
 }
@@ -72,10 +77,10 @@ Status GroupCommitPipeline::NoteLbmIntent(NodeId node) {
   ++stats_.lbm_intents;
   if (!ns.has_intent) {
     ns.has_intent = true;
-    SMDB_TRACE(tracer_, {.kind = TraceEventKind::kForceIntent,
-                         .node = node,
-                         .ts = machine_->NodeClock(node),
-                         .label = "lbm"});
+    SMDB_EMIT(inst_, {.kind = TraceEventKind::kForceIntent,
+                      .node = node,
+                      .ts = machine_->NodeClock(node),
+                      .label = "lbm"});
     ArmDeadline(&ns, machine_->NodeClock(node));
   }
   return MaybeSizeFlush(node);
@@ -141,15 +146,15 @@ void GroupCommitPipeline::OnForced(NodeId node) {
   // longer applies to anything.
   ns.has_intent = false;
   ns.deadline_armed = false;
-  if (obs_ != nullptr && obs_->enabled()) {
-    const SimTime now = machine_->NodeClock(node);
-    for (PendingCommit& pc : ns.commits) {
-      if (pc.residency_recorded) continue;
-      pc.residency_recorded = true;
-      obs_->OnGcResidency(node, now >= pc.enqueued_at ? now - pc.enqueued_at
-                                                      : 0,
-                          now);
-    }
+  const SimTime now = machine_->NodeClock(node);
+  for (PendingCommit& pc : ns.commits) {
+    if (pc.residency_recorded) continue;
+    pc.residency_recorded = true;
+    SMDB_EMIT(inst_, {.kind = TraceEventKind::kGcResidency,
+                      .node = node,
+                      .txn = pc.txn,
+                      .ts = now,
+                      .a = now >= pc.enqueued_at ? now - pc.enqueued_at : 0});
   }
 }
 

@@ -11,8 +11,7 @@ namespace smdb {
 
 class Machine;
 class LogManager;
-class TraceRecorder;
-class Observatory;
+class Instruments;
 
 /// Per-node flush-coalescing layer in front of LogManager::Force.
 ///
@@ -45,8 +44,8 @@ class GroupCommitPipeline {
     Lsn lsn = kInvalidLsn;
     /// Node clock when the commit was enqueued (diagnostics).
     SimTime enqueued_at = 0;
-    /// Queue residency already reported to the observatory (a force moves
-    /// the whole tail, so later forces see the entry again).
+    /// Queue residency already emitted (a force moves the whole tail, so
+    /// later forces see the entry again).
     bool residency_recorded = false;
   };
 
@@ -70,8 +69,10 @@ class GroupCommitPipeline {
   };
 
   /// Registers a force hook on `log` to observe covering forces.
+  /// `inst` (may be null) receives flush, intent, enqueue and residency
+  /// events.
   GroupCommitPipeline(Machine* machine, LogManager* log, SimTime window_ns,
-                      uint32_t max_batch);
+                      uint32_t max_batch, Instruments* inst = nullptr);
 
   /// Registers `txn`'s commit record (already appended at `lsn`) as
   /// pending. May flush immediately when the size bound is already met.
@@ -107,12 +108,6 @@ class GroupCommitPipeline {
   size_t PendingCount(NodeId node) const { return nodes_[node].commits.size(); }
   const Stats& stats() const { return stats_; }
 
-  /// Optional event tracer (owned by Database); null = no tracing.
-  void set_tracer(TraceRecorder* tracer) { tracer_ = tracer; }
-  /// Optional latency observatory (owned by Database); null = none. The
-  /// pipeline feeds it queue depths and enqueue->force residencies.
-  void set_observatory(Observatory* obs) { obs_ = obs; }
-
  private:
   struct NodeState {
     std::vector<PendingCommit> commits;
@@ -133,8 +128,7 @@ class GroupCommitPipeline {
 
   Machine* machine_;
   LogManager* log_;
-  TraceRecorder* tracer_ = nullptr;
-  Observatory* obs_ = nullptr;
+  Instruments* inst_;
   SimTime window_ns_;
   uint32_t max_batch_;
   std::vector<NodeState> nodes_;

@@ -18,8 +18,9 @@ std::string LogStats::ToString() const {
   return os.str();
 }
 
-LogManager::LogManager(Machine* machine, StableLogStore* stable)
-    : machine_(machine), stable_(stable) {
+LogManager::LogManager(Machine* machine, StableLogStore* stable,
+                       Instruments* inst)
+    : machine_(machine), inst_(inst), stable_(stable) {
   uint16_t n = machine_->num_nodes();
   tails_.resize(n);
   next_lsn_.assign(n, 1);
@@ -28,7 +29,7 @@ LogManager::LogManager(Machine* machine, StableLogStore* stable)
 }
 
 Lsn LogManager::Append(NodeId node, LogRecord rec) {
-  ProfScope wal_append(prof_, ProfPhase::kWalAppend);
+  ProfScope wal_append(inst_, ProfPhase::kWalAppend);
   const TxnId txn = rec.txn;
   const Lsn lsn = next_lsn_[node]++;
   rec.lsn = lsn;
@@ -36,16 +37,16 @@ Lsn LogManager::Append(NodeId node, LogRecord rec) {
   tails_[node].push_back(std::move(rec));
   ++stats_.appends;
   machine_->Tick(node, machine_->config().timing.volatile_log_write_ns);
-  SMDB_TRACE(tracer_, {.kind = TraceEventKind::kLogAppend,
-                       .node = node,
-                       .txn = txn,
-                       .ts = machine_->NodeClock(node),
-                       .a = lsn});
+  SMDB_EMIT(inst_, {.kind = TraceEventKind::kLogAppend,
+                    .node = node,
+                    .txn = txn,
+                    .ts = machine_->NodeClock(node),
+                    .a = lsn});
   return lsn;
 }
 
 Status LogManager::Force(NodeId requestor, NodeId node) {
-  ProfScope wal_force(prof_, ProfPhase::kWalForce);
+  ProfScope wal_force(inst_, ProfPhase::kWalForce);
   if (!machine_->NodeAlive(node)) {
     // The tail died with the node; only the already-stable prefix exists.
     return Status::NodeFailed("cannot force log of crashed node");
@@ -62,12 +63,12 @@ Status LogManager::Force(NodeId requestor, NodeId node) {
                                   : timing.log_force_ns);
     stable_->Append(node, std::move(tail));
     tail.clear();  // leave the moved-from tail in a defined empty state
-    SMDB_TRACE(tracer_, {.kind = TraceEventKind::kLogForce,
-                         .node = node,
-                         .peer = requestor,
-                         .ts = machine_->NodeClock(requestor),
-                         .a = batch_size,
-                         .b = stable_->LastLsn(node)});
+    SMDB_EMIT(inst_, {.kind = TraceEventKind::kLogForce,
+                      .node = node,
+                      .peer = requestor,
+                      .ts = machine_->NodeClock(requestor),
+                      .a = batch_size,
+                      .b = stable_->LastLsn(node)});
   }
   // Hooks fire even for the empty no-op force: observers learn "this log
   // is stable through its last append", which is just as true.

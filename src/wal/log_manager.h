@@ -11,14 +11,13 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "obs/histogram.h"
-#include "obs/profiler.h"
+#include "obs/instruments.h"
 #include "storage/stable_log.h"
 #include "wal/log_record.h"
 
 namespace smdb {
 
 class Machine;
-class TraceRecorder;
 
 /// Statistics for the logging subsystem, used by the Table 1 and
 /// log-force-frequency experiments.
@@ -109,7 +108,10 @@ void ForEachCounter(const LogStats& s, Fn&& fn) {
 /// node's crash can damage a log tail.
 class LogManager {
  public:
-  LogManager(Machine* machine, StableLogStore* stable);
+  /// `inst` (may be null) receives append/force events and attributes
+  /// Append/Force sim time to the wal_append / wal_force phases.
+  LogManager(Machine* machine, StableLogStore* stable,
+             Instruments* inst = nullptr);
 
   /// Appends `rec` to `node`'s volatile log tail; assigns and returns its
   /// LSN. Charges the volatile write cost to `node`.
@@ -199,16 +201,9 @@ class LogManager {
   const LogStats& stats() const { return stats_; }
   StableLogStore& stable_store() { return *stable_; }
 
-  /// Optional event tracer (owned by Database); null = no tracing.
-  void set_tracer(TraceRecorder* tracer) { tracer_ = tracer; }
-  /// Optional profiler (owned by Database); null = none. Append/Force sim
-  /// time is attributed to the wal_append / wal_force phases.
-  void set_profiler(Profiler* prof) { prof_ = prof; }
-
  private:
   Machine* machine_;
-  TraceRecorder* tracer_ = nullptr;
-  Profiler* prof_ = nullptr;
+  Instruments* inst_;
   StableLogStore* stable_;
   std::vector<std::vector<LogRecord>> tails_;
   std::vector<Lsn> next_lsn_;

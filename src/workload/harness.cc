@@ -181,8 +181,8 @@ void Harness::FillReport(HarnessReport* report) {
   report->disk_writes = db_->stable_db().writes();
   report->steps = exec_->steps();
   report->total_time_ns = db_->machine().GlobalTime();
-  report->latency = db_->observatory().Snapshot();
-  report->profile = db_->profiler().Snapshot();
+  report->latency = db_->instruments().observatory().Snapshot();
+  report->profile = db_->instruments().profiler().Snapshot();
 }
 
 }  // namespace smdb

@@ -80,10 +80,10 @@ struct HarnessReport {
   /// Zero when the group-commit pipeline is off.
   GroupCommitPipeline::Stats gc;
   /// Observatory snapshot; enabled=false (and otherwise empty) unless
-  /// DatabaseConfig::obs.enabled was set.
+  /// DatabaseConfig::obs.latency was set.
   LatencyReport latency;
   /// Profiler snapshot; enabled=false (and otherwise empty) unless
-  /// DatabaseConfig::profiler.enabled was set.
+  /// DatabaseConfig::obs.profile was set.
   ProfilerReport profile;
   uint64_t disk_reads = 0;
   uint64_t disk_writes = 0;

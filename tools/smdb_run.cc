@@ -168,31 +168,31 @@ bool ParseFlag(Flags& f, const std::string& arg) {
   } else if (key == "--trace-out") {
     if (val.empty()) return false;
     f.trace_out = val;
-    cfg.db.trace.enabled = true;
+    cfg.db.obs.trace = true;
   } else if (key == "--trace-capacity") {
-    cfg.db.trace.capacity_per_node = static_cast<uint32_t>(std::stoul(val));
+    cfg.db.obs.trace_capacity_per_node = static_cast<uint32_t>(std::stoul(val));
   } else if (key == "--stats-json") {
     if (val.empty()) return false;
     f.stats_json = val;
   } else if (key == "--latency-json") {
     if (val.empty()) return false;
     f.latency_json = val;
-    cfg.db.obs.enabled = true;
+    cfg.db.obs.latency = true;
   } else if (key == "--obs") {
-    cfg.db.obs.enabled = true;
+    cfg.db.obs.latency = true;
   } else if (key == "--obs-window") {
-    cfg.db.obs.enabled = true;
+    cfg.db.obs.latency = true;
     cfg.db.obs.window_ns = std::stoull(val);
   } else if (key == "--obs-influence") {
-    cfg.db.obs.enabled = true;
+    cfg.db.obs.latency = true;
     cfg.db.obs.crash_influence_ns = std::stoull(val);
   } else if (key == "--obs-top-contended") {
-    cfg.db.obs.enabled = true;
+    cfg.db.obs.latency = true;
     cfg.db.obs.top_contended = static_cast<uint32_t>(std::stoul(val));
   } else if (key == "--profile-out") {
     if (val.empty()) return false;
     f.profile_out = val;
-    cfg.db.profiler.enabled = true;
+    cfg.db.obs.profile = true;
   } else if (key == "--verbose") {
     f.verbose = true;
   } else {
@@ -216,16 +216,13 @@ int Run(const Flags& flags) {
   auto report = h.Run();
   // The trace is written even for a failed run — the event history leading
   // into the failure is exactly what it is for.
+  const TraceRecorder& tracer = h.db().instruments().tracer();
   if (!flags.trace_out.empty()) {
-    if (!WriteFile(flags.trace_out, h.db().tracer().ToChromeTrace())) {
-      return 1;
-    }
+    if (!WriteFile(flags.trace_out, tracer.ToChromeTrace())) return 1;
     std::fprintf(stderr, "trace: %s (%llu events, %llu dropped)\n",
                  flags.trace_out.c_str(),
-                 static_cast<unsigned long long>(
-                     h.db().tracer().total_recorded()),
-                 static_cast<unsigned long long>(
-                     h.db().tracer().total_dropped()));
+                 static_cast<unsigned long long>(tracer.total_recorded()),
+                 static_cast<unsigned long long>(tracer.total_dropped()));
   }
   if (!report.ok()) {
     std::fprintf(stderr, "run failed: %s\n",
@@ -234,7 +231,7 @@ int Run(const Flags& flags) {
   }
   if (!flags.stats_json.empty()) {
     MetricsRegistry reg = MetricsRegistry::FromReport(*report);
-    reg.AddTrace(h.db().tracer());
+    reg.AddTrace(tracer);
     if (!WriteFile(flags.stats_json, reg.ToJson().Dump(1))) return 1;
   }
   if (!flags.latency_json.empty()) {
