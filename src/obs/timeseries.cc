@@ -102,21 +102,39 @@ void ComputeThroughputTrough(const TimeSeries& series, CrashAvailability* ca) {
   ca->steady_tps = steady_cpw * 1e9 / double(series.window_ns());
   if (steady_cpw <= 0.0) return;  // nothing committed before the crash
 
-  // The trough: consecutive windows from the crash whose commit rate stays
-  // below half of steady. Track the minimum rate inside it.
-  const double half = steady_cpw / 2.0;
-  uint64_t min_commits = ~0ULL;
-  size_t runs = 0;
-  for (size_t i = crash_w; i < w.size(); ++i) {
-    if (double(w[i].commits) >= half) break;
-    if (w[i].commits < min_commits) min_commits = w[i].commits;
-    ++runs;
+  // Judge the trough on spans of k series windows, sized so a steady
+  // span holds kTroughSpanCommits commits. A window far shorter than the
+  // commit gap is empty at steady state too, and one straggler commit
+  // would end the trough.
+  const size_t k = static_cast<size_t>(
+      (kTroughSpanCommits * pre_windows + pre_commits - 1) / pre_commits);
+  const double steady_per_span = steady_cpw * double(k);
+
+  // The trough starts at the first window boundary at or after the crash
+  // (commits earlier in the crash window landed before it) and ends at the
+  // first window that holds a commit and opens a span whose rate reaches
+  // half of steady; a span cut short by the end of the series is judged
+  // pro rata. The mean rate inside the trough gives its depth.
+  const size_t first_w = series.WindowIndex(ca->crash_ts) +
+                         (ca->crash_ts % series.window_ns() == 0 ? 0 : 1);
+  uint64_t in_span = 0;  // commits in windows [i, end)
+  uint64_t trough_commits = 0;
+  size_t end = first_w;
+  size_t i = first_w;
+  for (; i < w.size(); ++i) {
+    for (; end < w.size() && end < i + k; ++end) in_span += w[end].commits;
+    const double rate = double(in_span) * double(k) / double(end - i);
+    if (w[i].commits > 0 && rate >= steady_per_span / 2.0) break;
+    trough_commits += w[i].commits;
+    in_span -= w[i].commits;
   }
-  ca->trough_windows = runs;
-  ca->trough_duration_ns = runs * series.window_ns();
-  if (runs > 0) {
-    ca->trough_tps = double(min_commits) * 1e9 / double(series.window_ns());
-    ca->depth_pct = (1.0 - double(min_commits) / steady_cpw) * 100.0;
+  const size_t trough = i - first_w;  // series windows
+  ca->trough_windows = trough;
+  ca->trough_duration_ns = trough * series.window_ns();
+  if (trough > 0) {
+    const double trough_cpw = double(trough_commits) / double(trough);
+    ca->trough_tps = trough_cpw * 1e9 / double(series.window_ns());
+    ca->depth_pct = (1.0 - trough_cpw / steady_cpw) * 100.0;
   }
 }
 

@@ -133,11 +133,14 @@ struct CrashAvailability {
   std::vector<NodeTtfc> node_ttfc;
 
   /// Throughput trough, from the windowed commit series: steady state is
-  /// the mean rate over the pre-crash windows; the trough is the run of
-  /// windows from the crash whose rate stays below half of steady.
+  /// the mean rate over the pre-crash windows. A span is the whole number
+  /// of windows that holds kTroughSpanCommits commits at the steady rate.
+  /// The trough runs from the first window boundary at or after the crash
+  /// to the first commit that opens a span whose rate reaches half of
+  /// steady.
   double steady_tps = 0.0;
-  double trough_tps = 0.0;  ///< minimum rate inside the trough
-  uint64_t trough_windows = 0;
+  double trough_tps = 0.0;  ///< mean rate inside the trough
+  uint64_t trough_windows = 0;  ///< series windows the trough spans
   SimTime trough_duration_ns = 0;
   double depth_pct = 0.0;  ///< (1 - trough/steady) * 100
 
@@ -149,10 +152,13 @@ struct AvailabilityReport {
   json::Value ToJson() const;
 };
 
+/// Commits a steady-state trough span holds (see CrashAvailability).
+inline constexpr uint64_t kTroughSpanCommits = 4;
+
 /// Fills the trough fields of `ca` from the commit-rate series: steady rate
 /// from the windows before the crash (falling back to the whole-series mean
-/// when the crash is at t=0), then the below-half-steady run starting at
-/// the crash window.
+/// when the crash is at t=0), then the trough as defined on
+/// CrashAvailability.
 void ComputeThroughputTrough(const TimeSeries& series, CrashAvailability* ca);
 
 }  // namespace smdb

@@ -3,7 +3,8 @@
 // snapshots).
 //
 // Checks: the document parses, carries a profiler section, and every phase
-// path is rooted at step/sweep/recovery with ns/ticks/samples cells.
+// path is rooted at step/sweep/recovery, names only phases this build knows
+// (ProfPhase), and has ns/ticks/samples cells.
 //
 // Accepts either a single profile document (smdb_run) or a snapshot map of
 // them keyed by series name (bench_throughput's BENCH_exec_profile.json);
@@ -11,7 +12,7 @@
 //
 // With a second argument, also validates a collapsed-stack file (the
 // `--profile-out` sibling PATH.collapsed): every line is "<stack> <uint>"
-// with ';'-separated non-empty frames rooted at a known phase root.
+// with ';'-separated known phase names rooted at a known phase root.
 //
 // Exits 0 on success, 1 on any violation — a CI smoke step, like
 // smdb_trace_check.
@@ -47,6 +48,31 @@ bool IsPhaseRoot(const std::string& frame) {
          frame == ProfPhaseName(ProfPhase::kRecovery);
 }
 
+bool IsKnownPhase(const std::string& frame) {
+  for (size_t p = 0; p < kNumProfPhases; ++p) {
+    if (frame == ProfPhaseName(static_cast<ProfPhase>(p))) return true;
+  }
+  return false;
+}
+
+/// Empty when `stack` is ';'-joined known phase names under a phase root;
+/// otherwise what is wrong with it.
+std::string StackError(const std::string& stack) {
+  size_t start = 0;
+  bool first = true;
+  while (start <= stack.size()) {
+    size_t semi = stack.find(';', start);
+    if (semi == std::string::npos) semi = stack.size();
+    const std::string frame = stack.substr(start, semi - start);
+    if (frame.empty()) return "empty frame";
+    if (first && !IsPhaseRoot(frame)) return "unknown root \"" + frame + "\"";
+    if (!IsKnownPhase(frame)) return "unknown phase \"" + frame + "\"";
+    first = false;
+    start = semi + 1;
+  }
+  return "";
+}
+
 int CheckProfileDoc(const std::string& path, const json::Value& doc) {
   const json::Value* prof = doc.Find("profiler");
   if (prof == nullptr || !prof->is_object()) {
@@ -67,10 +93,10 @@ int CheckProfileDoc(const std::string& path, const json::Value& doc) {
     return 1;
   }
   for (const auto& [stack, cell] : phases->members()) {
-    const std::string root = stack.substr(0, stack.find(';'));
-    if (!IsPhaseRoot(root)) {
-      std::fprintf(stderr, "%s: phase path \"%s\" has unknown root \"%s\"\n",
-                   path.c_str(), stack.c_str(), root.c_str());
+    const std::string err = StackError(stack);
+    if (!err.empty()) {
+      std::fprintf(stderr, "%s: phase path \"%s\": %s\n", path.c_str(),
+                   stack.c_str(), err.c_str());
       return 1;
     }
     if (!cell.is_object() || cell.Find("ns") == nullptr ||
@@ -138,24 +164,11 @@ int CheckCollapsed(const std::string& path) {
       return 1;
     }
     const std::string stack = line.substr(0, space);
-    size_t start = 0;
-    bool first = true;
-    while (start <= stack.size()) {
-      size_t semi = stack.find(';', start);
-      if (semi == std::string::npos) semi = stack.size();
-      const std::string frame = stack.substr(start, semi - start);
-      if (frame.empty()) {
-        std::fprintf(stderr, "%s:%zu: empty frame in stack \"%s\"\n",
-                     path.c_str(), lineno, stack.c_str());
-        return 1;
-      }
-      if (first && !IsPhaseRoot(frame)) {
-        std::fprintf(stderr, "%s:%zu: unknown stack root \"%s\"\n",
-                     path.c_str(), lineno, frame.c_str());
-        return 1;
-      }
-      first = false;
-      start = semi + 1;
+    const std::string err = StackError(stack);
+    if (!err.empty()) {
+      std::fprintf(stderr, "%s:%zu: stack \"%s\": %s\n", path.c_str(),
+                   lineno, stack.c_str(), err.c_str());
+      return 1;
     }
     ++stacks;
   }
