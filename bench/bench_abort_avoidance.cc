@@ -5,6 +5,9 @@
 // large multiprocessor (the KSR-1 scales to 1,088 nodes). This driver
 // crashes one node mid-workload and counts surviving-node transactions
 // aborted by each recovery discipline, sweeping machine size.
+//
+// Asserted (exit 1 otherwise), A1: both IFA protocols recover and abort no
+// surviving transaction at every machine size.
 
 #include "bench/bench_util.h"
 
@@ -12,6 +15,7 @@ namespace smdb::bench {
 namespace {
 
 struct Point {
+  bool recovered;
   uint64_t active_at_crash;
   uint64_t unnecessary_aborts;
   bool whole_machine;
@@ -28,6 +32,7 @@ Point RunOne(RecoveryConfig rc, uint16_t nodes, uint64_t seed) {
   Point p{};
   if (!r.recoveries.empty()) {
     const RecoveryOutcome& o = r.recoveries[0];
+    p.recovered = true;
     p.active_at_crash = o.annulled.size() + o.preserved.size() +
                         o.forced_aborts.size();
     p.unnecessary_aborts = o.forced_aborts.size();
@@ -36,7 +41,8 @@ Point RunOne(RecoveryConfig rc, uint16_t nodes, uint64_t seed) {
   return p;
 }
 
-void Run() {
+int Run() {
+  ShapeChecks checks("A1");
   Header("Unnecessary aborts after a single node crash vs machine size",
          "sections 1/3.3/9 (motivation: without IFA one crash aborts ALL "
          "active transactions; IFA aborts none)");
@@ -50,17 +56,18 @@ void Run() {
       Point p = RunOne(rc, nodes, 1000 + nodes);
       Row({std::to_string(nodes), rc.Name(), std::to_string(p.active_at_crash),
            std::to_string(p.unnecessary_aborts), p.whole_machine ? "YES" : "no"});
+      if (rc.ensures_ifa()) {
+        checks.Expect(p.recovered && p.unnecessary_aborts == 0,
+                      rc.Name() + " makes 0 unnecessary aborts at " +
+                          std::to_string(nodes) + " nodes");
+      }
     }
     std::printf("\n");
   }
-  std::printf(
-      "shape check: RebootAll's unnecessary aborts grow linearly with the"
-      " node count\n(everything active dies); AbortDependents aborts the"
-      " sharing subset; the IFA\nprotocols abort exactly zero surviving"
-      " transactions at every scale.\n");
+  return checks.ExitCode();
 }
 
 }  // namespace
 }  // namespace smdb::bench
 
-int main() { smdb::bench::Run(); }
+int main() { return smdb::bench::Run(); }

@@ -166,22 +166,17 @@ int Run() {
     out << doc.Dump(2) << "\n";
     std::printf("wrote BENCH_availability.json\n");
   }
-  bool ok = !reboot_trough.empty() &&
-            reboot_trough.size() == ifa_trough.size();
+  ShapeChecks checks("AV1");
+  if (reboot_trough.empty() || reboot_trough.size() != ifa_trough.size()) {
+    checks.Expect(false, "one reboot-all and one IFA trough per crash");
+  }
   for (size_t i = 0; i < reboot_trough.size() && i < ifa_trough.size(); ++i) {
-    const bool longer = reboot_trough[i] > ifa_trough[i];
-    ok = ok && longer;
-    std::printf("AV1 crash %zu: reboot-all trough %s > longest IFA trough %s: "
-                "%s\n",
-                i, FmtUs(reboot_trough[i]).c_str(),
-                FmtUs(ifa_trough[i]).c_str(), longer ? "ok" : "FAILED");
+    checks.Expect(reboot_trough[i] > ifa_trough[i],
+                  "crash " + std::to_string(i) + ": reboot-all trough " +
+                      FmtUs(reboot_trough[i]) + " > longest IFA trough " +
+                      FmtUs(ifa_trough[i]));
   }
-  if (!ok) {
-    std::fprintf(stderr, "AV1 failed: reboot-all must have the longest "
-                         "trough at every crash\n");
-    return 1;
-  }
-  return 0;
+  return checks.ExitCode();
 }
 
 }  // namespace

@@ -7,13 +7,17 @@
 // commit. The gap between the three — and its sensitivity to inter-node
 // sharing — is the quantitative argument of section 5. Also reproduces the
 // section-7 note that NVRAM logs would rehabilitate Stable LBM.
+//
+// Asserted (exit 1 otherwise), S1: at every shared fraction the LBM forces
+// are ordered Volatile LBM (zero) < triggered Stable LBM < eager Stable LBM.
 
 #include "bench/bench_util.h"
 
 namespace smdb::bench {
 namespace {
 
-void RunOne(RecoveryConfig rc, double shared_fraction, bool nvram) {
+/// Runs one row and returns its LBM force count.
+uint64_t RunOne(RecoveryConfig rc, double shared_fraction, bool nvram) {
   HarnessConfig cfg = StandardConfig(rc, /*nodes=*/8, /*seed=*/555);
   cfg.db.machine.nvram_log = nvram;
   cfg.workload.txns_per_node = 30;
@@ -33,9 +37,11 @@ void RunOne(RecoveryConfig rc, double shared_fraction, bool nvram) {
        std::to_string(r.logs.forces), std::to_string(r.logs.lbm_forces),
        Fmt(per_kupdate, 1), Fmt(r.throughput_tps(), 1)},
       26);
+  return r.logs.lbm_forces;
 }
 
-void Run() {
+int Run() {
+  ShapeChecks checks("S1");
   Header("Log force frequency by LBM enforcement point",
          "section 5.2 (latest force points: downgrade/invalidation of active "
          "lines) and section 7 (NVRAM note)");
@@ -43,23 +49,27 @@ void Run() {
        "LBM forces/1k upd", "txn/sim-s"},
       26);
   for (double shared : {0.1, 0.5, 1.0}) {
-    RunOne(RecoveryConfig::VolatileSelectiveRedo(), shared, false);
-    RunOne(RecoveryConfig::StableTriggeredRedoAll(), shared, false);
-    RunOne(RecoveryConfig::StableEagerRedoAll(), shared, false);
+    uint64_t volatile_lbm =
+        RunOne(RecoveryConfig::VolatileSelectiveRedo(), shared, false);
+    uint64_t triggered =
+        RunOne(RecoveryConfig::StableTriggeredRedoAll(), shared, false);
+    uint64_t eager =
+        RunOne(RecoveryConfig::StableEagerRedoAll(), shared, false);
+    checks.Expect(volatile_lbm == 0 && volatile_lbm < triggered &&
+                      triggered < eager,
+                  "LBM forces volatile (" + std::to_string(volatile_lbm) +
+                      ") < triggered (" + std::to_string(triggered) +
+                      ") < eager (" + std::to_string(eager) +
+                      ") at shared fraction " + Fmt(shared, 1));
     std::printf("\n");
   }
   std::printf("NVRAM log device (section 7: cheap forces):\n");
   RunOne(RecoveryConfig::StableEagerRedoAll(), 1.0, true);
   RunOne(RecoveryConfig::StableTriggeredRedoAll(), 1.0, true);
-  std::printf(
-      "\nshape check: eager Stable LBM forces once per update; triggered"
-      " Stable LBM\nforces only on actual migrations (growing with the"
-      " shared fraction);\nVolatile LBM adds zero forces beyond commits."
-      " With NVRAM the Stable LBM\npenalty collapses, as the paper"
-      " anticipates.\n");
+  return checks.ExitCode();
 }
 
 }  // namespace
 }  // namespace smdb::bench
 
-int main() { smdb::bench::Run(); }
+int main() { return smdb::bench::Run(); }

@@ -16,8 +16,14 @@
 // serialise the one-stream pass fan out over the survivors' clocks. The
 // streams are simulated; the pass runs on one host thread. Results (and
 // speedups vs one stream) are written to BENCH_recovery_streams.json.
+//
+// Asserted (exit 1 otherwise), R1: at every crash size Selective Redo
+// applies fewer redos than Redo All and recovers faster; R1b: the redo and
+// undo counts are the same at every stream count (the work is identical,
+// only its partitioning changes).
 
 #include <fstream>
+#include <optional>
 
 #include "bench/bench_util.h"
 #include "common/json.h"
@@ -25,13 +31,14 @@
 namespace smdb::bench {
 namespace {
 
-void Run() {
+void Run(ShapeChecks* checks) {
   Header("Restart recovery cost: Selective Redo vs Redo All vs RebootAll",
          "section 4.1.2 (restart recovery schemes) + section 7 discussion");
   Row({"txns before crash", "protocol", "recovery time", "redo applied",
        "redo skipped", "pages reloaded", "tag undos"},
       20);
   for (uint64_t txns : {5, 15, 30, 60}) {
+    std::optional<RecoveryOutcome> selective, redo_all;
     for (auto rc : {RecoveryConfig::VolatileSelectiveRedo(),
                     RecoveryConfig::VolatileRedoAll(),
                     RecoveryConfig::BaselineRebootAll()}) {
@@ -54,15 +61,18 @@ void Run() {
            std::to_string(o.redo_applied), std::to_string(o.redo_skipped),
            std::to_string(o.pages_reloaded), std::to_string(o.tag_undos)},
           20);
+      if (rc.restart == RestartKind::kSelectiveRedo) selective = o;
+      if (rc.restart == RestartKind::kRedoAll) redo_all = o;
     }
+    const std::string at = " at " + std::to_string(txns) + " txns/node";
+    const bool both = selective && redo_all;
+    checks->Expect(both && selective->redo_applied < redo_all->redo_applied,
+                   "Selective Redo applies fewer redos than Redo All" + at);
+    checks->Expect(
+        both && selective->recovery_time_ns < redo_all->recovery_time_ns,
+        "Selective Redo recovers faster than Redo All" + at);
     std::printf("\n");
   }
-  std::printf(
-      "shape check: Selective Redo reloads only lost pages and skips redo"
-      " for\nupdates that survived in caches or the stable database, so it"
-      " applies fewer\nredos and recovers faster than Redo All; both are far"
-      " cheaper than the\nwhole-machine reboot (which also pays the reboot"
-      " penalty and re-reads\neverything).\n");
 }
 
 /// Redo-heavy multi-node crash workload for the streams sweep: a long
@@ -87,7 +97,7 @@ HarnessConfig StreamSweepConfig(RecoveryConfig rc, uint32_t streams) {
   return cfg;
 }
 
-void RunStreamSweep() {
+void RunStreamSweep(ShapeChecks* checks) {
   Header("Partitioned recovery streams: streams vs recovery time",
          "simulated survivor streams (recovery_streams knob), multi-node "
          "crash");
@@ -103,17 +113,20 @@ void RunStreamSweep() {
 
   for (auto rc : {RecoveryConfig::VolatileRedoAll(),
                   RecoveryConfig::VolatileSelectiveRedo()}) {
-    SimTime one_stream_ns = 0;
+    std::optional<RecoveryOutcome> one_stream;
     json::Value sweep = json::Value::Array();
     for (uint32_t streams : {1u, 2u, 4u, 8u}) {
       Harness h(StreamSweepConfig(rc, streams));
       HarnessReport r = MustRun(h);
+      const std::string at = " at " + std::to_string(streams) + " streams";
       if (r.recoveries.empty()) {
-        Row({rc.Name(), std::to_string(streams), "(no recovery fired)"}, 20);
+        checks->Expect(false, rc.Name() + " recovered" + at);
         continue;
       }
       const RecoveryOutcome& o = r.recoveries[0];
-      if (streams == 1) one_stream_ns = o.recovery_time_ns;
+      if (streams == 1) one_stream = o;
+      const SimTime one_stream_ns =
+          one_stream ? one_stream->recovery_time_ns : 0;
       double speedup = o.recovery_time_ns == 0
                            ? 0.0
                            : double(one_stream_ns) / double(o.recovery_time_ns);
@@ -129,6 +142,11 @@ void RunStreamSweep() {
       pt.Set("redo_skipped", json::Value::Uint(o.redo_skipped));
       pt.Set("undo_applied", json::Value::Uint(o.undo_applied));
       sweep.Append(std::move(pt));
+      if (streams == 1) continue;
+      checks->Expect(one_stream && o.redo_applied == one_stream->redo_applied &&
+                         o.undo_applied == one_stream->undo_applied &&
+                         o.tag_undos == one_stream->tag_undos,
+                     rc.Name() + " redo/undo counts equal one stream's" + at);
     }
     json::Value entry = json::Value::Object();
     entry.Set("protocol", json::Value::Str(rc.Name()));
@@ -143,18 +161,14 @@ void RunStreamSweep() {
     out << doc.Dump(2) << "\n";
     std::printf("wrote BENCH_recovery_streams.json\n");
   }
-  std::printf(
-      "shape check: same redo/undo counts at every stream count (the work\n"
-      "is identical; only its partitioning changes), recovery time falling\n"
-      "as streams stop contending on line locks and header lines; the\n"
-      "differential test matrix (ctest -L streams) proves the recovered\n"
-      "state is bit-identical across the sweep.\n");
 }
 
 }  // namespace
 }  // namespace smdb::bench
 
 int main() {
-  smdb::bench::Run();
-  smdb::bench::RunStreamSweep();
+  smdb::bench::ShapeChecks checks("R1");
+  smdb::bench::Run(&checks);
+  smdb::bench::RunStreamSweep(&checks);
+  return checks.ExitCode();
 }

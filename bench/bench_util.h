@@ -21,10 +21,34 @@ inline void Header(const std::string& title, const std::string& paper_ref) {
   std::printf("paper artifact: %s\n\n", paper_ref.c_str());
 }
 
+/// One table row: each cell left-aligned in `width` columns, and always at
+/// least one space before the next cell even when a cell fills its width.
 inline void Row(const std::vector<std::string>& cells, int width = 22) {
-  for (const auto& c : cells) std::printf("%-*s", width, c.c_str());
+  for (const auto& c : cells) std::printf("%-*s ", width - 1, c.c_str());
   std::printf("\n");
 }
+
+/// Asserted shape checks: each Expect prints one "<id> <what>: ok|FAILED"
+/// line; the bench's main returns ExitCode(), 1 if any check failed.
+class ShapeChecks {
+ public:
+  explicit ShapeChecks(std::string id) : id_(std::move(id)) {}
+
+  void Expect(bool holds, const std::string& what) {
+    std::printf("%s %s: %s\n", id_.c_str(), what.c_str(),
+                holds ? "ok" : "FAILED");
+    failed_ = failed_ || !holds;
+  }
+
+  int ExitCode() const {
+    if (failed_) std::fprintf(stderr, "%s failed\n", id_.c_str());
+    return failed_ ? 1 : 0;
+  }
+
+ private:
+  std::string id_;
+  bool failed_ = false;
+};
 
 inline std::string Fmt(double v, int prec = 2) {
   char buf[64];

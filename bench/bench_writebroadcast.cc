@@ -5,13 +5,16 @@
 // end up with a copy. In general, a write-broadcast protocol does not
 // require redo — only undo would be required at restart recovery. Thus ...
 // the Selective Redo scheme would be the best choice."
+//
+// Asserted (exit 1 otherwise), X2: no line migrates under write-broadcast.
 
 #include "bench/bench_util.h"
 
 namespace smdb::bench {
 namespace {
 
-void RunOne(CoherenceKind kind, RecoveryConfig rc) {
+/// Runs one row and returns its migration count.
+uint64_t RunOne(CoherenceKind kind, RecoveryConfig rc) {
   HarnessConfig cfg = StandardConfig(rc, /*nodes=*/8, /*seed=*/777);
   cfg.db.machine.coherence = kind;
   cfg.workload.txns_per_node = 25;
@@ -33,9 +36,11 @@ void RunOne(CoherenceKind kind, RecoveryConfig rc) {
        std::to_string(r.machine.lines_lost), std::to_string(redo),
        std::to_string(undo), FmtMs(rt)},
       22);
+  return r.machine.migrations;
 }
 
-void Run() {
+int Run() {
+  ShapeChecks checks("X2");
   Header("Write-invalidate vs write-broadcast coherence",
          "footnote 2 + section 7 (write-broadcast needs essentially no redo; "
          "Selective Redo is the natural scheme)");
@@ -44,19 +49,20 @@ void Run() {
       22);
   for (auto kind :
        {CoherenceKind::kWriteInvalidate, CoherenceKind::kWriteBroadcast}) {
-    RunOne(kind, RecoveryConfig::VolatileSelectiveRedo());
-    RunOne(kind, RecoveryConfig::VolatileRedoAll());
+    for (auto rc : {RecoveryConfig::VolatileSelectiveRedo(),
+                    RecoveryConfig::VolatileRedoAll()}) {
+      uint64_t migrations = RunOne(kind, rc);
+      if (kind == CoherenceKind::kWriteBroadcast) {
+        checks.Expect(migrations == 0,
+                      rc.Name() + " makes 0 migrations under write-broadcast");
+      }
+    }
     std::printf("\n");
   }
-  std::printf(
-      "shape check: under write-broadcast, shared lines stay valid at every"
-      "\nsharer, so a crash loses far fewer lines and Selective Redo applies"
-      "\n(almost) no redo — recovery is undo-dominated, matching the paper's"
-      "\nsection-7 argument for pairing write-broadcast with Selective"
-      " Redo.\n");
+  return checks.ExitCode();
 }
 
 }  // namespace
 }  // namespace smdb::bench
 
-int main() { smdb::bench::Run(); }
+int main() { return smdb::bench::Run(); }

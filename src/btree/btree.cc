@@ -244,8 +244,10 @@ Status BTree::EarlyCommitStructural(NodeId node,
       ++stats_.early_commits;
       return Status::Ok();
     }
-    // Ablation baseline: the structural change stays volatile. Crash
-    // experiments show the resulting IFA violations.
+    // Ablation baseline: the structural change stays volatile. The
+    // resulting IFA violation is shown by
+    // RecoveryEdgeTest.NoEarlyCommitLosesSplitStructure; the fuzzer's case
+    // generator does not reach it.
     return Status::Ok();
   }
   // Nested top-level action: stamp the touched pages, capture their

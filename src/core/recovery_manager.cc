@@ -899,44 +899,6 @@ Result<RecoveryOutcome> RecoveryManager::Run(
   }
   SMDB_RETURN_IF_ERROR(s);
 
-  // Parallel transactions (section 9): the crash of any participant node
-  // aborts the entire transaction. Crashed branches were handled by the
-  // scheme above; surviving branches roll back normally on their intact
-  // logs. These aborts are required by atomicity — they are not counted as
-  // "unnecessary".
-  std::set<TxnId> sibling_aborts;
-  for (Transaction* t : ctx.crashed_active) {
-    const std::vector<TxnId>* group = db_->txn().GroupOf(t->id);
-    if (group == nullptr) continue;
-    for (TxnId sib : *group) {
-      Transaction* st = db_->txn().Find(sib);
-      if (st != nullptr && st->state == TxnState::kActive &&
-          !ctx.crashed_set.contains(st->node())) {
-        sibling_aborts.insert(sib);
-      }
-    }
-  }
-  // Under on-demand recovery the sibling rollbacks would interleave their
-  // first-touch discharges (and the fresh USNs those allocate) between the
-  // eager prefix and the lazy remainder — a different allocation order than
-  // the eager pass, which runs these aborts after *all* recovery undo.
-  // Crashed parallel groups are rare; drain first so the rollback runs on
-  // fully recovered state in the eager order and stays digest-identical.
-  if (!sibling_aborts.empty() && db_->on_demand() != nullptr) {
-    SMDB_RETURN_IF_ERROR(db_->on_demand()->DrainAll());
-  }
-  for (TxnId sib : sibling_aborts) {
-    SMDB_RETURN_IF_ERROR(db_->txn().Abort(db_->txn().Find(sib)));
-    ctx.out.annulled.push_back(sib);
-  }
-  if (!sibling_aborts.empty()) {
-    std::vector<TxnId> kept;
-    for (TxnId t : ctx.out.preserved) {
-      if (!sibling_aborts.contains(t)) kept.push_back(t);
-    }
-    ctx.out.preserved = std::move(kept);
-  }
-
   // Annul the crashed transactions (their effects are undone now).
   for (Transaction* t : ctx.crashed_active) {
     db_->txn().MarkCrashAnnulled(t);

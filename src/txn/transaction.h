@@ -16,21 +16,6 @@ enum class TxnState : uint8_t {
   kAborted,
 };
 
-/// Read isolation degrees (section 3.2 cites Gray & Reuter's hierarchy).
-/// Updates are always strict-2PL regardless of the read degree.
-enum class Isolation : uint8_t {
-  /// Degree 3: S locks held to commit (strict 2PL). Default.
-  kSerializable,
-  /// Degree 2 (cursor stability): the S lock is released as soon as the
-  /// read completes — no dirty reads, but non-repeatable ones.
-  kCursorStability,
-  /// Degree 1/0 (browse/chaos): reads take no lock at all and may observe
-  /// uncommitted data. Section 3.2's point: under browse, H_wr arises even
-  /// with one object per cache line, so padding can never substitute for
-  /// the LBM policies.
-  kBrowse,
-};
-
 /// Control state of one transaction. In the paper's model this state
 /// (registers, stack, transaction table entry) lives on the executing node
 /// and is destroyed by that node's crash; the TxnManager emulates that by

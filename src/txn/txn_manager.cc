@@ -156,15 +156,9 @@ Result<LockResult> TxnManager::PollLock(Transaction* txn, uint64_t name,
   return res;
 }
 
-Result<std::vector<uint8_t>> TxnManager::Read(Transaction* txn, RecordId rid,
-                                              Isolation isolation) {
-  if (isolation == Isolation::kBrowse) {
-    ++stats_.reads;
-    return DirtyRead(txn->node(), rid);
-  }
-  uint64_t name = RecordLockName(rid);
-  bool held_before = txn->granted_locks.contains(name);
-  SMDB_RETURN_IF_ERROR(AcquireLock(txn, name, LockMode::kShared));
+Result<std::vector<uint8_t>> TxnManager::Read(Transaction* txn, RecordId rid) {
+  SMDB_RETURN_IF_ERROR(
+      AcquireLock(txn, RecordLockName(rid), LockMode::kShared));
   if (touch_record_) SMDB_RETURN_IF_ERROR(touch_record_(txn->node(), rid));
   SlotImage img;
   {
@@ -172,13 +166,6 @@ Result<std::vector<uint8_t>> TxnManager::Read(Transaction* txn, RecordId rid,
     SMDB_ASSIGN_OR_RETURN(img, records_->ReadSlot(txn->node(), rid));
   }
   ++stats_.reads;
-  if (isolation == Isolation::kCursorStability && !held_before) {
-    // Degree 2: drop the read lock immediately (never a lock the
-    // transaction holds for another reason, e.g. an earlier update).
-    SMDB_RETURN_IF_ERROR(
-        locks_->Release(txn->node(), txn->id, name, &txn->last_lsn));
-    txn->granted_locks.erase(name);
-  }
   return img.data;
 }
 
@@ -322,10 +309,6 @@ Result<std::optional<RecordId>> TxnManager::IndexLookup(Transaction* txn,
 }
 
 Status TxnManager::Commit(Transaction* txn) {
-  return CommitImpl(txn, /*allow_group=*/true);
-}
-
-Status TxnManager::CommitImpl(Transaction* txn, bool allow_group) {
   assert(txn->state == TxnState::kActive);
   NodeId node = txn->node();
 
@@ -341,7 +324,7 @@ Status TxnManager::CommitImpl(Transaction* txn, bool allow_group) {
   rec.prev_lsn = txn->last_lsn;
   rec.payload = CommitPayload{};
   txn->last_lsn = log_->Append(node, std::move(rec));
-  if (allow_group && gc_ != nullptr) {
+  if (gc_ != nullptr) {
     SMDB_RETURN_IF_ERROR(gc_->EnqueueCommit(node, txn->id, txn->last_lsn));
     if (!log_->IsStable(node, txn->last_lsn)) {
       SMDB_EMIT(inst_, {.kind = TraceEventKind::kTxnCommitWait,
@@ -646,56 +629,6 @@ Status TxnManager::Abort(Transaction* txn) {
                     .begin_ts = txn->begin_ts});
   NotifyAbort(txn->id);
   return Status::Ok();
-}
-
-Result<ParallelTxn*> TxnManager::BeginParallel(
-    const std::vector<NodeId>& nodes) {
-  if (nodes.empty()) return Status::InvalidArgument("no participant nodes");
-  auto ptxn = std::make_unique<ParallelTxn>();
-  for (NodeId n : nodes) {
-    if (!machine_->NodeAlive(n)) {
-      return Status::NodeFailed("participant node is down");
-    }
-    ptxn->branches.push_back(Begin(n));
-  }
-  std::vector<TxnId> ids;
-  for (Transaction* t : ptxn->branches) ids.push_back(t->id);
-  ParallelTxn* out = ptxn.get();
-  for (TxnId id : ids) groups_[id] = ids;
-  parallel_.push_back(std::move(ptxn));
-  return out;
-}
-
-Status TxnManager::CommitParallel(ParallelTxn* ptxn) {
-  // Phase 1: make every branch's updates durable.
-  for (Transaction* t : ptxn->branches) {
-    SMDB_RETURN_IF_ERROR(log_->Force(t->node(), t->node()));
-  }
-  // Phase 2: per-branch commits. Atomic with respect to crashes in the
-  // simulator's execution model (operations never interleave with crash
-  // injection); a real implementation would write a single group-commit
-  // record through the coordinator. Always synchronous — the group-wide
-  // atomicity argument relies on the per-branch commits being durable
-  // within this one crash-atomic operation, so the coalescing pipeline is
-  // bypassed here.
-  for (Transaction* t : ptxn->branches) {
-    SMDB_RETURN_IF_ERROR(CommitImpl(t, /*allow_group=*/false));
-  }
-  return Status::Ok();
-}
-
-Status TxnManager::AbortParallel(ParallelTxn* ptxn) {
-  for (Transaction* t : ptxn->branches) {
-    if (t->state == TxnState::kActive) {
-      SMDB_RETURN_IF_ERROR(Abort(t));
-    }
-  }
-  return Status::Ok();
-}
-
-const std::vector<TxnId>* TxnManager::GroupOf(TxnId branch) const {
-  auto it = groups_.find(branch);
-  return it == groups_.end() ? nullptr : &it->second;
 }
 
 void TxnManager::MarkCrashAnnulled(Transaction* txn) {

@@ -16,7 +16,6 @@
 #include "db/buffer_manager.h"
 #include "db/record_store.h"
 #include "lockmgr/lock_table.h"
-#include "txn/parallel.h"
 #include "txn/transaction.h"
 #include "wal/log_manager.h"
 
@@ -110,35 +109,11 @@ class TxnManager {
   Status Abort(Transaction* txn);
 
   // ----------------------------------------------------------------------
-  // Parallel transactions (section 9 extension): one logical transaction
-  // with a branch per participating node.
-
-  /// Begins a parallel transaction over `nodes` (coordinator first).
-  Result<ParallelTxn*> BeginParallel(const std::vector<NodeId>& nodes);
-
-  /// Group commit: every branch's log is forced, then per-branch commit
-  /// records are written and forced (atomic in the simulator's execution
-  /// model, which never interleaves a crash with a single operation).
-  Status CommitParallel(ParallelTxn* ptxn);
-
-  /// Group rollback of all branches.
-  Status AbortParallel(ParallelTxn* ptxn);
-
-  /// Sibling branches of `branch` (including itself) if it belongs to a
-  /// parallel transaction, else nullptr. Restart recovery uses this to
-  /// annul the whole group when one participant's node crashes.
-  const std::vector<TxnId>* GroupOf(TxnId branch) const;
-
-  // ----------------------------------------------------------------------
   // Operations. Lock conflicts return Busy (caller polls PollLock);
   // deadlocks return Deadlock (caller must Abort the transaction).
 
-  /// Locked read at the given isolation degree (serializable by default;
-  /// cursor stability releases the S lock right after the read; browse
-  /// degrades to an unlocked DirtyRead).
-  Result<std::vector<uint8_t>> Read(
-      Transaction* txn, RecordId rid,
-      Isolation isolation = Isolation::kSerializable);
+  /// Locked read: the S lock is held to commit (strict 2PL).
+  Result<std::vector<uint8_t>> Read(Transaction* txn, RecordId rid);
   Status Update(Transaction* txn, RecordId rid,
                 const std::vector<uint8_t>& value);
 
@@ -219,11 +194,6 @@ class TxnManager {
   /// True if txn waiting for `name` would deadlock.
   bool WouldDeadlock(Transaction* txn, uint64_t name);
 
-  /// Appends the commit record; with `allow_group` and a pipeline
-  /// attached, enqueues it (Busy until durable), else forces synchronously
-  /// and finishes.
-  Status CommitImpl(Transaction* txn, bool allow_group);
-
   /// Acknowledgement half of a commit whose record is already durable:
   /// clears undo tags, releases locks, transitions state, notifies.
   Status FinishCommit(Transaction* txn);
@@ -259,8 +229,6 @@ class TxnManager {
 
   std::map<TxnId, std::unique_ptr<Transaction>> txns_;
   std::map<TxnId, uint64_t> waiting_for_;  // txn -> lock name being awaited
-  std::vector<std::unique_ptr<ParallelTxn>> parallel_;
-  std::map<TxnId, std::vector<TxnId>> groups_;  // branch -> sibling ids
   std::vector<uint64_t> next_seq_;         // per-node txn sequence numbers
   uint64_t begin_counter_ = 0;
   std::vector<TxnObserver*> observers_;

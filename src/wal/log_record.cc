@@ -15,7 +15,6 @@ const char* TypeName(LogRecordType t) {
     case LogRecordType::kCommit: return "COMMIT";
     case LogRecordType::kAbort: return "ABORT";
     case LogRecordType::kCheckpoint: return "CHECKPOINT";
-    case LogRecordType::kOsOp: return "OSOP";
   }
   return "?";
 }

@@ -93,18 +93,6 @@ struct StructuralPayload {
   std::vector<std::pair<PageId, std::vector<uint8_t>>> page_images;
 };
 
-/// Logical record for operations on recoverable *operating system*
-/// structures in shared memory (section 9's closing suggestion): e.g. a
-/// disk-allocation map. OS operations are not transactional; allocations
-/// are provisional until confirmed, and confirms/frees are definitive.
-struct OsOpPayload {
-  enum class Op : uint8_t { kAllocate, kConfirm, kFree };
-  uint32_t map_id = 0;
-  uint32_t block = 0;
-  Op op = Op::kAllocate;
-  uint64_t usn = 0;
-};
-
 struct BeginPayload {};
 struct CommitPayload {};
 struct AbortPayload {};
@@ -124,7 +112,6 @@ enum class LogRecordType : uint8_t {
   kCommit,
   kAbort,
   kCheckpoint,
-  kOsOp,
 };
 
 /// One entry in a node's log. LSNs are assigned by the node's LogManager;
@@ -137,7 +124,7 @@ struct LogRecord {
   NodeId node = kInvalidNode;
   std::variant<BeginPayload, UpdatePayload, LockOpPayload, IndexOpPayload,
                StructuralPayload, CommitPayload, AbortPayload,
-               CheckpointPayload, OsOpPayload>
+               CheckpointPayload>
       payload;
 
   const UpdatePayload& update() const {
@@ -155,7 +142,6 @@ struct LogRecord {
   const StructuralPayload& structural() const {
     return std::get<StructuralPayload>(payload);
   }
-  const OsOpPayload& os_op() const { return std::get<OsOpPayload>(payload); }
 
   /// Short human-readable form for tracing and tests.
   std::string ToString() const;

@@ -199,40 +199,7 @@ TEST(TxnTest, WrongValueSizeRejected) {
   ASSERT_TRUE(f.db.txn().Commit(t).ok());
 }
 
-TEST(TxnTest, CursorStabilityReleasesReadLock) {
-  Fx f;
-  Transaction* t0 = f.db.txn().Begin(0);
-  auto r = f.db.txn().Read(t0, f.table[0], Isolation::kCursorStability);
-  ASSERT_TRUE(r.ok());
-  // The S lock is gone: a writer is not blocked.
-  Transaction* t1 = f.db.txn().Begin(1);
-  ASSERT_TRUE(f.db.txn().Update(t1, f.table[0], Value(5)).ok());
-  ASSERT_TRUE(f.db.txn().Commit(t1).ok());
-  // Non-repeatable read is the accepted consequence of degree 2.
-  auto r2 = f.db.txn().Read(t0, f.table[0], Isolation::kCursorStability);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_NE(*r, *r2);
-  ASSERT_TRUE(f.db.txn().Commit(t0).ok());
-}
-
-TEST(TxnTest, CursorStabilityKeepsWriteLocks) {
-  Fx f;
-  Transaction* t0 = f.db.txn().Begin(0);
-  ASSERT_TRUE(f.db.txn().Update(t0, f.table[0], Value(1)).ok());
-  // A cursor-stability read of a record this txn WROTE must not drop the
-  // X lock (strict 2PL for updates is unconditional).
-  auto r = f.db.txn().Read(t0, f.table[0], Isolation::kCursorStability);
-  ASSERT_TRUE(r.ok());
-  Transaction* t1 = f.db.txn().Begin(1);
-  EXPECT_TRUE(f.db.txn().Read(t1, f.table[0]).status().IsBusy());
-  ASSERT_TRUE(f.db.txn().Commit(t0).ok());
-  auto poll = f.db.txn().PollLock(t1, RecordLockName(f.table[0]),
-                                  LockMode::kShared);
-  ASSERT_TRUE(poll.ok());
-  ASSERT_TRUE(f.db.txn().Commit(t1).ok());
-}
-
-TEST(TxnTest, BrowseReadSeesUncommittedAndReplicatesLine) {
+TEST(TxnTest, DirtyReadSeesUncommitted) {
   // Section 3.2: with dirty reads allowed, H_wr arises even when a single
   // object occupies the cache line — padding can never substitute for LBM.
   DatabaseConfig cfg = Fx::MakeCfg(RecoveryConfig::VolatileSelectiveRedo());
@@ -240,28 +207,16 @@ TEST(TxnTest, BrowseReadSeesUncommittedAndReplicatesLine) {
   Database db(cfg);
   auto table = db.CreateTable(8);
   ASSERT_TRUE(table.ok());
-  Transaction* writer = db.txn().Begin(0);
-  ASSERT_TRUE(db.txn().Update(writer, (*table)[0],
-                              std::vector<uint8_t>(118, 0xEE)).ok());
+  Transaction* t = db.txn().Begin(0);
+  ASSERT_TRUE(
+      db.txn().Update(t, (*table)[0], std::vector<uint8_t>(118, 0xEE)).ok());
   uint64_t repl_before = db.machine().stats().replications;
-  Transaction* reader = db.txn().Begin(1);
-  auto r = db.txn().Read(reader, (*table)[0], Isolation::kBrowse);
+  auto r = db.txn().DirtyRead(3, (*table)[0]);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, std::vector<uint8_t>(118, 0xEE)) << "browse read blocked?";
+  EXPECT_EQ(*r, std::vector<uint8_t>(118, 0xEE));
   EXPECT_GT(db.machine().stats().replications, repl_before)
       << "H_wr replication did not occur";
-  ASSERT_TRUE(db.txn().Abort(writer).ok());
-  ASSERT_TRUE(db.txn().Commit(reader).ok());
-}
-
-TEST(TxnTest, DirtyReadSeesUncommitted) {
-  Fx f;
-  Transaction* t = f.db.txn().Begin(0);
-  ASSERT_TRUE(f.db.txn().Update(t, f.table[0], Value(0xEE)).ok());
-  auto r = f.db.txn().DirtyRead(3, f.table[0]);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, Value(0xEE));
-  ASSERT_TRUE(f.db.txn().Abort(t).ok());
+  ASSERT_TRUE(db.txn().Abort(t).ok());
 }
 
 TEST(ExecutorTest, RunsScriptsToCompletion) {
