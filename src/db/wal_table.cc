@@ -1,11 +1,15 @@
 #include "db/wal_table.h"
 
+#include <algorithm>
+
 namespace smdb {
 
 void WalTable::NoteUpdate(PageId page, NodeId node, Lsn lsn) {
   auto& row = rows_[page];
   if (row.empty()) row.assign(num_nodes_, kInvalidLsn);
-  row[node] = lsn;
+  // Keep the largest LSN: restart redo re-notes older records, and a
+  // lowered requirement would let a flush skip forcing a newer update.
+  row[node] = std::max(row[node], lsn);
 }
 
 std::vector<std::pair<NodeId, Lsn>> WalTable::Requirements(

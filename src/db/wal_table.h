@@ -1,10 +1,10 @@
 #ifndef SMDB_DB_WAL_TABLE_H_
 #define SMDB_DB_WAL_TABLE_H_
 
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/types.h"
 
 namespace smdb {
@@ -23,7 +23,8 @@ class WalTable {
  public:
   explicit WalTable(uint16_t num_nodes) : num_nodes_(num_nodes) {}
 
-  /// Records that `node` updated `page` with a log record at `lsn`.
+  /// Records that `node` updated `page` with a log record at `lsn`. The
+  /// requirement only grows: an older LSN never lowers it.
   void NoteUpdate(PageId page, NodeId node, Lsn lsn);
 
   /// (node, lsn) pairs that must be stable before `page` may be flushed.
@@ -37,7 +38,7 @@ class WalTable {
 
  private:
   uint16_t num_nodes_;
-  std::unordered_map<PageId, std::vector<Lsn>> rows_;
+  HashMap<PageId, std::vector<Lsn>> rows_;
 };
 
 }  // namespace smdb

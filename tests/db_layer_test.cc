@@ -195,6 +195,17 @@ TEST(WalTableTest, RequirementsTrackPerNodeMax) {
   EXPECT_TRUE(wt.Requirements(7).empty());
 }
 
+// Restart redo re-notes older redone records; the requirement must not drop
+// below a newer update that is still volatile.
+TEST(WalTableTest, OlderLsnNeverLowersRequirement) {
+  WalTable wt(2);
+  wt.NoteUpdate(2, 1, 29);
+  wt.NoteUpdate(2, 1, 16);
+  auto req = wt.Requirements(2);
+  ASSERT_EQ(req.size(), 1u);
+  EXPECT_EQ(req[0], (std::pair<NodeId, Lsn>{1, 29}));
+}
+
 TEST(DiskTest, ReadWriteAndCosts) {
   MachineConfig mc;
   mc.num_nodes = 2;
