@@ -65,12 +65,4 @@ std::string ToString(const RecordId& rid);
 
 }  // namespace smdb
 
-template <>
-struct std::hash<smdb::RecordId> {
-  size_t operator()(const smdb::RecordId& r) const noexcept {
-    return std::hash<uint64_t>()((static_cast<uint64_t>(r.page) << 16) |
-                                 r.slot);
-  }
-};
-
 #endif  // SMDB_COMMON_TYPES_H_

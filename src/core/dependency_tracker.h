@@ -2,8 +2,8 @@
 #define SMDB_CORE_DEPENDENCY_TRACKER_H_
 
 #include <set>
-#include <unordered_map>
 
+#include "common/hash.h"
 #include "common/types.h"
 #include "sim/events.h"
 
@@ -46,9 +46,9 @@ class DependencyTracker {
   void OnCoherence(const CoherenceEvent& ev);
 
   /// line -> active transactions with uncommitted updates in it.
-  std::unordered_map<LineAddr, std::set<TxnId>> line_txns_;
+  HashMap<LineAddr, std::set<TxnId>> line_txns_;
   /// txn -> lines it updated (for cleanup).
-  std::unordered_map<TxnId, std::set<LineAddr>> txn_lines_;
+  HashMap<TxnId, std::set<LineAddr>> txn_lines_;
   std::set<TxnId> dependent_;
 };
 

@@ -2,10 +2,9 @@
 #define SMDB_CORE_LBM_POLICY_H_
 
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "core/protocol.h"
@@ -95,9 +94,9 @@ class StableTriggeredLbm : public LbmPolicy {
   Machine* machine_;
   LogManager* log_;
   /// line -> node whose unforced update made it active.
-  std::unordered_map<LineAddr, NodeId> active_by_;
+  HashMap<LineAddr, NodeId> active_by_;
   /// node -> its active lines (for clearing on force).
-  std::unordered_map<NodeId, std::unordered_set<LineAddr>> active_lines_;
+  HashMap<NodeId, HashSet<LineAddr>> active_lines_;
 };
 
 /// Stable-eager LBM riding the group-commit pipeline: instead of forcing on

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
+#include "common/hash.h"
 #include "core/database.h"
 #include "core/on_demand.h"
 #include "core/stable_state.h"
@@ -538,9 +538,9 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
 
   // Map USN -> owning txn from every stable log, to distinguish "tag stale
   // because the commit beat the tag-clear" from "uncommitted".
-  std::unordered_map<uint64_t, TxnId> usn_owner;
+  HashMap<uint64_t, TxnId> usn_owner;
   for (NodeId c = 0; c < m.num_nodes(); ++c) {
-    std::unordered_map<uint64_t, TxnId> node_owner;
+    HashMap<uint64_t, TxnId> node_owner;
     db_->log().ForEachStable(c, [&](const LogRecord& rec) {
       if (rec.type == LogRecordType::kUpdate) {
         node_owner[rec.update().usn] = rec.txn;

@@ -2,9 +2,9 @@
 #define SMDB_CORE_STABLE_STATE_H_
 
 #include <set>
-#include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "db/buffer_manager.h"
@@ -47,10 +47,10 @@ class StableStateReconstructor {
   BufferManager* buffers_;
   RecordStore* records_;
   std::set<TxnId> uncommitted_;
-  std::unordered_map<PageId, std::vector<uint8_t>> page_cache_;
+  HashMap<PageId, std::vector<uint8_t>> page_cache_;
   /// rid -> update records for it, lazily indexed on first use.
   bool indexed_ = false;
-  std::unordered_map<RecordId, std::vector<LogRecord>> by_record_;
+  HashMap<RecordId, std::vector<LogRecord>> by_record_;
 
   void BuildIndex();
 };

@@ -119,9 +119,4 @@ Result<int> BufferManager::ReinstallLostLines(NodeId node, PageId page) {
   return installed;
 }
 
-void BufferManager::ForEachPage(
-    const std::function<void(PageId, Addr)>& fn) const {
-  for (const auto& [page, base] : frames_) fn(page, base);
-}
-
 }  // namespace smdb

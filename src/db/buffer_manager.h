@@ -3,10 +3,10 @@
 
 #include <map>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <set>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "db/wal_table.h"
@@ -50,6 +50,7 @@ class BufferManager {
   bool IsDirty(PageId page) const {
     return dirty_.contains(page);
   }
+  /// Dirty pages in ascending PageId order.
   std::vector<PageId> DirtyPages() const;
 
   /// Flushes `page` to the stable database, first forcing every log the WAL
@@ -71,9 +72,6 @@ class BufferManager {
   /// Returns the number of lines re-installed.
   Result<int> ReinstallLostLines(NodeId node, PageId page);
 
-  void ForEachPage(
-      const std::function<void(PageId, Addr)>& fn) const;
-
   uint32_t page_size() const { return stable_db_->page_size(); }
   uint64_t steal_flushes() const { return steal_flushes_; }
   uint64_t wal_gate_forces() const { return wal_gate_forces_; }
@@ -84,9 +82,9 @@ class BufferManager {
   LogManager* log_;
   WalTable* wal_table_;
 
-  std::unordered_map<PageId, Addr> frames_;
+  HashMap<PageId, Addr> frames_;
   std::map<Addr, PageId> by_addr_;  // frame base -> page, for ResolveAddr
-  std::unordered_set<PageId> dirty_;
+  std::set<PageId> dirty_;  // ordered: steal victims and checkpoints iterate it
   uint64_t steal_flushes_ = 0;
   uint64_t wal_gate_forces_ = 0;
 };

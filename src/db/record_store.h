@@ -1,9 +1,9 @@
 #ifndef SMDB_DB_RECORD_STORE_H_
 #define SMDB_DB_RECORD_STORE_H_
 
-#include <unordered_set>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "db/buffer_manager.h"
@@ -74,7 +74,7 @@ class RecordStore {
   Machine* machine_;
   BufferManager* buffers_;
   PageLayout layout_;
-  std::unordered_set<PageId> pages_;
+  HashSet<PageId> pages_;
   std::vector<PageId> page_list_;
 };
 

@@ -2,9 +2,9 @@
 #define SMDB_STORAGE_DISK_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "common/types.h"
 
@@ -43,7 +43,7 @@ class Disk {
  private:
   Machine* machine_;
   uint32_t page_size_;
-  std::unordered_map<PageId, std::vector<uint8_t>> pages_;
+  HashMap<PageId, std::vector<uint8_t>> pages_;
   uint64_t reads_ = 0;
   uint64_t writes_ = 0;
 };

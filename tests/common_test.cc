@@ -5,6 +5,7 @@
 #include <set>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
