@@ -392,7 +392,7 @@ Status BTree::Insert(NodeId node, TxnId txn, uint64_t key, RecordId value,
 }
 
 Status BTree::Delete(NodeId node, TxnId txn, uint64_t key, uint16_t tag,
-                     Lsn* chain) {
+                     Lsn* chain, bool own_key) {
   std::vector<PageId> path;
   SMDB_RETURN_IF_ERROR(DescendToLeaf(node, key, &path));
   PageId leaf = path.back();
@@ -418,7 +418,7 @@ Status BTree::Delete(NodeId node, TxnId txn, uint64_t key, uint16_t tag,
   // unmarking) would be wrong — unmarking must only ever resurrect
   // committed data. Remove the entry physically and log it as a redo-only
   // compensation: annulment then leaves (correctly) nothing behind.
-  bool own_uncommitted = e.state == LeafEntryState::kLive &&
+  bool own_uncommitted = own_key && e.state == LeafEntryState::kLive &&
                          e.tag != kTagNone && e.tag == tag;
   Status s;
   if (own_uncommitted) {

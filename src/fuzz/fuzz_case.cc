@@ -15,6 +15,7 @@ json::Value FuzzCase::ToJson() const {
   v.Set("steal_flush_prob", json::Value::Double(steal_flush_prob));
   v.Set("checkpoint_every_steps", json::Value::Uint(checkpoint_every_steps));
   v.Set("harness_seed", json::Value::Uint(harness_seed));
+  v.Set("schedule", json::Value::Str(SchedulePolicyName(schedule)));
   return v;
 }
 
@@ -43,6 +44,12 @@ Result<FuzzCase> FuzzCase::FromJson(const json::Value& v) {
   c.checkpoint_every_steps =
       v.GetUint("checkpoint_every_steps", c.checkpoint_every_steps);
   c.harness_seed = v.GetUint("harness_seed", c.harness_seed);
+  std::optional<SchedulePolicy> schedule = ParseSchedulePolicy(
+      v.GetString("schedule", SchedulePolicyName(SchedulePolicy::kUniform)));
+  if (!schedule) {
+    return Status::InvalidArgument("fuzz case: unknown schedule");
+  }
+  c.schedule = *schedule;
   return c;
 }
 
@@ -63,6 +70,8 @@ FuzzCase SampleFuzzCase(uint64_t seed) {
   c.steal_flush_prob = rng.Bernoulli(0.5) ? 0.03 : 0.0;
   c.checkpoint_every_steps = rng.Bernoulli(0.35) ? rng.Range(40, 160) : 0;
   c.harness_seed = rng.Next();
+  c.schedule = rng.Bernoulli(0.5) ? SchedulePolicy::kTimeOrdered
+                                  : SchedulePolicy::kUniform;
   return c;
 }
 
@@ -78,6 +87,7 @@ HarnessConfig MakeHarnessConfig(const FuzzCase& fuzz_case,
   cfg.steal_flush_prob = fuzz_case.steal_flush_prob;
   cfg.checkpoint_every_steps = fuzz_case.checkpoint_every_steps;
   cfg.seed = fuzz_case.harness_seed;
+  cfg.schedule = fuzz_case.schedule;
   cfg.verify = true;
   return cfg;
 }

@@ -22,6 +22,9 @@ struct FuzzCase {
   double steal_flush_prob = 0.0;
   uint64_t checkpoint_every_steps = 0;
   uint64_t harness_seed = 0;
+  /// The executor's interleaving. Replay documents that predate the field
+  /// read as uniform, the only interleaving there was.
+  SchedulePolicy schedule = SchedulePolicy::kUniform;
 
   json::Value ToJson() const;
   static Result<FuzzCase> FromJson(const json::Value& v);
@@ -31,7 +34,8 @@ struct FuzzCase {
 /// cases): machine of 2..8 nodes, a small heavily-shared table, a workload
 /// from SampleWorkloadSpec, and a crash schedule from SampleCrashPlans —
 /// multi-node plans, repeated crashes of one node, crash-with-restart,
-/// crash-all, steps past drain, duplicate node ids.
+/// crash-all, steps past drain, duplicate node ids — and a 50/50 schedule
+/// policy, drawn last so every other field matches earlier samplers.
 FuzzCase SampleFuzzCase(uint64_t seed);
 
 /// Assembles the HarnessConfig that runs `fuzz_case` under `protocol`.

@@ -243,6 +243,7 @@ Result<LockResult> LockTable::PollGrant(NodeId node, TxnId txn, uint64_t name,
 
 Status LockTable::Release(NodeId node, TxnId txn, uint64_t name,
                           Lsn* chain_prev) {
+  ++release_epoch_;
   auto slot_or = FindSlot(node, name, /*create=*/false);
   if (!slot_or.ok()) {
     // Already reclaimed (e.g. restart recovery dropped the lock): release
@@ -343,6 +344,7 @@ Result<Lcb> LockTable::GetLcb(NodeId node, uint64_t name) {
 
 Result<int> LockTable::DropTxnLocks(NodeId node,
                                     const std::set<TxnId>& txns) {
+  ++release_epoch_;
   int removed = 0;
   for (uint32_t slot = 0; slot < config_.buckets; ++slot) {
     auto name_or = machine_->ReadValue<uint64_t>(node, SlotBase(slot));
@@ -387,6 +389,7 @@ Result<int> LockTable::DropTxnLocks(NodeId node,
 }
 
 Status LockTable::RebuildLcb(NodeId node, const Lcb& lcb) {
+  ++release_epoch_;
   SMDB_ASSIGN_OR_RETURN(uint32_t slot,
                         FindSlot(node, lcb.name, /*create=*/true));
   // A waiter may have been promoted just before the crash without the
@@ -403,6 +406,7 @@ Status LockTable::RebuildLcb(NodeId node, const Lcb& lcb) {
 }
 
 int LockTable::ClearLostLines() {
+  ++release_epoch_;
   int cleared = 0;
   std::vector<uint8_t> zeros(machine_->line_size(), 0);
   LineAddr first = machine_->LineOf(base_);

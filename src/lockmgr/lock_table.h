@@ -124,6 +124,10 @@ class LockTable {
 
   const LockTableConfig& config() const { return config_; }
   LockTableStats& stats() { return stats_; }
+  /// Changes whenever a queued request may have become grantable or LCB
+  /// capacity may have freed: a release, or recovery dropping, rebuilding
+  /// or clearing LCBs. The time-ordered scheduler wakes lock waiters on it.
+  uint64_t release_epoch() const { return release_epoch_; }
   const LcbCodec& codec() const { return codec_; }
 
  private:
@@ -153,6 +157,7 @@ class LockTable {
   LcbCodec codec_;
   Addr base_ = 0;
   LockTableStats stats_;
+  uint64_t release_epoch_ = 0;
 };
 
 }  // namespace smdb

@@ -285,12 +285,16 @@ Status TxnManager::IndexDelete(Transaction* txn, uint64_t key) {
   }
   uint16_t tag =
       config_.undo_tagging() ? TagForNode(txn->node()) : kTagNone;
+  const std::pair<uint32_t, uint64_t> tree_key(index_->tree_id(), key);
+  const bool own_key =
+      std::find(txn->index_keys.begin(), txn->index_keys.end(), tree_key) !=
+      txn->index_keys.end();
   {
     ProfScope descent(inst_, ProfPhase::kIndexDescent);
-    SMDB_RETURN_IF_ERROR(
-        index_->Delete(txn->node(), txn->id, key, tag, &txn->last_lsn));
+    SMDB_RETURN_IF_ERROR(index_->Delete(txn->node(), txn->id, key, tag,
+                                        &txn->last_lsn, own_key));
   }
-  txn->index_keys.emplace_back(index_->tree_id(), key);
+  txn->index_keys.push_back(tree_key);
   for (auto* obs : observers_) {
     obs->OnIndexDelete(txn->id, index_->tree_id(), key);
   }
@@ -358,6 +362,12 @@ Status TxnManager::PollCommit(Transaction* txn) {
   }
   gc_->DropCommit(txn->id);
   return FinishCommit(txn);
+}
+
+SimTime TxnManager::CommitWakeTime(const Transaction* txn) const {
+  if (gc_ == nullptr || txn->state != TxnState::kActive) return 0;
+  if (log_->IsStable(txn->node(), txn->last_lsn)) return 0;
+  return gc_->DeadlineAt(txn->node());
 }
 
 Status TxnManager::FinishCommit(Transaction* txn) {

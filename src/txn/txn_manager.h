@@ -184,6 +184,13 @@ class TxnManager {
   TxnManagerStats& stats() { return stats_; }
   const RecoveryConfig& config() const { return config_; }
 
+  /// See LockTable::release_epoch.
+  uint64_t lock_release_epoch() const { return locks_->release_epoch(); }
+  /// Simulated time before which polling `txn`'s pending group commit
+  /// cannot succeed: its node's batch deadline while the commit record is
+  /// still volatile, else 0 (a covering force already landed).
+  SimTime CommitWakeTime(const Transaction* txn) const;
+
   BTree* index() { return index_; }
 
  private:

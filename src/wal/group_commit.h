@@ -106,6 +106,11 @@ class GroupCommitPipeline {
   std::vector<std::pair<NodeId, PendingCommit>> PendingCommits() const;
 
   size_t PendingCount(NodeId node) const { return nodes_[node].commits.size(); }
+  /// The window deadline of `node`'s oldest un-covered demand, or 0 when
+  /// none is armed.
+  SimTime DeadlineAt(NodeId node) const {
+    return nodes_[node].deadline_armed ? nodes_[node].deadline_at : 0;
+  }
   const Stats& stats() const { return stats_; }
 
  private:

@@ -24,7 +24,8 @@ Status Harness::Setup() {
                         config_.db.record_data_size);
   auto scripts = gen.Generate();
   exec_ = std::make_unique<SystemExecutor>(&db_->txn(), &db_->machine(),
-                                           config_.seed ^ 0x5eed);
+                                           config_.seed ^ 0x5eed,
+                                           config_.schedule);
   for (NodeId n = 0; n < config_.db.machine.num_nodes; ++n) {
     for (auto& s : scripts[n]) exec_->executor(n).Enqueue(std::move(s));
   }

@@ -26,6 +26,8 @@ struct HarnessConfig {
   /// Verify IFA (oracle comparison) after every recovery and at the end.
   bool verify = true;
   uint64_t seed = 99;
+  /// How the executor interleaves node steps.
+  SchedulePolicy schedule = SchedulePolicy::kTimeOrdered;
   /// Snapshot a StateDigest right after each recovery (before verification
   /// and any node restart) into HarnessReport::digests. The differential
   /// recovery-stream oracle compares these across stream counts.

@@ -53,6 +53,10 @@ void ExpectLazyDrainMatchesEager(uint64_t seed, const RecoveryConfig& rc,
   FuzzCase fc = SampleFuzzCase(seed);
 
   HarnessConfig eager = MakeHarnessConfig(fc, rc);
+  // On-demand discharge charges sim time per first touch, so under the
+  // time-ordered schedule the pick order differs between the two runs by
+  // design. The uniform schedule ignores clocks: same schedule, same digest.
+  eager.schedule = SchedulePolicy::kUniform;
   eager.db.recovery.recovery_streams = streams;
   eager.capture_digests = true;
   Harness he(eager);

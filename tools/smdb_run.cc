@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,9 @@ void Usage() {
       "  --group-commit-max-batch=N  batch size bound\n"
       "  --nvram                  NVRAM log device (cheap forces)\n"
       "  --two-line-lcb           split LCBs over two cache lines\n"
+      "  --schedule=S             time (default: step the node with the\n"
+      "                           smallest clock; waiters sleep) | uniform\n"
+      "                           (random pick, waiters poll)\n"
       "  --seed=N                 workload seed (default 42)\n"
       "  --trace-out=PATH         record event traces and write a Chrome\n"
       "                           trace-event file (chrome://tracing)\n"
@@ -162,6 +166,10 @@ bool ParseFlag(Flags& f, const std::string& arg) {
     cfg.db.machine.nvram_log = true;
   } else if (key == "--two-line-lcb") {
     cfg.db.lock_table.two_line_lcb = true;
+  } else if (key == "--schedule") {
+    std::optional<SchedulePolicy> p = ParseSchedulePolicy(val);
+    if (!p) return false;
+    cfg.schedule = *p;
   } else if (key == "--seed") {
     cfg.workload.seed = std::stoull(val);
     cfg.seed = cfg.workload.seed ^ 0xBEEF;
