@@ -77,6 +77,99 @@ TEST(FuzzSmoke, CaseJsonRoundTrips) {
   EXPECT_EQ(restored->ToJson().Dump(), original.ToJson().Dump());
 }
 
+TEST(FuzzSmoke, ScheduleRoundTripsAndDefaultsToUniform) {
+  // The sampler draws both policies.
+  bool seen[2] = {false, false};
+  for (uint64_t seed = 0; seed < 16; ++seed) {
+    seen[static_cast<int>(SampleFuzzCase(seed).schedule)] = true;
+  }
+  EXPECT_TRUE(seen[0] && seen[1]);
+
+  for (SchedulePolicy p :
+       {SchedulePolicy::kTimeOrdered, SchedulePolicy::kUniform}) {
+    FuzzCase c = SampleFuzzCase(3);
+    c.schedule = p;
+    auto doc = json::Value::Parse(c.ToJson().Dump());
+    ASSERT_TRUE(doc.ok());
+    auto restored = FuzzCase::FromJson(*doc);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(restored->schedule, p);
+    EXPECT_EQ(MakeHarnessConfig(*restored, RecoveryConfig::VolatileRedoAll())
+                  .schedule,
+              p);
+  }
+
+  // A document written before the field existed replays uniform.
+  FuzzCase c = SampleFuzzCase(3);
+  c.schedule = SchedulePolicy::kTimeOrdered;
+  std::string text = c.ToJson().Dump();
+  size_t at = text.find("\"schedule\"");
+  ASSERT_NE(at, std::string::npos);
+  text = text.substr(0, text.rfind(',', at)) + "}";
+  auto old_doc = json::Value::Parse(text);
+  ASSERT_TRUE(old_doc.ok()) << text;
+  ASSERT_EQ(old_doc->Find("schedule"), nullptr);
+  auto old_case = FuzzCase::FromJson(*old_doc);
+  ASSERT_TRUE(old_case.ok());
+  EXPECT_EQ(old_case->schedule, SchedulePolicy::kUniform);
+}
+
+// Shrunk time-ordered reproducers of two bugs the time-ordered schedule
+// exposed. Each fails without its fix.
+//
+// The WAL table lowered a node's page requirement when restart redo
+// re-noted an older record, so a later steal flush skipped forcing a newer,
+// still-volatile update of an active transaction.
+constexpr const char* kWalRequirementDropCase = R"json(
+{"num_nodes": 8, "num_records": 32, "record_data_size": 22,
+"workload": {"txns_per_node": 5, "ops_per_txn": 8,
+"write_ratio": 0.8806433738356034,
+"index_op_ratio": 0.1997916153088788, "dirty_read_ratio": 0,
+"zipf_theta": 0, "shared_fraction": 1, "voluntary_abort_ratio": 0,
+"index_key_space": 256, "seed": 1053159665945360589},
+"crashes": [{"at_step": 223, "nodes": [4], "restart_after": false},
+{"at_step": 181, "nodes": [5], "restart_after": false}],
+"steal_flush_prob": 0.03, "checkpoint_every_steps": 0,
+"harness_seed": 3864416282065987508, "schedule": "time"}
+)json";
+// Tag clears are not logged: restart reloaded a committed index entry that
+// still carried a survivor's tag, and that survivor's next delete of the
+// key took it for its own uncommitted insert and removed it physically.
+constexpr const char* kStaleIndexTagCase = R"json(
+{"num_nodes": 6, "num_records": 32, "record_data_size": 16,
+"workload": {"txns_per_node": 9, "ops_per_txn": 5,
+"write_ratio": 0.5803415892277808,
+"index_op_ratio": 0.046665462591578666, "dirty_read_ratio": 0.05,
+"zipf_theta": 0, "shared_fraction": 1, "voluntary_abort_ratio": 0,
+"index_key_space": 256, "seed": 9150988728586219907},
+"crashes": [{"at_step": 138, "nodes": [1, 3],
+"restart_after": true}, {"at_step": 219, "nodes": [1],
+"restart_after": false}], "steal_flush_prob": 0.03,
+"checkpoint_every_steps": 0, "harness_seed": 12980648721252299397,
+"schedule": "time"}
+)json";
+
+void ExpectReplayClean(const char* case_json, const RecoveryConfig& protocol) {
+  auto doc = json::Value::Parse(case_json);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  auto c = FuzzCase::FromJson(*doc);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  ASSERT_EQ(c->schedule, SchedulePolicy::kTimeOrdered);
+  CrashScheduleFuzzer fuzzer;
+  FuzzVerdict v = fuzzer.RunCase(*c, protocol);
+  EXPECT_FALSE(v.failed) << v.kind << ": " << v.detail;
+}
+
+TEST(FuzzRegression, WalRequirementNeverDrops) {
+  ExpectReplayClean(kWalRequirementDropCase,
+                    RecoveryConfig::VolatileSelectiveRedo());
+}
+
+TEST(FuzzRegression, StaleSurvivorTagIsNotAnOwnInsert) {
+  ExpectReplayClean(kStaleIndexTagCase,
+                    RecoveryConfig::StableTriggeredSelectiveRedo());
+}
+
 TEST(FuzzSmoke, BrokenUndoTaggingIsCaughtShrunkAndReplayable) {
   CrashScheduleFuzzer::Options opts;
   opts.protocols = {RecoveryConfig::VolatileSelectiveRedo()};

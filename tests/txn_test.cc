@@ -1,12 +1,15 @@
 // Unit tests for the transaction layer: strict 2PL, the update protocol
 // (undo tagging, Page-LSN, WAL table), commit/abort, rollback via CLRs,
-// deadlock detection, and the executor.
+// deadlock detection, the executor and its schedule policies.
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "core/database.h"
 #include "core/ifa_checker.h"
 #include "txn/executor.h"
+#include "workload/harness.h"
 
 namespace smdb {
 namespace {
@@ -304,6 +307,89 @@ TEST(TxnTest, LockOpsChainedIntoTxnLog) {
   }
   EXPECT_GE(chain_len, 4);  // begin + S-lock + X-lock + update
   ASSERT_TRUE(f.db.txn().Commit(t).ok());
+}
+
+// ---- Schedule policies ----------------------------------------------------
+
+/// The W1b config: smdb_run --nodes=8 --protocol=volatile-selective
+/// --txns=200 --index-ratio=0.15 --seed=9090.
+HarnessConfig W1bConfig(SchedulePolicy schedule) {
+  HarnessConfig cfg;
+  cfg.db.machine.num_nodes = 8;
+  cfg.db.recovery = RecoveryConfig::VolatileSelectiveRedo();
+  cfg.workload.txns_per_node = 200;
+  cfg.workload.index_op_ratio = 0.15;
+  cfg.workload.seed = 9090;
+  cfg.seed = 9090 ^ 0xBEEF;
+  cfg.schedule = schedule;
+  return cfg;
+}
+
+TEST(ScheduleTest, TimeOrderedStepsTheMinimumRunnableClock) {
+  HarnessConfig cfg = W1bConfig(SchedulePolicy::kTimeOrdered);
+  cfg.workload.txns_per_node = 40;
+  Harness h(cfg);
+  ASSERT_TRUE(h.Setup().ok());
+  SystemExecutor& ex = h.executor();
+  Machine& m = h.db().machine();
+  uint64_t fallback_steps = 0;
+  while (true) {
+    // The earliest ready time among live, non-idle, unblocked nodes (or
+    // among all of them when every one is blocked).
+    std::map<NodeId, SimTime> ready_at;
+    bool any_runnable = false;
+    for (NodeId n = 0; n < m.num_nodes(); ++n) {
+      NodeExecutor& ne = ex.executor(n);
+      if (!m.NodeAlive(n) || ne.idle()) continue;
+      ready_at[n] = ne.ReadyAt();
+      any_runnable |= !ne.blocked();
+    }
+    SimTime min_ready = ~SimTime{0};
+    for (const auto& [n, t] : ready_at) {
+      if (any_runnable && ex.executor(n).blocked()) continue;
+      min_ready = std::min(min_ready, t);
+    }
+    if (!ex.StepOnce()) break;
+    fallback_steps += any_runnable ? 0 : 1;
+    ASSERT_EQ(ready_at.at(ex.last_stepped()), min_ready)
+        << "step " << ex.steps();
+  }
+  EXPECT_EQ(ex.TotalStats().committed, 8u * 40u);
+  EXPECT_EQ(fallback_steps, 0u) << "every node blocked at once";
+}
+
+TEST(ScheduleTest, TimeOrderedWaitersDoNotSpin) {
+  Harness time(W1bConfig(SchedulePolicy::kTimeOrdered));
+  Harness uniform(W1bConfig(SchedulePolicy::kUniform));
+  auto t = time.Run();
+  auto u = uniform.Run();
+  ASSERT_TRUE(t.ok() && u.ok());
+  ASSERT_TRUE(t->verify_status.ok()) << t->verify_status.ToString();
+  EXPECT_EQ(t->exec.committed, u->exec.committed);
+  EXPECT_LE(t->exec.lock_waits, u->exec.lock_waits);
+  // Waits now measure contention, not clock skew.
+  EXPECT_LT(t->machine.line_lock_wait_ns, u->machine.line_lock_wait_ns);
+  EXPECT_LT(t->total_time_ns, u->total_time_ns);
+}
+
+TEST(ScheduleTest, WwDeadlockRetriesCommitBothUnderTimeOrder) {
+  Fx f;
+  f.db.machine().SyncClocks();  // table creation charged node 0's clock
+  SystemExecutor ex(&f.db.txn(), &f.db.machine(), 5,
+                    SchedulePolicy::kTimeOrdered);
+  // Opposite update orders from equal clocks: whichever transaction closes
+  // the cycle aborts, backs off, and retries after the other one commits.
+  for (NodeId n : {NodeId{0}, NodeId{1}}) {
+    TxnScript s;
+    s.ops.push_back(Op::Update(f.table[n], Value(uint8_t(n + 1))));
+    s.ops.push_back(Op::Update(f.table[1 - n], Value(uint8_t(n + 1))));
+    s.ops.push_back(Op::Commit());
+    ex.executor(n).Enqueue(std::move(s));
+  }
+  ex.Run(10'000);
+  EXPECT_TRUE(ex.AllIdle());
+  EXPECT_EQ(ex.TotalStats().committed, 2u);
+  EXPECT_GE(ex.TotalStats().aborted_deadlock, 1u);
 }
 
 }  // namespace
