@@ -63,13 +63,8 @@ Status RecoveryManager::RunRebootAll(Ctx& ctx) {
     return reload(db_->index().pages());
   }));
 
-  SMDB_RETURN_IF_ERROR(TimedPhase(ctx, RecoveryPhase::kRedo,
-                                  [&] { return ReplayLogsWithGuard(ctx); }));
-
-  // Undo uncommitted work from the stable logs (the pass scans every
-  // node's stable log, and nothing is preserved here).
-  SMDB_RETURN_IF_ERROR(TimedPhase(
-      ctx, RecoveryPhase::kUndo, [&] { return UndoCrashedFromStableLogs(ctx); }));
+  // Nothing is preserved: the undo covers every uncommitted transaction.
+  SMDB_RETURN_IF_ERROR(HandOff(ctx, RestartKind::kRebootAll, /*serve=*/false));
 
   // The lock space is volatile: it was destroyed wholesale. Clear the lost
   // lines; there are no surviving transactions whose locks need rebuilding.
@@ -96,7 +91,7 @@ Status RecoveryManager::RunAbortDependents(Ctx& ctx) {
   // Snapshot the dependents before recovery mutates tracker state.
   std::set<TxnId> dependents = deps->Dependent();
 
-  SMDB_RETURN_IF_ERROR(RunSelectiveRedo(ctx));
+  SMDB_RETURN_IF_ERROR(RunSelectiveRedo(ctx, /*serve=*/false));
 
   for (Transaction* t : ctx.surviving_active) {
     if (!dependents.contains(t->id)) continue;

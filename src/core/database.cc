@@ -53,19 +53,17 @@ Database::Database(DatabaseConfig config)
       config_.recovery, inst);
   txn_->SetGroupCommit(group_commit_.get());
   recovery_ = std::make_unique<RecoveryManager>(this);
-  if (config_.recovery.on_demand) {
-    on_demand_ = std::make_unique<OnDemandRecovery>(this);
-    // First-touch hooks: every transactional access to an object discharges
-    // that object's pending recovery obligations first. No-ops outside the
-    // Recovering window.
-    txn_->SetRecoveryTouch(
-        [this](NodeId node, RecordId rid) {
-          return on_demand_->TouchRecord(node, rid);
-        },
-        [this](NodeId node, uint32_t tree_id, uint64_t key) {
-          return on_demand_->TouchKey(node, tree_id, key);
-        });
-  }
+  on_demand_ = std::make_unique<OnDemandRecovery>(this);
+  // First-touch hooks: every transactional access to an object discharges
+  // that object's pending recovery obligations first. No-ops outside a
+  // Recovering window.
+  txn_->SetRecoveryTouch(
+      [this](NodeId node, RecordId rid) {
+        return on_demand_->TouchRecord(node, rid);
+      },
+      [this](NodeId node, uint32_t tree_id, uint64_t key) {
+        return on_demand_->TouchKey(node, tree_id, key);
+      });
 
   // A node crash destroys the node's volatile log tail and resets its
   // column of the WAL (page, LSN) table.
@@ -145,18 +143,12 @@ void Database::RestartNodes(const std::vector<NodeId>& nodes) {
   for (NodeId n : nodes) machine_->RestartNode(n);
 }
 
-bool Database::RecoveringActive() const {
-  return on_demand_ != nullptr && on_demand_->active();
-}
+bool Database::RecoveringActive() const { return on_demand_->active(); }
 
 Result<int> Database::PumpRecovery(int max_objects) {
-  if (on_demand_ == nullptr) return 0;
   return on_demand_->SweepStep(max_objects);
 }
 
-Status Database::DrainRecovery() {
-  if (on_demand_ == nullptr) return Status::Ok();
-  return on_demand_->DrainAll();
-}
+Status Database::DrainRecovery() { return on_demand_->DrainAll(); }
 
 }  // namespace smdb

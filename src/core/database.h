@@ -80,8 +80,8 @@ class Database {
   void RestartNodes(const std::vector<NodeId>& nodes);
 
   // ----------------------------------------------------------------------
-  // On-demand (instant) recovery. All three are safe no-ops when
-  // recovery.on_demand is off or nothing is pending.
+  // On-demand (instant) recovery. All three are safe no-ops when nothing
+  // is pending.
 
   /// True while a crash's obligations are still being discharged lazily —
   /// the `Recovering` serving state (new transactions run; first touch of
@@ -115,8 +115,8 @@ class Database {
   UsnSource& usn() { return usn_; }
   DependencyTracker* deps() { return deps_.get(); }
   RecoveryManager& recovery() { return *recovery_; }
-  /// Null unless recovery.on_demand is on.
-  OnDemandRecovery* on_demand() { return on_demand_.get(); }
+  /// The restart engine every recovery runs through (on-demand or not).
+  OnDemandRecovery& on_demand() { return *on_demand_; }
   /// The instrumentation plane: the trace ring, the latency observatory
   /// and the profiler are its views, each gated by DatabaseConfig::obs.
   Instruments& instruments() { return instruments_; }
@@ -149,7 +149,7 @@ class Database {
   std::unique_ptr<BTree> index_;
   std::unique_ptr<TxnManager> txn_;
   std::unique_ptr<RecoveryManager> recovery_;
-  std::unique_ptr<OnDemandRecovery> on_demand_;  // null when off
+  std::unique_ptr<OnDemandRecovery> on_demand_;
 };
 
 }  // namespace smdb

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "core/recovery_manager.h"
@@ -17,12 +18,14 @@ namespace smdb {
 class Database;
 class StableStateReconstructor;
 
-/// On-demand (instant) restart recovery, after the instant-restart idea:
-/// decouple time-to-first-commit from total recovery work. At crash time the
-/// IFA schemes run only an eager prefix — analysis, index reload +
-/// structural redo, lock-table rebuild — and hand the deferred entry-level
-/// obligations (redo records, stable-log undo work, tag discharge) to this
-/// driver. The database then serves new transactions immediately:
+/// The restart engine every recovery runs through, after the instant-restart
+/// idea: decouple time-to-first-commit from total recovery work. At crash
+/// time RecoveryManager runs the scheme's prefix (analysis, page reloads)
+/// and hands the entry-level obligations (redo records, stable-log undo
+/// work, dead-node tags) to Activate. Eager recovery drains them at once,
+/// inside the crash, in the eager phase order. With on-demand recovery the
+/// IFA schemes redo the index structure and rebuild the lock table, then
+/// return in the `Recovering` serving state:
 ///
 ///  * First touch of an unrecovered object (TxnManager's touch hooks fire
 ///    before any read or write) discharges that object's obligations under
@@ -30,14 +33,13 @@ class StableStateReconstructor;
 ///    undo records in reverse-USN order, and its dead-node tag.
 ///  * A background sweeper (Database::PumpRecovery) discharges remaining
 ///    objects in global-USN order.
-///  * Database::DrainRecovery applies everything still pending in the exact
-///    eager phase order — when it runs before any new traffic, the
-///    recovered machine state is bit-identical to the eager pass.
+///  * Database::DrainRecovery runs the eager drain on whatever is still
+///    pending — when it runs before any new traffic, the recovered machine
+///    state is bit-identical to the eager pass.
 ///
 /// Obligations are derived from stable logs and the crash-time transaction
 /// table only, so a second crash during the Recovering window simply
-/// re-derives them: RecoveryManager::Run resets this driver before each
-/// recovery.
+/// re-derives them: every RecoveryManager::Run starts with Begin.
 class OnDemandRecovery {
  public:
   explicit OnDemandRecovery(Database* db);
@@ -50,35 +52,13 @@ class OnDemandRecovery {
   bool active() const { return active_; }
 
   struct Stats {
-    /// Objects (records + index keys) that had deferred obligations.
-    uint64_t objects_total = 0;
     uint64_t first_touch_discharges = 0;
     uint64_t sweep_discharges = 0;
-    uint64_t drain_discharges = 0;
-    uint64_t pages_loaded_lazily = 0;
   };
   const Stats& stats() const { return stats_; }
 
-  /// Objects still carrying deferred obligations.
-  size_t pending_objects() const { return records_.size() + keys_.size(); }
-
-  /// While active with tag work pending: every dead node of this recovery
-  /// (and any it inherited) with the USN cutoff up to which its tags are
-  /// still this recovery's business. A superseding recovery inherits them.
-  std::map<NodeId, uint64_t> PendingDeadTags() const;
-
-  /// Drops all pending state. A new recovery supersedes the old one (its
-  /// obligations are re-derived from stable storage), so RecoveryManager
-  /// calls this at the start of every Run.
-  void Reset();
-
-  /// Takes ownership of a crash's deferred obligations and enters the
-  /// Recovering state. `entry_redo` is the full collected redo list in
-  /// global-USN order (structural records were applied eagerly and are
-  /// skipped here); `undo` is the stable-log undo work.
-  Status Activate(const RecoveryManager::Ctx& ctx,
-                  std::vector<LogRecord> entry_redo,
-                  RecoveryManager::UndoWork undo);
+  /// Objects (records + index keys) still carrying deferred obligations.
+  size_t pending_objects();
 
   /// First-touch hooks, called by TxnManager before any access to the
   /// object. No-ops when inactive or already discharged.
@@ -91,13 +71,13 @@ class OnDemandRecovery {
   /// objects discharged.
   Result<int> SweepStep(int max_objects);
 
-  /// Applies every remaining obligation in the eager phase order (heap
-  /// loads, redo in USN order, undo in reverse-USN order, tag scan), then
-  /// leaves the Recovering state. Run before any post-crash traffic this
-  /// reproduces the eager pass bit for bit.
+  /// Runs the eager drain on every remaining obligation, then leaves the
+  /// Recovering state. Run before any post-crash traffic this reproduces
+  /// the eager pass bit for bit.
   Status DrainAll();
 
  private:
+  friend class RecoveryManager;
   using KeyId = std::pair<uint32_t, uint64_t>;
 
   struct Pending {
@@ -106,9 +86,45 @@ class OnDemandRecovery {
   };
 
   /// How a discharge was driven, for stats attribution.
-  enum class Via { kTouch, kSweep, kDrain };
+  enum class Via { kTouch, kSweep };
 
+  /// Starts a recovery: drops the previous one's state and returns a fresh
+  /// context, which inherits the dead-node tags a superseded Recovering
+  /// window left undischarged.
+  RecoveryManager::Ctx& Begin();
+
+  /// Takes a crash's obligations: `redo` is every collected redo record in
+  /// global-USN order (structural ones included), `undo` the stable-log
+  /// undo work of `scheme`. Without `serve` the drain runs at once — eager
+  /// recovery. With it, only structural redo runs now and the database
+  /// enters the Recovering state; heap pages then load lazily.
+  Status Activate(std::vector<LogRecord> redo, RecoveryManager::UndoWork undo,
+                  RestartKind scheme, bool serve);
+
+  /// While active with tag work pending: every dead node of this recovery
+  /// (and any it inherited) with the USN cutoff up to which its tags are
+  /// still this recovery's business. A superseding recovery inherits them.
+  std::map<NodeId, uint64_t> PendingDeadTags() const;
+
+  /// The eager phase order over whatever is pending: heap loads (Recovering
+  /// only), structural then entry-level redo in USN order, undo in
+  /// reverse-USN order, the tag scan. Each step is a timed recovery phase.
+  Status Drain();
+  /// Builds the per-object indexes the first touch and the sweeper need.
+  /// The drain does not need them, so they wait for the first of those.
+  void BuildIndex();
+
+  Status LoadHeapPages();
   Status EnsureHeapPage(NodeId performer, PageId page);
+  Status RedoStructural();
+  Status Redo(NodeId performer, size_t i);
+  Status Undo(NodeId performer, size_t i);
+  /// Resumes a compensation chain an earlier recovery left half done (see
+  /// RecoveryManager::UndoWork): engages the object's undo with the
+  /// transaction whose CLR produced its current version. Once per object,
+  /// right before its first undo.
+  Status SeedRecord(NodeId performer, RecordId rid);
+  Status SeedKey(NodeId performer, KeyId key);
   Status DischargeRecord(NodeId performer, RecordId rid, Via via);
   Status DischargeKey(NodeId performer, KeyId key, Via via);
   /// Dead-node tag handling for one object (Selective Redo only): classify
@@ -116,7 +132,6 @@ class OnDemandRecovery {
   /// the last committed state.
   Status DischargeRecordTag(NodeId performer, RecordId rid);
   Status DischargeKeyTag(NodeId performer, KeyId key);
-  bool StaleCommittedTag(uint64_t usn, NodeId tagged) const;
   void CountDischarge(Via via);
   /// Loads still-pending pages and runs the deferred tag scan, then leaves
   /// the Recovering state.
@@ -125,17 +140,21 @@ class OnDemandRecovery {
 
   Database* db_;
   bool active_ = false;
-  /// Tag discharge applies (undo tagging on and scheme is Selective Redo).
+  /// The scheme has a tag scan (Selective Redo).
   bool tagged_ = false;
-  RestartKind restart_ = RestartKind::kSelectiveRedo;
+  /// Deferred heap pages come back whole (Redo All discarded every line)
+  /// rather than as their lost lines only (Selective Redo).
+  bool whole_pages_ = false;
   /// Reentrancy guard: a discharge must never recurse into the touch hooks.
   bool in_discharge_ = false;
+  bool indexed_ = false;
 
-  /// Crash-time recovery context (dead set, uncommitted ids, survivors,
-  /// performer state). `lazy` and `tag_scan_usn_cutoff` are pinned here.
+  /// The recovery context: dead set, uncommitted ids, survivors, performer
+  /// round-robin, outcome counters and phase times. RecoveryManager::Run
+  /// and the drain share it; a Recovering window keeps it.
   RecoveryManager::Ctx ctx_;
 
-  std::vector<LogRecord> redo_;  // global-USN order, entry-level only
+  std::vector<LogRecord> redo_;  // global-USN order
   std::vector<bool> redo_done_;
   RecoveryManager::UndoWork undo_;
   std::vector<bool> undo_done_;
@@ -160,7 +179,7 @@ class OnDemandRecovery {
 
   /// Tag-classification support (Selective Redo): USN -> owning txn from
   /// every stable log, plus the committed-value reconstructor.
-  std::map<uint64_t, TxnId> usn_owner_;
+  HashMap<uint64_t, TxnId> usn_owner_;
   std::unique_ptr<StableStateReconstructor> reconstructor_;
 
   Stats stats_;

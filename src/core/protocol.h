@@ -83,15 +83,17 @@ struct RecoveryConfig {
   uint32_t group_commit_max_batch = 64;
 
   /// On-demand (instant) restart recovery, after Sauer & Härder's
-  /// instant-restart design. When on, the IFA schemes (Redo All /
-  /// Selective Redo with survivors) run only an eager prefix at crash time
-  /// — analysis, index reload + structural redo, lock-table rebuild — and
-  /// return with the database in a `Recovering` serving state: new
-  /// transactions run immediately, the first touch of an unrecovered
+  /// instant-restart design. Every restart runs through one engine
+  /// (OnDemandRecovery): the scheme's crash-time prefix hands the redo,
+  /// undo and tag work to it, and eager recovery is its drain run at once,
+  /// inside the crash. When on, the IFA schemes (Redo All / Selective Redo
+  /// with survivors) instead redo the index structure, rebuild the lock
+  /// table and return with the database in a `Recovering` serving state:
+  /// new transactions run immediately, the first touch of an unrecovered
   /// object discharges that object's redo/undo obligations under its
   /// rebuilt lock, and a background sweeper drains the rest in global-USN
   /// order (Database::PumpRecovery / DrainRecovery). RebootAll,
-  /// AbortDependents and whole-machine restarts stay fully eager.
+  /// AbortDependents and whole-machine restarts always drain at once.
   /// Orthogonal to protocol identity: FlagName()/presets ignore it, and
   /// when a drain runs before any new traffic the recovered machine state
   /// is bit-identical to the eager pass (tests/on_demand_recovery_test.cc).

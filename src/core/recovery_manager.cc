@@ -102,16 +102,6 @@ NodeId RecoveryManager::UndoPerformer(Ctx& ctx, const LogRecord& rec) {
   return ctx.StreamPerformer(KeyPartition(rec.index_op()));
 }
 
-bool RecoveryManager::CommittedInStableLog(TxnId txn) const {
-  bool committed = false;
-  db_->log().ForEachStable(TxnNode(txn), [&](const LogRecord& rec) {
-    if (rec.txn == txn && rec.type == LogRecordType::kCommit) {
-      committed = true;
-    }
-  });
-  return committed;
-}
-
 Status RecoveryManager::BuildContext(const std::vector<NodeId>& crashed,
                                      Ctx* ctx) {
   ctx->crashed = crashed;
@@ -308,12 +298,6 @@ Status RecoveryManager::ApplyRedoStructural(Ctx& ctx, NodeId performer,
   return Status::Ok();
 }
 
-Status RecoveryManager::ReplayLogsWithGuard(Ctx& ctx) {
-  std::vector<LogRecord> records;
-  SMDB_RETURN_IF_ERROR(CollectRedoRecords(&records));
-  return ApplyRedoRecords(ctx, records);
-}
-
 Status RecoveryManager::CollectRedoRecords(std::vector<LogRecord>* out) {
   Machine& m = db_->machine();
   // Gather the redo-relevant records from every reachable log, then apply
@@ -355,97 +339,13 @@ Status RecoveryManager::CollectRedoRecords(std::vector<LogRecord>* out) {
   return Status::Ok();
 }
 
-Status RecoveryManager::ApplyRedoRecords(Ctx& ctx,
-                                         const std::vector<LogRecord>& records) {
-  // Structural changes first: index redo descends the tree, so the tree's
-  // routing structure must be re-established before any entry-level record
-  // is replayed (a reloaded pre-split root routes into garbage). The
-  // Page-LSN and entry-USN guards make the two-phase order equivalent to a
-  // strict USN-ordered replay.
-  for (const LogRecord& rec : records) {
-    if (rec.type != LogRecordType::kStructural) continue;
-    SMDB_RETURN_IF_ERROR(ApplyRedoStructural(ctx, ctx.NextSurvivor(), rec));
-  }
-  // On-demand prefix: entry-level records are discharged lazily (first
-  // touch or sweep), in this same global-USN order for whatever remains at
-  // drain time.
-  if (ctx.lazy) return Status::Ok();
-  // Entry-level replay stays in global USN order regardless of stream
-  // count (the partitioned streams change *who* performs each record, not
-  // *when*): same-page records replay in USN order by construction, and the
-  // applied/skipped decisions — which depend only on coherent page state,
-  // not on the performer — are identical across worker counts.
-  for (const LogRecord& rec : records) {
-    if (rec.type == LogRecordType::kStructural) continue;
-    NodeId performer = RedoPerformer(ctx, rec);
-    if (rec.type == LogRecordType::kUpdate) {
-      SMDB_RETURN_IF_ERROR(ApplyRedoUpdate(ctx, performer, rec));
-    } else {
-      SMDB_RETURN_IF_ERROR(ApplyRedoIndexOp(ctx, performer, rec));
-    }
-  }
-  return Status::Ok();
-}
-
-Status RecoveryManager::UndoCrashedFromStableLogs(Ctx& ctx) {
-  UndoWork work;
-  SMDB_RETURN_IF_ERROR(CollectUndoWork(ctx, &work));
-  const std::vector<LogRecord>& to_undo = work.to_undo;
-  const auto& clr_slots = work.clr_slots;
-  const auto& clr_keys = work.clr_keys;
-
-  // A previous recovery's compensation chain for one of these transactions
-  // can be split across several performers' logs (the undo pass round-robins
-  // survivors), so a later crash can lose its tail while the redo pass
-  // replays its surviving prefix. That leaves the object at an intermediate
-  // CLR state whose USN matches no original record — which the engagement
-  // guard would misread as "legitimately overwritten" and strand the object
-  // mid-rollback. Pre-seed the engagement map: if an object's current USN
-  // was produced by a CLR of a transaction being undone here, resume that
-  // transaction's chain. Re-undoing an already-compensated record is value-
-  // safe — the chain re-converges to the oldest before image.
-  TxnManager::UndoEngagement eng;
-  std::set<RecordId> seeded_rids;
-  std::set<std::pair<uint32_t, uint64_t>> seeded_keys;
-  for (const LogRecord& rec : to_undo) {
-    if (rec.type == LogRecordType::kUpdate) {
-      RecordId rid = rec.update().rid;
-      if (!seeded_rids.insert(rid).second) continue;
-      SMDB_ASSIGN_OR_RETURN(
-          SlotImage cur, db_->records().ReadSlot(UndoPerformer(ctx, rec), rid));
-      auto it = clr_slots.find(cur.usn);
-      if (it != clr_slots.end() && it->second.second == rid) {
-        eng.records[rid] = it->second.first;
-      }
-    } else {
-      const IndexOpPayload& op = rec.index_op();
-      std::pair<uint32_t, uint64_t> key{op.tree_id, op.key};
-      if (!seeded_keys.insert(key).second) continue;
-      SMDB_ASSIGN_OR_RETURN(
-          auto entry, db_->index().GetEntry(UndoPerformer(ctx, rec), op.key));
-      if (!entry.has_value()) continue;
-      auto it = clr_keys.find(entry->usn);
-      if (it != clr_keys.end() && it->second.second == key) {
-        eng.keys[key] = it->second.first;
-      }
-    }
-  }
-  // The apply loop keeps the exact reverse-USN global order for every
-  // stream count — ApplyUndo* allocates a fresh USN per CLR, so the
-  // allocation order (and therefore all recovered page bytes) must be
-  // stream-count-invariant. Partitioning changes only the performer, which
-  // only affects performance state (clocks, cache residency, CLR log
-  // placement).
-  for (const LogRecord& rec : to_undo) {
-    NodeId performer = UndoPerformer(ctx, rec);
-    if (rec.type == LogRecordType::kUpdate) {
-      SMDB_RETURN_IF_ERROR(db_->txn().ApplyUndoUpdate(performer, rec, &eng));
-    } else {
-      SMDB_RETURN_IF_ERROR(db_->txn().ApplyUndoIndexOp(performer, rec, &eng));
-    }
-    ++ctx.out.undo_applied;
-  }
-  return Status::Ok();
+Status RecoveryManager::HandOff(Ctx& ctx, RestartKind scheme, bool serve) {
+  std::vector<LogRecord> redo;
+  UndoWork undo;
+  SMDB_RETURN_IF_ERROR(CollectRedoRecords(&redo));
+  SMDB_RETURN_IF_ERROR(CollectUndoWork(ctx, &undo));
+  return db_->on_demand().Activate(std::move(redo), std::move(undo), scheme,
+                                   serve);
 }
 
 Status RecoveryManager::CollectUndoWork(Ctx& ctx, UndoWork* out) {
@@ -482,16 +382,7 @@ Status RecoveryManager::CollectUndoWork(Ctx& ctx, UndoWork* out) {
               return ua > ub;  // reverse order
             });
 
-  // A previous recovery's compensation chain for one of these transactions
-  // can be split across several performers' logs (the undo pass round-robins
-  // survivors), so a later crash can lose its tail while the redo pass
-  // replays its surviving prefix. That leaves the object at an intermediate
-  // CLR state whose USN matches no original record — which the engagement
-  // guard would misread as "legitimately overwritten" and strand the object
-  // mid-rollback. Pre-seed the engagement map: if an object's current USN
-  // was produced by a CLR of a transaction being undone here, resume that
-  // transaction's chain. Re-undoing an already-compensated record is value-
-  // safe — the chain re-converges to the oldest before image.
+  // The CLR maps for resuming half-done compensation chains (see UndoWork).
   std::set<TxnId> undo_txns;
   for (const LogRecord& rec : to_undo) undo_txns.insert(rec.txn);
   std::map<uint64_t, std::pair<TxnId, RecordId>> clr_slots;
@@ -528,18 +419,9 @@ Status RecoveryManager::CollectUndoWork(Ctx& ctx, UndoWork* out) {
   return Status::Ok();
 }
 
-Status RecoveryManager::TagScanUndo(Ctx& ctx) {
-  Machine& m = db_->machine();
-  RecordStore& rs = db_->records();
-  BTree& index = db_->index();
-
-  StableStateReconstructor reconstructor(&m, &db_->log(), &db_->buffers(),
-                                         &rs, ctx.uncommitted_ids);
-
-  // Map USN -> owning txn from every stable log, to distinguish "tag stale
-  // because the commit beat the tag-clear" from "uncommitted".
+HashMap<uint64_t, TxnId> RecoveryManager::StableUsnOwners() {
   HashMap<uint64_t, TxnId> usn_owner;
-  for (NodeId c = 0; c < m.num_nodes(); ++c) {
+  for (NodeId c = 0; c < db_->machine().num_nodes(); ++c) {
     HashMap<uint64_t, TxnId> node_owner;
     db_->log().ForEachStable(c, [&](const LogRecord& rec) {
       if (rec.type == LogRecordType::kUpdate) {
@@ -550,18 +432,86 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
     });
     usn_owner.merge(node_owner);
   }
+  return usn_owner;
+}
+
+bool RecoveryManager::StaleCommittedTag(
+    const Ctx& ctx, const HashMap<uint64_t, TxnId>& usn_owner, uint64_t usn,
+    NodeId tagged) {
+  auto it = usn_owner.find(usn);
+  if (it != usn_owner.end()) {
+    return !ctx.uncommitted_ids.contains(it->second);
+  }
+  // Not in any stable log. A tagged USN was appended to the tagged node's
+  // own log, which is USN-monotone in LSN order: at or below that node's
+  // truncation high-water mark, the record was reclaimed by a checkpoint
+  // (only finished transactions' records are; the commit beat the
+  // tag-clear). Above the mark, it only ever existed in the node's lost
+  // volatile tail — uncommitted.
+  return usn <= db_->log().max_truncated_usn(tagged);
+}
+
+Status RecoveryManager::ResolveRecordTag(
+    NodeId p, RecordId rid, bool stale,
+    StableStateReconstructor& reconstructor) {
+  Machine& m = db_->machine();
+  RecordStore& rs = db_->records();
+  if (stale) {
+    // Commit happened; only the tag-clear was lost. Clear it now.
+    LineAddr line = rs.SlotLine(rid);
+    SMDB_RETURN_IF_ERROR(m.GetLine(p, line));
+    Status st = rs.WriteTag(p, rid, kTagNone);
+    m.ReleaseLine(p, line);
+    return st;
+  }
+  // Undo: install the last committed value (from stable store).
+  SMDB_ASSIGN_OR_RETURN(SlotImage committed,
+                        reconstructor.CommittedValue(p, rid));
+  LineAddr header_line = rs.HeaderLine(rid.page);
+  LineAddr record_line = rs.SlotLine(rid);
+  SMDB_RETURN_IF_ERROR(m.GetLine(p, header_line));
+  Status st = m.GetLine(p, record_line);
+  if (!st.ok()) {
+    m.ReleaseLine(p, header_line);
+    return st;
+  }
+  uint64_t usn = db_->usn().Next();
+  SlotImage img;
+  img.usn = usn;
+  img.tag = kTagNone;
+  img.data = committed.data;
+  Status w = rs.WriteSlot(p, rid, img);
+  if (w.ok()) w = rs.WritePageLsn(p, rid.page, usn);
+  m.ReleaseLine(p, record_line);
+  m.ReleaseLine(p, header_line);
+  SMDB_RETURN_IF_ERROR(w);
+  db_->buffers().MarkDirty(rid.page);
+  return Status::Ok();
+}
+
+Status RecoveryManager::ResolveIndexTag(NodeId p, const BTree::EntryRef& ref,
+                                        bool stale) {
+  BTree& index = db_->index();
+  if (stale) return index.ClearTag(p, ref.entry.key);
+  // Undo of an uncommitted insert: physically remove this entry. Undo of
+  // an uncommitted logical delete: unmark it. Both work in place (no
+  // compaction), so other (leaf, slot) references stay valid.
+  if (ref.entry.state == LeafEntryState::kLive) {
+    return index.RemoveEntryAt(p, ref.leaf, ref.slot);
+  }
+  return index.UnmarkEntryAt(p, ref.leaf, ref.slot);
+}
+
+Status RecoveryManager::TagScanUndo(Ctx& ctx) {
+  Machine& m = db_->machine();
+  RecordStore& rs = db_->records();
+  BTree& index = db_->index();
+
+  StableStateReconstructor reconstructor(&m, &db_->log(), &db_->buffers(),
+                                         &rs, ctx.uncommitted_ids);
+  const HashMap<uint64_t, TxnId> usn_owner = StableUsnOwners();
   auto stale_committed_tag = [&](uint64_t usn, NodeId tagged) {
-    auto it = usn_owner.find(usn);
-    if (it != usn_owner.end()) {
-      return !ctx.uncommitted_ids.contains(it->second);
-    }
-    // Not in any stable log. A tagged USN was appended to the tagged node's
-    // own log, which is USN-monotone in LSN order: at or below that node's
-    // truncation high-water mark, the record was reclaimed by a checkpoint
-    // (only finished transactions' records are; the commit beat the
-    // tag-clear). Above the mark, it only ever existed in the node's lost
-    // volatile tail — uncommitted.
-    return usn <= db_->log().max_truncated_usn(tagged);
+    return StaleCommittedTag(ctx, usn_owner, usn, tagged);
   };
 
   // The scan is split into a collect phase and an apply phase. Collection
@@ -590,15 +540,14 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
   std::set<RecordId> seen_rids;
   std::set<std::pair<PageId, uint16_t>> seen_slots;
 
-  // A deferred (lazy) scan runs after restarts: a restarted node's new
-  // traffic can have pulled a tagged line into its cache, so its cache is
-  // scanned too, after the crash-time survivors'.
+  // A scan deferred into a Recovering window can run after restarts: a
+  // restarted node's new traffic can have pulled a tagged line into its
+  // cache, so its cache is scanned too, after the crash-time survivors'.
+  // (At crash time every live node is a survivor.)
   std::vector<NodeId> scanners = ctx.survivors;
-  if (ctx.lazy) {
-    for (NodeId n : m.AliveNodes()) {
-      if (std::find(scanners.begin(), scanners.end(), n) == scanners.end()) {
-        scanners.push_back(n);
-      }
+  for (NodeId n : m.AliveNodes()) {
+    if (std::find(scanners.begin(), scanners.end(), n) == scanners.end()) {
+      scanners.push_back(n);
     }
   }
   for (NodeId s : scanners) {
@@ -664,83 +613,28 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
   };
   for (const HeapCand& c : heap_cands) {
     NodeId p = heap_performer(c);
-    const uint64_t rid_enc =
-        (static_cast<uint64_t>(c.rid.page) << 16) | c.rid.slot;
-    if (c.stale_clear) {
-      // Commit happened; only the tag-clear was lost. Clear it now.
-      LineAddr line = rs.SlotLine(c.rid);
-      SMDB_RETURN_IF_ERROR(m.GetLine(p, line));
-      Status st = rs.WriteTag(p, c.rid, kTagNone);
-      m.ReleaseLine(p, line);
-      SMDB_RETURN_IF_ERROR(st);
-      SMDB_EMIT(&db_->instruments(),
-                {.kind = TraceEventKind::kTagDecision,
-                 .node = p,
-                 .txn = owner_of(c.usn),
-                 .ts = m.NodeClock(p),
-                 .a = rid_enc,
-                 .b = c.usn,
-                 .label = "heap-stale"});
-      continue;
+    SMDB_RETURN_IF_ERROR(
+        ResolveRecordTag(p, c.rid, c.stale_clear, reconstructor));
+    if (!c.stale_clear) {
+      ++ctx.out.tag_undos;
+      ++ctx.out.undo_applied;
     }
-    // Undo: install the last committed value (from stable store).
-    SMDB_ASSIGN_OR_RETURN(SlotImage committed,
-                          reconstructor.CommittedValue(p, c.rid));
-    LineAddr header_line = rs.HeaderLine(c.rid.page);
-    LineAddr record_line = rs.SlotLine(c.rid);
-    SMDB_RETURN_IF_ERROR(m.GetLine(p, header_line));
-    Status st = m.GetLine(p, record_line);
-    if (!st.ok()) {
-      m.ReleaseLine(p, header_line);
-      return st;
-    }
-    uint64_t usn = db_->usn().Next();
-    SlotImage img2;
-    img2.usn = usn;
-    img2.tag = kTagNone;
-    img2.data = committed.data;
-    Status w = rs.WriteSlot(p, c.rid, img2);
-    if (w.ok()) w = rs.WritePageLsn(p, c.rid.page, usn);
-    m.ReleaseLine(p, record_line);
-    m.ReleaseLine(p, header_line);
-    SMDB_RETURN_IF_ERROR(w);
-    db_->buffers().MarkDirty(c.rid.page);
-    ++ctx.out.tag_undos;
-    ++ctx.out.undo_applied;
     SMDB_EMIT(&db_->instruments(),
               {.kind = TraceEventKind::kTagDecision,
                .node = p,
                .txn = owner_of(c.usn),
                .ts = m.NodeClock(p),
-               .a = rid_enc,
+               .a = (static_cast<uint64_t>(c.rid.page) << 16) | c.rid.slot,
                .b = c.usn,
-               .label = "heap-undo"});
+               .label = c.stale_clear ? "heap-stale" : "heap-undo"});
   }
   for (const IdxCand& c : idx_cands) {
     NodeId p = idx_performer(c);
-    if (c.stale_clear) {
-      SMDB_RETURN_IF_ERROR(index.ClearTag(p, c.ref.entry.key));
-      SMDB_EMIT(&db_->instruments(),
-                {.kind = TraceEventKind::kTagDecision,
-                 .node = p,
-                 .txn = owner_of(c.ref.entry.usn),
-                 .ts = m.NodeClock(p),
-                 .a = c.ref.entry.key,
-                 .b = c.ref.entry.usn,
-                 .label = "index-stale"});
-      continue;
+    SMDB_RETURN_IF_ERROR(ResolveIndexTag(p, c.ref, c.stale_clear));
+    if (!c.stale_clear) {
+      ++ctx.out.tag_undos;
+      ++ctx.out.undo_applied;
     }
-    if (c.ref.entry.state == LeafEntryState::kLive) {
-      // Undo of an uncommitted insert: physically remove this entry.
-      // RemoveEntryAt blanks the slot in place (no compaction), so the
-      // (leaf, slot) references collected above stay valid throughout.
-      SMDB_RETURN_IF_ERROR(index.RemoveEntryAt(p, c.ref.leaf, c.ref.slot));
-    } else {
-      // Undo of an uncommitted logical delete: unmark this entry.
-      SMDB_RETURN_IF_ERROR(index.UnmarkEntryAt(p, c.ref.leaf, c.ref.slot));
-    }
-    ++ctx.out.tag_undos;
-    ++ctx.out.undo_applied;
     SMDB_EMIT(&db_->instruments(),
               {.kind = TraceEventKind::kTagDecision,
                .node = p,
@@ -748,7 +642,7 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
                .ts = m.NodeClock(p),
                .a = c.ref.entry.key,
                .b = c.ref.entry.usn,
-               .label = "index-undo"});
+               .label = c.stale_clear ? "index-stale" : "index-undo"});
   }
   return Status::Ok();
 }
@@ -846,16 +740,12 @@ Status RecoveryManager::RecoverLockTable(Ctx& ctx) {
 
 Result<RecoveryOutcome> RecoveryManager::Run(
     const std::vector<NodeId>& crashed) {
-  // A crash during the Recovering window supersedes the previous on-demand
-  // recovery: its undischarged obligations are re-derived from stable logs
-  // and the transaction table by this run (whole-machine reboots and the
-  // eager baselines recover everything themselves). Its dead nodes' tags
-  // are not derivable once such a node restarts, so they are carried over.
-  Ctx ctx;
-  if (db_->on_demand() != nullptr) {
-    ctx.inherited_dead_tags = db_->on_demand()->PendingDeadTags();
-    db_->on_demand()->Reset();
-  }
+  // Every recovery runs on the restart engine's context. A crash during a
+  // Recovering window supersedes the previous recovery: its undischarged
+  // obligations are re-derived from stable logs and the transaction table
+  // by this run. Its dead nodes' tags are not derivable once such a node
+  // restarts, so the new context inherits them.
+  Ctx& ctx = db_->on_demand().Begin();
   ctx.num_streams =
       std::max<uint32_t>(1, db_->config().recovery.recovery_streams);
   Machine& m = db_->machine();
@@ -882,12 +772,15 @@ Result<RecoveryOutcome> RecoveryManager::Run(
     s = RunRebootAll(ctx);
   } else {
     PinStreams(&ctx.streams, ctx.num_streams, ctx.survivors);
+    // Only the IFA schemes serve traffic while recovering: the baselines'
+    // contracts assume a fully recovered state on return.
+    const bool serve = db_->config().recovery.on_demand;
     switch (db_->config().recovery.restart) {
       case RestartKind::kRedoAll:
-        s = RunRedoAll(ctx);
+        s = RunRedoAll(ctx, serve);
         break;
       case RestartKind::kSelectiveRedo:
-        s = RunSelectiveRedo(ctx);
+        s = RunSelectiveRedo(ctx, serve);
         break;
       case RestartKind::kRebootAll:
         s = RunRebootAll(ctx);
@@ -899,10 +792,14 @@ Result<RecoveryOutcome> RecoveryManager::Run(
   }
   SMDB_RETURN_IF_ERROR(s);
 
-  // Annul the crashed transactions (their effects are undone now).
+  // Annul the crashed transactions (their effects are undone now). A
+  // Recovering window keeps the context; the transaction pointers must not
+  // outlive this call.
   for (Transaction* t : ctx.crashed_active) {
     db_->txn().MarkCrashAnnulled(t);
   }
+  ctx.crashed_active.clear();
+  ctx.surviving_active.clear();
 
   m.SyncClocks();
   ctx.out.recovery_time_ns = m.GlobalTime() - t0;

@@ -7,8 +7,11 @@
 #include <set>
 #include <vector>
 
+#include "btree/btree.h"
+#include "common/hash.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "core/protocol.h"
 #include "core/recovery.h"
 #include "txn/transaction.h"
 #include "wal/log_record.h"
@@ -16,6 +19,7 @@
 namespace smdb {
 
 class Database;
+class StableStateReconstructor;
 
 /// Orchestrates restart recovery after one or more node crashes, running
 /// whichever scheme the database's RecoveryConfig selects:
@@ -27,6 +31,12 @@ class Database;
 ///    survived in a cache nor reached the stable database, undo migrated
 ///    crashed updates via the per-record undo tags, recover the lock table.
 ///  * RebootAll / AbortDependents baselines.
+///
+/// Every scheme runs its crash-time prefix here (analysis, the reboot or
+/// line discard, page reloads) and hands the redo, undo and tag work to the
+/// one restart engine, OnDemandRecovery. Eager recovery is that engine's
+/// drain run at once, before the lock rebuild; on-demand recovery leaves
+/// the drain to first touch and the sweeper.
 ///
 /// Neither IFA scheme ever consults a crashed node's volatile log (it no
 /// longer exists); everything comes from stable storage, surviving caches,
@@ -75,10 +85,6 @@ class RecoveryManager {
     /// skipping it would resurrect them as duplicate live keys.
     std::set<PageId> spliced_pages;
 
-    /// Set while collecting the on-demand (instant-recovery) eager prefix:
-    /// entry-level redo and the stable-log undo are deferred to lazy
-    /// per-object discharge instead of applied here.
-    bool lazy = false;
     /// Tag-scan guard for lazy discharge: a tag whose entry USN exceeds
     /// the cutoff was written by post-crash traffic (a restarted node's
     /// new transactions) and is not this recovery's business. UINT64_MAX
@@ -136,47 +142,64 @@ class RecoveryManager {
 
   // Shared passes -------------------------------------------------------
 
-  /// Redo pass: replays update/index records (lsn > checkpoint) from every
-  /// survivor's full log and every crashed node's stable log, guarded by
-  /// USN comparison (idempotent, order-free).
-  Status ReplayLogsWithGuard(Ctx& ctx);
-
-  /// Collect half of the redo pass: every redo-relevant record (lsn >
-  /// checkpoint) from every reachable log, sorted by global USN. Pure
-  /// host-side log reads.
+  /// Every redo-relevant record (lsn > checkpoint) from every survivor's
+  /// full log and every crashed node's stable log, sorted by global USN.
+  /// Replay is guarded by USN comparison. Pure host-side log reads.
   Status CollectRedoRecords(std::vector<LogRecord>* out);
-  /// Apply half: structural records first (via NextSurvivor), then
-  /// entry-level records in the list's (USN) order. With ctx.lazy set the
-  /// entry-level half is skipped — OnDemandRecovery owns those records.
-  Status ApplyRedoRecords(Ctx& ctx, const std::vector<LogRecord>& records);
 
-  /// Stable-log undo obligations, split out so the on-demand path can
-  /// stash them and discharge per object.
+  /// Stable-log undo obligations: uncommitted dead work found in *any*
+  /// stable log — stolen updates and pre-crash aborts whose CLRs were
+  /// lost. The scan must cover every node, not just the newly-crashed
+  /// ones: a steal flush can place an uncommitted update in the stable
+  /// database, and if the compensation a previous recovery wrote for it is
+  /// later lost with *its* performer's cache and volatile log, the stale
+  /// value resurrects on reload. Each recovery therefore re-derives all
+  /// pending undo from the stable logs; the USN engagement guard keeps the
+  /// undo idempotent.
   struct UndoWork {
     /// Non-CLR records of uncommitted dead transactions, reverse-USN order.
     std::vector<LogRecord> to_undo;
-    /// CLR maps for engagement pre-seeding (see UndoCrashedFromStableLogs).
+    /// A previous recovery's compensation chain for one of these
+    /// transactions can be split across several performers' logs (undo
+    /// round-robins survivors), so a later crash can lose its tail while
+    /// redo replays its surviving prefix. That leaves the object at an
+    /// intermediate CLR state whose USN matches no original record — which
+    /// the engagement guard would misread as "legitimately overwritten" and
+    /// strand the object mid-rollback. These maps (CLR USN -> transaction,
+    /// object) let the undo resume that transaction's chain. Re-undoing an
+    /// already-compensated record is value-safe — the chain re-converges
+    /// to the oldest before image.
     std::map<uint64_t, std::pair<TxnId, RecordId>> clr_slots;
     std::map<uint64_t, std::pair<TxnId, std::pair<uint32_t, uint64_t>>>
         clr_keys;
   };
-  /// Collect half of the undo pass (pure host-side log reads).
+  /// Pure host-side log reads.
   Status CollectUndoWork(Ctx& ctx, UndoWork* out);
 
-  /// Undoes uncommitted dead work found in *any* stable log — stolen
-  /// updates and pre-crash aborts whose CLRs were lost. The scan must cover
-  /// every node, not just the newly-crashed ones: a steal flush can place an
-  /// uncommitted update in the stable database, and if the compensation a
-  /// previous recovery wrote for it is later lost with *its* performer's
-  /// cache and volatile log, the stale value resurrects on reload. Each
-  /// recovery therefore re-derives all pending undo from the stable logs;
-  /// the USN engagement guard keeps the pass idempotent.
-  Status UndoCrashedFromStableLogs(Ctx& ctx);
+  /// The prefix's hand-off, shared by every scheme: collects the redo and
+  /// undo work and passes it to the restart engine, which drains it at
+  /// once unless `serve` opens a Recovering window.
+  Status HandOff(Ctx& ctx, RestartKind scheme, bool serve);
 
   /// Selective Redo's tag scan: each survivor sweeps its cache for records
   /// and index entries tagged with a dead node and undoes them using
   /// last committed values from stable store.
   Status TagScanUndo(Ctx& ctx);
+
+  /// USN -> owning transaction from every stable log, to tell "tag stale
+  /// because the commit beat the tag-clear" from "uncommitted".
+  HashMap<uint64_t, TxnId> StableUsnOwners();
+  /// True when a dead node's tag on version `usn` is stale: the version's
+  /// transaction committed and only the tag-clear was lost.
+  bool StaleCommittedTag(const Ctx& ctx,
+                         const HashMap<uint64_t, TxnId>& usn_owner,
+                         uint64_t usn, NodeId tagged);
+  /// Resolves one dead-tagged record or index entry: clears a stale tag,
+  /// or undoes the uncommitted version (a record gets its last committed
+  /// value under a fresh USN).
+  Status ResolveRecordTag(NodeId p, RecordId rid, bool stale,
+                          StableStateReconstructor& reconstructor);
+  Status ResolveIndexTag(NodeId p, const BTree::EntryRef& ref, bool stale);
 
   /// Lock-table recovery: clear lost LCB lines, drop crashed transactions'
   /// locks, rebuild LCBs of surviving active transactions from surviving
@@ -192,13 +215,11 @@ class RecoveryManager {
 
   // Schemes --------------------------------------------------------------
 
-  Status RunRedoAll(Ctx& ctx);          // redo_all.cc
-  Status RunSelectiveRedo(Ctx& ctx);    // selective_redo.cc
-  Status RunRebootAll(Ctx& ctx);        // baselines.cc
-  Status RunAbortDependents(Ctx& ctx);  // baselines.cc
-
-  /// True if `txn` has a commit record in its node's stable log.
-  bool CommittedInStableLog(TxnId txn) const;
+  /// `serve`: return in the Recovering state (on-demand recovery).
+  Status RunRedoAll(Ctx& ctx, bool serve);        // redo_all.cc
+  Status RunSelectiveRedo(Ctx& ctx, bool serve);  // selective_redo.cc
+  Status RunRebootAll(Ctx& ctx);                  // baselines.cc
+  Status RunAbortDependents(Ctx& ctx);            // baselines.cc
 
   // Stream partitioning ---------------------------------------------------
 

@@ -1,5 +1,4 @@
 #include "core/database.h"
-#include "core/on_demand.h"
 #include "core/recovery_manager.h"
 
 namespace smdb {
@@ -16,18 +15,11 @@ namespace smdb {
 //      while the steal policy means some undo of crashed transactions from
 //      stable logs may still be required).
 //
-// With on-demand recovery, only the eager prefix runs here: the discard,
-// the index reload + structural redo (every later descent needs routing
-// intact), and the lock-table rebuild. Heap reload and entry-level
-// redo/undo are handed to OnDemandRecovery for per-object discharge.
-Status RecoveryManager::RunRedoAll(Ctx& ctx) {
+// With on-demand recovery the heap reload waits for first touch, the
+// sweeper or the drain; index pages reload now, since structural redo and
+// every subsequent descent depend on the tree's routing.
+Status RecoveryManager::RunRedoAll(Ctx& ctx, bool serve) {
   Machine& m = db_->machine();
-  OnDemandRecovery* od = db_->on_demand();
-  // Lazy only when Redo All is the *configured* protocol: baselines (and
-  // the whole-machine reboot path) delegate into the schemes and must stay
-  // eager — their contracts assume a fully recovered state on return.
-  const bool lazy =
-      od != nullptr && db_->config().recovery.restart == RestartKind::kRedoAll;
 
   // Step 1: discard every database line (heap pages and index pages) from
   // all caches and volatile memory.
@@ -41,9 +33,7 @@ Status RecoveryManager::RunRedoAll(Ctx& ctx) {
   SMDB_RETURN_IF_ERROR(discard_pages(db_->records().pages()));
   SMDB_RETURN_IF_ERROR(discard_pages(db_->index().pages()));
 
-  // Step 2a: reload the stable images. On-demand defers the heap pages —
-  // index pages always reload now, since structural redo and every
-  // subsequent descent depend on the tree's routing.
+  // Step 2a: reload the stable images.
   SMDB_RETURN_IF_ERROR(TimedPhase(ctx, RecoveryPhase::kReload, [&] {
     auto reload_pages = [&](const std::vector<PageId>& pages) -> Status {
       for (PageId p : pages) {
@@ -53,44 +43,22 @@ Status RecoveryManager::RunRedoAll(Ctx& ctx) {
       }
       return Status::Ok();
     };
-    if (!lazy) SMDB_RETURN_IF_ERROR(reload_pages(db_->records().pages()));
+    if (!serve) SMDB_RETURN_IF_ERROR(reload_pages(db_->records().pages()));
     return reload_pages(db_->index().pages());
   }));
 
-  if (!lazy) {
-    // Step 2b: redo from every reachable log.
-    SMDB_RETURN_IF_ERROR(TimedPhase(
-        ctx, RecoveryPhase::kRedo, [&] { return ReplayLogsWithGuard(ctx); }));
+  // Step 2b: redo from every reachable log, then undo uncommitted work of
+  // crashed transactions that reached stable store (steal). Purely
+  // volatile crashed updates vanished with step 1.
+  SMDB_RETURN_IF_ERROR(HandOff(ctx, RestartKind::kRedoAll, serve));
 
-    // Undo uncommitted work of crashed transactions that reached stable
-    // store (steal). Purely volatile crashed updates vanished with step 1.
-    SMDB_RETURN_IF_ERROR(TimedPhase(ctx, RecoveryPhase::kUndo, [&] {
-      return UndoCrashedFromStableLogs(ctx);
-    }));
-
-    // Lock space recovery (section 4.2.2).
-    return TimedPhase(ctx, RecoveryPhase::kLockRebuild,
-                      [&] { return RecoverLockTable(ctx); });
-  }
-
-  // On-demand eager prefix: structural redo now, entry-level redo and undo
-  // stashed for lazy discharge.
-  ctx.lazy = true;
-  std::vector<LogRecord> records;
-  SMDB_RETURN_IF_ERROR(TimedPhase(ctx, RecoveryPhase::kRedo, [&] {
-    SMDB_RETURN_IF_ERROR(CollectRedoRecords(&records));
-    return ApplyRedoRecords(ctx, records);  // structural only (ctx.lazy)
-  }));
-  UndoWork undo;
-  SMDB_RETURN_IF_ERROR(TimedPhase(
-      ctx, RecoveryPhase::kUndo, [&] { return CollectUndoWork(ctx, &undo); }));
-  // Lock rebuild runs in the prefix — new transactions need a sound lock
-  // table before the first lazy discharge. Moving it ahead of undo is
-  // safe: undo never touches LCBs, the drop set comes from analysis, and
-  // the fold covers only surviving actives' lock-op records.
-  SMDB_RETURN_IF_ERROR(TimedPhase(ctx, RecoveryPhase::kLockRebuild,
-                                  [&] { return RecoverLockTable(ctx); }));
-  return od->Activate(ctx, std::move(records), std::move(undo));
+  // Lock space recovery (section 4.2.2). A Recovering window needs a sound
+  // lock table before the first lazy discharge. Rebuilding it ahead of the
+  // deferred undo is safe: undo never touches LCBs, the drop set comes
+  // from analysis, and the fold covers only surviving actives' lock-op
+  // records.
+  return TimedPhase(ctx, RecoveryPhase::kLockRebuild,
+                    [&] { return RecoverLockTable(ctx); });
 }
 
 }  // namespace smdb

@@ -1,5 +1,4 @@
 #include "core/database.h"
-#include "core/on_demand.h"
 #include "core/recovery_manager.h"
 
 namespace smdb {
@@ -16,23 +15,14 @@ namespace smdb {
 //      transactions found via the undo tags stored in each record's cache
 //      line, installing last committed values from stable store.
 //
-// With on-demand recovery, only the eager prefix runs here: index lost-line
-// reinstall + structural redo and the lock-table rebuild. Heap lost lines,
-// entry-level redo/undo, and the tag scan are handed to OnDemandRecovery
-// for per-object discharge (the deferred tag work is guarded by a
-// crash-time USN cutoff so post-crash traffic's tags are never touched).
-Status RecoveryManager::RunSelectiveRedo(Ctx& ctx) {
-  OnDemandRecovery* od = db_->on_demand();
-  // Lazy only when Selective Redo is the *configured* protocol:
-  // AbortDependents delegates here and must stay eager — it aborts
-  // dependent survivors right after this returns, which requires a fully
-  // recovered state, not a Recovering window.
-  const bool lazy = od != nullptr && db_->config().recovery.restart ==
-                                         RestartKind::kSelectiveRedo;
-
+// With on-demand recovery the heap's lost lines, entry-level redo/undo and
+// the tag discharge wait for first touch, the sweeper or the drain (the
+// deferred tag work is guarded by a crash-time USN cutoff so post-crash
+// traffic's tags are never touched).
+Status RecoveryManager::RunSelectiveRedo(Ctx& ctx, bool serve) {
   // Step 0: re-materialise lost lines from the stable database (the probe —
   // ProbeLine, i.e. "cache miss with I/O disabled" — is what decides
-  // lost-ness inside ReinstallLostLines). On-demand defers the heap pages.
+  // lost-ness inside ReinstallLostLines).
   SMDB_RETURN_IF_ERROR(TimedPhase(ctx, RecoveryPhase::kReload, [&] {
     const int lines_per_page = static_cast<int>(
         db_->buffers().page_size() / db_->machine().line_size());
@@ -51,45 +41,20 @@ Status RecoveryManager::RunSelectiveRedo(Ctx& ctx) {
       }
       return Status::Ok();
     };
-    if (!lazy) SMDB_RETURN_IF_ERROR(reinstall(db_->records().pages()));
+    if (!serve) SMDB_RETURN_IF_ERROR(reinstall(db_->records().pages()));
     return reinstall(db_->index().pages());
   }));
 
-  if (!lazy) {
-    // Step 1: selective redo.
-    SMDB_RETURN_IF_ERROR(TimedPhase(
-        ctx, RecoveryPhase::kRedo, [&] { return ReplayLogsWithGuard(ctx); }));
+  // Step 1: selective redo. Step 2a: undo stolen/stable-logged uncommitted
+  // work of crashed nodes. Step 2b: tag-scan undo of crashed transactions'
+  // updates that migrated to surviving caches (no stable log record exists
+  // for these).
+  SMDB_RETURN_IF_ERROR(HandOff(ctx, RestartKind::kSelectiveRedo, serve));
 
-    // Step 2a: undo stolen/stable-logged uncommitted work of crashed nodes.
-    SMDB_RETURN_IF_ERROR(TimedPhase(ctx, RecoveryPhase::kUndo, [&] {
-      return UndoCrashedFromStableLogs(ctx);
-    }));
-
-    // Step 2b: tag-scan undo of crashed transactions' updates that migrated
-    // to surviving caches (no stable log record exists for these).
-    SMDB_RETURN_IF_ERROR(TimedPhase(ctx, RecoveryPhase::kTagScan,
-                                    [&] { return TagScanUndo(ctx); }));
-
-    // Lock space recovery (section 4.2.2).
-    return TimedPhase(ctx, RecoveryPhase::kLockRebuild,
-                      [&] { return RecoverLockTable(ctx); });
-  }
-
-  // On-demand eager prefix: structural redo now, everything entry-level
-  // stashed for lazy discharge.
-  ctx.lazy = true;
-  std::vector<LogRecord> records;
-  SMDB_RETURN_IF_ERROR(TimedPhase(ctx, RecoveryPhase::kRedo, [&] {
-    SMDB_RETURN_IF_ERROR(CollectRedoRecords(&records));
-    return ApplyRedoRecords(ctx, records);  // structural only (ctx.lazy)
-  }));
-  UndoWork undo;
-  SMDB_RETURN_IF_ERROR(TimedPhase(
-      ctx, RecoveryPhase::kUndo, [&] { return CollectUndoWork(ctx, &undo); }));
-  // Lock rebuild in the prefix (see RunRedoAll for why this is safe).
-  SMDB_RETURN_IF_ERROR(TimedPhase(ctx, RecoveryPhase::kLockRebuild,
-                                  [&] { return RecoverLockTable(ctx); }));
-  return od->Activate(ctx, std::move(records), std::move(undo));
+  // Lock space recovery (section 4.2.2); see RunRedoAll for why a
+  // Recovering window may rebuild it ahead of the deferred undo.
+  return TimedPhase(ctx, RecoveryPhase::kLockRebuild,
+                    [&] { return RecoverLockTable(ctx); });
 }
 
 }  // namespace smdb

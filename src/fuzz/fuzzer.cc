@@ -164,7 +164,10 @@ FuzzCase CrashScheduleFuzzer::Shrink(const FuzzFailure& failure) {
     if (budget == 0) return false;  // out of budget: keep what we have
     --budget;
     ++stats_.shrink_runs;
-    return RunCase(cand, failure.protocol).failed;
+    // Only the recorded kind counts: a candidate that fails differently is
+    // a different bug, and its replay would contradict the document.
+    FuzzVerdict v = RunCase(cand, failure.protocol);
+    return v.failed && v.kind == failure.verdict.kind;
   };
   auto try_reduce = [&](bool* changed, auto mutate) {
     FuzzCase cand = best;

@@ -102,7 +102,7 @@ class CrashScheduleFuzzer {
     uint64_t group_commit_window_ns = 0;
     uint32_t group_commit_max_batch = 0;
     /// Run every protocol with on-demand (instant) recovery: the crash-time
-    /// pass only runs the eager prefix, traffic resumes in the Recovering
+    /// pass only runs the scheme's prefix, traffic resumes in the Recovering
     /// state, and obligations discharge on first touch / via the harness
     /// sweeper. Orthogonal to protocol identity — the same IFA predicates
     /// must hold.
@@ -130,7 +130,7 @@ class CrashScheduleFuzzer {
   FuzzVerdict RunCase(const FuzzCase& fuzz_case, RecoveryConfig protocol);
 
   /// Delta-debugs the failing case to a (locally) minimal reproducer that
-  /// still fails under the failure's protocol.
+  /// still fails under the failure's protocol, with the failure's kind.
   FuzzCase Shrink(const FuzzFailure& failure);
 
   /// Re-runs the shrunk reproducer with event tracing enabled (the re-run

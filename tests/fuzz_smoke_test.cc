@@ -203,6 +203,38 @@ TEST(FuzzSmoke, BrokenUndoTaggingIsCaughtShrunkAndReplayable) {
   EXPECT_EQ(replayed.detail, direct.detail);
 }
 
+// The shrinker accepts a smaller case only if it fails with the recorded
+// kind: a replay of the shrunk case must reproduce what its document says
+// (a shrunk stream-divergence once replayed as a plain ifa-verify).
+TEST(FuzzSmoke, ShrinkerKeepsTheRecordedFailureKind) {
+  CrashScheduleFuzzer::Options opts;
+  opts.protocols = {RecoveryConfig::VolatileSelectiveRedo()};
+  opts.disable_undo_tagging = true;
+  opts.max_shrink_runs = 60;
+  opts.forensics = false;
+  CrashScheduleFuzzer fuzzer(opts);
+  std::optional<FuzzFailure> failure;
+  for (uint64_t seed = 0; seed < 60 && !failure.has_value(); ++seed) {
+    failure = fuzzer.RunSeed(seed);
+  }
+  ASSERT_TRUE(failure.has_value());
+
+  FuzzCase shrunk = fuzzer.Shrink(*failure);
+  auto doc =
+      CrashScheduleFuzzer::ParseReplay(fuzzer.ReplayJson(*failure, shrunk));
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  FuzzVerdict replayed = fuzzer.RunCase(doc->fuzz_case, doc->protocol);
+  EXPECT_TRUE(replayed.failed);
+  EXPECT_EQ(replayed.kind, doc->recorded_kind) << replayed.detail;
+
+  // Relabelled with a kind this schedule never produces, no candidate
+  // qualifies, so the case comes back unshrunk.
+  FuzzFailure relabelled = *failure;
+  relabelled.verdict.kind = "unnecessary-aborts";
+  EXPECT_EQ(fuzzer.Shrink(relabelled).ToJson().Dump(),
+            failure->fuzz_case.ToJson().Dump());
+}
+
 TEST(FuzzSmoke, StreamDifferentialIsCleanAndRecordedInReplays) {
   CrashScheduleFuzzer::Options opts;
   opts.protocols = {RecoveryConfig::VolatileSelectiveRedo(),

@@ -217,12 +217,11 @@ TEST(OnDemandServing, CommitsLandWhileObligationsPending) {
   auto outcome = fx.db.Crash({1});
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   ASSERT_TRUE(fx.db.RecoveringActive());
-  ASSERT_NE(fx.db.on_demand(), nullptr);
-  EXPECT_GT(fx.db.on_demand()->pending_objects(), 0u);
+  EXPECT_GT(fx.db.on_demand().pending_objects(), 0u);
 
   // A brand-new transaction on an untouched record commits immediately,
   // while the crash's obligations are still pending.
-  size_t pending_before = fx.db.on_demand()->pending_objects();
+  size_t pending_before = fx.db.on_demand().pending_objects();
   Transaction* t3 = fx.db.txn().Begin(2);
   ASSERT_TRUE(fx.db.txn().Update(t3, fx.table[9], Value(0x33)).ok());
   ASSERT_TRUE(fx.db.txn().Commit(t3).ok());
@@ -240,16 +239,16 @@ TEST(OnDemandServing, CommitsLandWhileObligationsPending) {
   ASSERT_TRUE(v3.ok()) << v3.status().ToString();
   EXPECT_NE(*v3, Value(0xBB)) << "uncommitted crash work must be undone";
   ASSERT_TRUE(fx.db.txn().Commit(t4).ok());
-  EXPECT_LT(fx.db.on_demand()->pending_objects(), pending_before);
-  EXPECT_GT(fx.db.on_demand()->stats().first_touch_discharges, 0u);
+  EXPECT_LT(fx.db.on_demand().pending_objects(), pending_before);
+  EXPECT_GT(fx.db.on_demand().stats().first_touch_discharges, 0u);
 
   // The sweeper finishes the rest; the drained state verifies.
   while (fx.db.RecoveringActive()) {
     auto swept = fx.db.PumpRecovery(4);
     ASSERT_TRUE(swept.ok()) << swept.status().ToString();
   }
-  EXPECT_EQ(fx.db.on_demand()->pending_objects(), 0u);
-  EXPECT_GT(fx.db.on_demand()->stats().sweep_discharges, 0u);
+  EXPECT_EQ(fx.db.on_demand().pending_objects(), 0u);
+  EXPECT_GT(fx.db.on_demand().stats().sweep_discharges, 0u);
 }
 
 // Checkpoints truncate the stable logs lazy obligations still reference;
@@ -314,9 +313,10 @@ TEST(OnDemandServing, DrainTimestampExtendsPastEagerPrefix) {
 // Runs the DEFAULT protocol set — including the baselines. The knob must
 // be a strict no-op for RebootAll/AbortDependents: they delegate into the
 // schemes (AbortDependents calls RunSelectiveRedo) and their contracts
-// assume a fully recovered state on return, so the lazy gate keys on the
-// *configured* restart kind. Seed 23 caught exactly that: AbortDependents
-// going lazy aborted dependents against a half-recovered state.
+// assume a fully recovered state on return, so only a configured Redo All
+// or Selective Redo opens a Recovering window. Seed 23 caught exactly
+// that: AbortDependents going lazy aborted dependents against a
+// half-recovered state.
 TEST(OnDemandFuzz, CampaignSliceRunsClean) {
   CrashScheduleFuzzer::Options opts;
   opts.on_demand = true;

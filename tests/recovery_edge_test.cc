@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
 #include "core/database.h"
 #include "core/ifa_checker.h"
 #include "core/recovery_manager.h"
@@ -642,6 +645,60 @@ TEST(RecoveryEdgeTest, SplitLeafPartialLineLossDoesNotResurrectMovedKeys) {
     Status v = checker.VerifyAll();
     EXPECT_TRUE(v.ok()) << rc.Name() << ": " << v.ToString();
     EXPECT_TRUE(db.index().CheckStructure(0).ok()) << rc.Name();
+  }
+}
+
+// The whole RecoveryOutcome of one fixed crash — the two-node crash of a
+// three-crash schedule with index ops, aborts, steal flushes and
+// checkpoints — pinned. Every restart runs through the restart engine's
+// drain, so this fails if the drain's work (or a phase's time) goes
+// unreported.
+struct PinnedOutcome {
+  const char* protocol;
+  uint64_t redo_applied, redo_skipped, undo_applied, tag_undos, tags_scanned;
+  uint64_t pages_reloaded, lines_reinstalled;
+  SimTime recovery_time_ns;
+  std::array<SimTime, kNumRecoveryPhases> phase_ns;
+};
+
+TEST(RecoveryEdgeTest, PinnedOutcomeOfOneFixedCrash) {
+  // Phase order: analysis, reboot, reload, redo, undo, tag scan, locks.
+  const PinnedOutcome pinned[] = {
+      {"volatile-selective", 9, 91, 5, 3, 2917, 3, 23, 10022200,
+       {0, 0, 5000000, 8810, 6220, 5007170, 0}},
+      {"volatile-redoall", 30, 73, 2, 0, 0, 4, 0, 5186810,
+       {0, 0, 5000000, 101630, 1610, 0, 83570}},
+      {"reboot-all", 20, 73, 5, 0, 0, 4, 0, 55012700,
+       {0, 50000000, 5000000, 11900, 800, 0, 0}},
+  };
+  for (const PinnedOutcome& p : pinned) {
+    HarnessConfig c;
+    ASSERT_TRUE(RecoveryConfig::FromFlagName(p.protocol, &c.db.recovery));
+    c.db.machine.num_nodes = 8;
+    c.seed = 5;
+    c.workload.seed = 36;
+    c.workload.txns_per_node = 60;
+    c.workload.index_op_ratio = 0.15;
+    c.workload.voluntary_abort_ratio = 0.05;
+    c.steal_flush_prob = 0.05;
+    c.checkpoint_every_steps = 300;
+    c.crashes = {{200, {2}, false}, {260, {5, 6}, true}, {700, {1}, true}};
+    Harness h(c);
+    auto report = h.Run();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_TRUE(report->verify_status.ok()) << p.protocol;
+    ASSERT_EQ(report->recoveries.size(), 3u) << p.protocol;
+    const RecoveryOutcome& out = report->recoveries[1];
+    SCOPED_TRACE(std::string(p.protocol) + ": " + out.ToString());
+    EXPECT_EQ(out.redo_applied, p.redo_applied);
+    EXPECT_EQ(out.redo_skipped, p.redo_skipped);
+    EXPECT_EQ(out.undo_applied, p.undo_applied);
+    EXPECT_EQ(out.tag_undos, p.tag_undos);
+    EXPECT_EQ(out.tags_scanned, p.tags_scanned);
+    EXPECT_EQ(out.pages_reloaded, p.pages_reloaded);
+    EXPECT_EQ(out.lines_reinstalled, p.lines_reinstalled);
+    EXPECT_EQ(out.recovery_time_ns, p.recovery_time_ns);
+    EXPECT_EQ(out.phase_ns, p.phase_ns);
   }
 }
 
