@@ -51,16 +51,9 @@ Status RecoveryManager::RunRebootAll(Ctx& ctx) {
   // Classic restart from stable storage: reload pages, repeat history from
   // the stable logs, undo every uncommitted transaction.
   SMDB_RETURN_IF_ERROR(TimedPhase(ctx, RecoveryPhase::kReload, [&] {
-    auto reload = [&](const std::vector<PageId>& pages) -> Status {
-      for (PageId p : pages) {
-        SMDB_RETURN_IF_ERROR(
-            db_->buffers().ReinstallPage(ctx.NextSurvivor(), p));
-        ++ctx.out.pages_reloaded;
-      }
-      return Status::Ok();
-    };
-    SMDB_RETURN_IF_ERROR(reload(db_->records().pages()));
-    return reload(db_->index().pages());
+    SMDB_RETURN_IF_ERROR(
+        ReloadPages(ctx, db_->records().pages(), /*whole=*/true));
+    return ReloadPages(ctx, db_->index().pages(), /*whole=*/true);
   }));
 
   // Nothing is preserved: the undo covers every uncommitted transaction.

@@ -28,14 +28,11 @@ Database::Database(DatabaseConfig config)
       PageLayout(config_.page_size, config_.machine.line_size,
                  config_.record_data_size));
   // Read-lock logging is a per-protocol choice (Table 1 row 2).
-  LockTableConfig lt = config_.lock_table;
-  lt.log_lock_ops = config_.recovery.log_lock_ops;
-  locks_ = std::make_unique<LockTable>(machine_.get(), log_.get(), lt, inst);
+  locks_ = std::make_unique<LockTable>(machine_.get(), log_.get(),
+                                       config_.lock_table,
+                                       config_.recovery.log_lock_ops, inst);
   lbm_ = LbmPolicy::Create(config_.recovery.lbm, machine_.get(), log_.get(),
                            group_commit_.get());
-  if (config_.recovery.restart == RestartKind::kAbortDependents) {
-    deps_ = std::make_unique<DependencyTracker>(machine_.get());
-  }
   index_ = std::make_unique<BTree>(
       machine_.get(), buffers_.get(), log_.get(), wal_table_.get(), &usn_,
       lbm_.get(), /*tree_id=*/1, config_.recovery.early_commit_structural);
@@ -49,9 +46,14 @@ Database::Database(DatabaseConfig config)
       config_.recovery.restart == RestartKind::kRebootAll);
   txn_ = std::make_unique<TxnManager>(
       machine_.get(), log_.get(), locks_.get(), records_.get(), index_.get(),
-      wal_table_.get(), buffers_.get(), lbm_.get(), &usn_, deps_.get(),
-      config_.recovery, inst);
+      wal_table_.get(), buffers_.get(), lbm_.get(), &usn_, config_.recovery,
+      inst);
   txn_->SetGroupCommit(group_commit_.get());
+  if (config_.recovery.restart == RestartKind::kAbortDependents) {
+    deps_ = std::make_unique<DependencyTracker>(machine_.get(),
+                                                records_.get());
+    txn_->AddObserver(deps_.get());
+  }
   recovery_ = std::make_unique<RecoveryManager>(this);
   on_demand_ = std::make_unique<OnDemandRecovery>(this);
   // First-touch hooks: every transactional access to an object discharges

@@ -1,15 +1,20 @@
 #include "core/dependency_tracker.h"
 
+#include "db/record_store.h"
 #include "sim/machine.h"
 
 namespace smdb {
 
-DependencyTracker::DependencyTracker(Machine* machine) {
+DependencyTracker::DependencyTracker(Machine* machine,
+                                     const RecordStore* records)
+    : records_(records) {
   machine->AddCoherenceHook(
       [this](const CoherenceEvent& ev) { OnCoherence(ev); });
 }
 
-void DependencyTracker::OnTxnUpdate(TxnId txn, LineAddr line) {
+void DependencyTracker::OnUpdate(TxnId txn, RecordId rid,
+                                 const std::vector<uint8_t>& /*value*/) {
+  const LineAddr line = records_->SlotLine(rid);
   auto& txns = line_txns_[line];
   // Cohabiting a line with another active transaction's update makes both
   // transactions dependent: whichever node ends up holding the line, the
@@ -24,7 +29,7 @@ void DependencyTracker::OnTxnUpdate(TxnId txn, LineAddr line) {
   txn_lines_[txn].insert(line);
 }
 
-void DependencyTracker::OnTxnEnd(TxnId txn) {
+void DependencyTracker::End(TxnId txn) {
   auto it = txn_lines_.find(txn);
   if (it != txn_lines_.end()) {
     for (LineAddr line : it->second) {

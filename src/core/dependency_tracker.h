@@ -6,10 +6,12 @@
 #include "common/hash.h"
 #include "common/types.h"
 #include "sim/events.h"
+#include "txn/transaction.h"
 
 namespace smdb {
 
 class Machine;
+class RecordStore;
 
 /// Tracks which active transactions have become "dependent on the memory of
 /// a remote node" — the condition under which the overkill baseline of
@@ -24,16 +26,19 @@ class Machine;
 ///    whose fate is tied to other nodes).
 ///
 /// This is bookkeeping a real system would not need for the IFA protocols;
-/// it exists to implement and quantify the AbortDependents baseline.
-class DependencyTracker {
+/// it exists to implement and quantify the AbortDependents baseline. It
+/// observes the transaction manager: an update marks the record's line, a
+/// commit or abort ends the transaction.
+class DependencyTracker : public TxnObserver {
  public:
-  explicit DependencyTracker(Machine* machine);
+  DependencyTracker(Machine* machine, const RecordStore* records);
 
-  /// Transaction `txn` (on TxnNode(txn)) wrote uncommitted data in `line`.
-  void OnTxnUpdate(TxnId txn, LineAddr line);
-
-  /// Transaction finished (commit or abort); forget its state.
-  void OnTxnEnd(TxnId txn);
+  /// Transaction `txn` (on TxnNode(txn)) wrote uncommitted data in `rid`'s
+  /// line.
+  void OnUpdate(TxnId txn, RecordId rid,
+                const std::vector<uint8_t>& value) override;
+  void OnCommit(TxnId txn) override { End(txn); }
+  void OnAbort(TxnId txn) override { End(txn); }
 
   /// Currently-dependent active transactions.
   std::set<TxnId> Dependent() const { return dependent_; }
@@ -43,7 +48,11 @@ class DependencyTracker {
   }
 
  private:
+  /// The transaction finished; forget its state.
+  void End(TxnId txn);
   void OnCoherence(const CoherenceEvent& ev);
+
+  const RecordStore* records_;
 
   /// line -> active transactions with uncommitted updates in it.
   HashMap<LineAddr, std::set<TxnId>> line_txns_;

@@ -7,15 +7,6 @@
 
 namespace smdb {
 
-namespace {
-
-uint64_t UsnOf(const LogRecord& rec) {
-  return rec.type == LogRecordType::kUpdate ? rec.update().usn
-                                            : rec.index_op().usn;
-}
-
-}  // namespace
-
 OnDemandRecovery::OnDemandRecovery(Database* db) : db_(db) {}
 
 OnDemandRecovery::~OnDemandRecovery() = default;
@@ -108,10 +99,8 @@ void OnDemandRecovery::BuildIndex() {
   // background drain follows the global log order.
   auto min_usn = [&](const Pending& p) {
     uint64_t lo = UINT64_MAX;
-    if (!p.redo.empty()) lo = std::min(lo, UsnOf(redo_[p.redo.front()]));
-    if (!p.undo.empty()) {
-      lo = std::min(lo, UsnOf(undo_.to_undo[p.undo.back()]));
-    }
+    if (!p.redo.empty()) lo = std::min(lo, redo_[p.redo.front()].usn());
+    if (!p.undo.empty()) lo = std::min(lo, undo_.to_undo[p.undo.back()].usn());
     return lo;
   };
   for (const auto& [rid, p] : records_) {
@@ -150,13 +139,8 @@ void OnDemandRecovery::CountDischarge(Via via) {
 Status OnDemandRecovery::EnsureHeapPage(NodeId performer, PageId page) {
   auto it = pending_pages_.find(page);
   if (it == pending_pages_.end()) return Status::Ok();
-  if (whole_pages_) {
-    SMDB_RETURN_IF_ERROR(db_->buffers().ReinstallPage(performer, page));
-  } else {
-    SMDB_ASSIGN_OR_RETURN(
-        int n, db_->buffers().ReinstallLostLines(performer, page));
-    (void)n;
-  }
+  SMDB_RETURN_IF_ERROR(
+      db_->recovery().ReloadPage(ctx_, performer, page, whole_pages_));
   pending_pages_.erase(it);
   return Status::Ok();
 }

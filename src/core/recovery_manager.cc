@@ -225,20 +225,7 @@ Status RecoveryManager::ApplyRedoUpdate(Ctx& ctx, NodeId performer,
   img.usn = u.usn;
   img.tag = tag;
   img.data = u.after;
-  Machine& m = db_->machine();
-  LineAddr header_line = rs.HeaderLine(u.rid.page);
-  LineAddr record_line = rs.SlotLine(u.rid);
-  SMDB_RETURN_IF_ERROR(m.GetLine(performer, header_line));
-  Status st = m.GetLine(performer, record_line);
-  if (!st.ok()) {
-    m.ReleaseLine(performer, header_line);
-    return st;
-  }
-  Status s = rs.WriteSlot(performer, u.rid, img);
-  if (s.ok()) s = rs.WritePageLsn(performer, u.rid.page, u.usn);
-  m.ReleaseLine(performer, record_line);
-  m.ReleaseLine(performer, header_line);
-  SMDB_RETURN_IF_ERROR(s);
+  SMDB_RETURN_IF_ERROR(rs.InstallSlot(performer, u.rid, std::move(img)));
   // The redone update's log record lives on rec.node; if that node was not
   // lost in the crash, the WAL gate must still cover it before any future
   // flush. Keyed on the crash-time dead set, not current liveness: lazy
@@ -310,32 +297,47 @@ Status RecoveryManager::CollectRedoRecords(std::vector<LogRecord>* out) {
   std::vector<LogRecord>& records = *out;
   for (NodeId n = 0; n < m.num_nodes(); ++n) {
     Lsn start = db_->log().checkpoint_lsn(n);
-    auto visit = [&](const LogRecord& rec) {
+    db_->log().ForEachAll(n, [&](const LogRecord& rec) {
       if (rec.lsn <= start && start != kInvalidLsn) return;
-      if (rec.type == LogRecordType::kUpdate ||
-          rec.type == LogRecordType::kIndexOp ||
-          rec.type == LogRecordType::kStructural) {
-        records.push_back(rec);
-      }
-    };
-    if (m.NodeAlive(n)) {
-      db_->log().ForEachAll(n, visit);
-    } else {
-      db_->log().ForEachStable(n, visit);
-    }
+      if (rec.usn() != 0) records.push_back(rec);
+    });
   }
-  auto usn_of = [](const LogRecord& rec) {
-    switch (rec.type) {
-      case LogRecordType::kUpdate: return rec.update().usn;
-      case LogRecordType::kIndexOp: return rec.index_op().usn;
-      default: return rec.structural().usn;
-    }
-  };
   // USNs are globally unique, so this order is total and deterministic.
   std::sort(records.begin(), records.end(),
-            [&](const LogRecord& a, const LogRecord& b) {
-              return usn_of(a) < usn_of(b);
+            [](const LogRecord& a, const LogRecord& b) {
+              return a.usn() < b.usn();
             });
+  return Status::Ok();
+}
+
+Status RecoveryManager::ReloadPage(Ctx& ctx, NodeId performer, PageId page,
+                                   bool whole) {
+  BufferManager& buffers = db_->buffers();
+  if (whole) {
+    SMDB_RETURN_IF_ERROR(buffers.ReinstallPage(performer, page));
+    ++ctx.out.pages_reloaded;
+    return Status::Ok();
+  }
+  // ProbeLine ("cache miss with I/O disabled") decides lost-ness inside
+  // ReinstallLostLines.
+  SMDB_ASSIGN_OR_RETURN(int n, buffers.ReinstallLostLines(performer, page));
+  if (n == 0) return Status::Ok();
+  ctx.out.lines_reinstalled += n;
+  ++ctx.out.pages_reloaded;
+  // A partial reinstall splices stable-image lines into surviving ones;
+  // the page's surviving Page-LSN no longer describes every line, so
+  // structural redo must not skip on it (see Ctx).
+  const size_t lines_per_page =
+      buffers.page_size() / db_->machine().line_size();
+  if (static_cast<size_t>(n) < lines_per_page) ctx.spliced_pages.insert(page);
+  return Status::Ok();
+}
+
+Status RecoveryManager::ReloadPages(Ctx& ctx, const std::vector<PageId>& pages,
+                                    bool whole) {
+  for (PageId p : pages) {
+    SMDB_RETURN_IF_ERROR(ReloadPage(ctx, ctx.NextSurvivor(), p, whole));
+  }
   return Status::Ok();
 }
 
@@ -363,23 +365,12 @@ Status RecoveryManager::CollectUndoWork(Ctx& ctx, UndoWork* out) {
     db_->log().ForEachStable(c, [&](const LogRecord& rec) {
       if (!ctx.uncommitted_ids.contains(rec.txn)) return;
       if (ctx.preserved_ids.contains(rec.txn)) return;
-      if (rec.type == LogRecordType::kUpdate && !rec.update().is_clr) {
-        to_undo.push_back(rec);
-      } else if (rec.type == LogRecordType::kIndexOp &&
-                 !rec.index_op().is_clr) {
-        to_undo.push_back(rec);
-      }
+      if (rec.undoable()) to_undo.push_back(rec);
     });
   }
   std::sort(to_undo.begin(), to_undo.end(),
             [](const LogRecord& a, const LogRecord& b) {
-              uint64_t ua = a.type == LogRecordType::kUpdate
-                                ? a.update().usn
-                                : a.index_op().usn;
-              uint64_t ub = b.type == LogRecordType::kUpdate
-                                ? b.update().usn
-                                : b.index_op().usn;
-              return ua > ub;  // reverse order
+              return a.usn() > b.usn();  // reverse order
             });
 
   // The CLR maps for resuming half-done compensation chains (see UndoWork).
@@ -388,14 +379,13 @@ Status RecoveryManager::CollectUndoWork(Ctx& ctx, UndoWork* out) {
   std::map<uint64_t, std::pair<TxnId, RecordId>> clr_slots;
   std::map<uint64_t, std::pair<TxnId, std::pair<uint32_t, uint64_t>>>
       clr_keys;
-  Machine& m = db_->machine();
   // USNs are globally unique, so the per-node maps are disjoint and the
   // merge order is irrelevant.
-  for (NodeId n = 0; n < m.num_nodes(); ++n) {
+  for (NodeId n = 0; n < db_->machine().num_nodes(); ++n) {
     std::map<uint64_t, std::pair<TxnId, RecordId>> node_clr_slots;
     std::map<uint64_t, std::pair<TxnId, std::pair<uint32_t, uint64_t>>>
         node_clr_keys;
-    auto visit = [&](const LogRecord& rec) {
+    db_->log().ForEachAll(n, [&](const LogRecord& rec) {
       if (!undo_txns.contains(rec.txn)) return;
       if (rec.type == LogRecordType::kUpdate && rec.update().is_clr) {
         node_clr_slots[rec.update().usn] = {rec.txn, rec.update().rid};
@@ -404,12 +394,7 @@ Status RecoveryManager::CollectUndoWork(Ctx& ctx, UndoWork* out) {
         const IndexOpPayload& op = rec.index_op();
         node_clr_keys[op.usn] = {rec.txn, {op.tree_id, op.key}};
       }
-    };
-    if (m.NodeAlive(n)) {
-      db_->log().ForEachAll(n, visit);
-    } else {
-      db_->log().ForEachStable(n, visit);
-    }
+    });
     clr_slots.merge(node_clr_slots);
     clr_keys.merge(node_clr_keys);
   }
@@ -423,12 +408,10 @@ HashMap<uint64_t, TxnId> RecoveryManager::StableUsnOwners() {
   HashMap<uint64_t, TxnId> usn_owner;
   for (NodeId c = 0; c < db_->machine().num_nodes(); ++c) {
     HashMap<uint64_t, TxnId> node_owner;
+    // Structural USNs join the map too; they stamp only Page-LSNs, never a
+    // slot or an entry, so no tag lookup can hit one.
     db_->log().ForEachStable(c, [&](const LogRecord& rec) {
-      if (rec.type == LogRecordType::kUpdate) {
-        node_owner[rec.update().usn] = rec.txn;
-      } else if (rec.type == LogRecordType::kIndexOp) {
-        node_owner[rec.index_op().usn] = rec.txn;
-      }
+      if (uint64_t usn = rec.usn()) node_owner[usn] = rec.txn;
     });
     usn_owner.merge(node_owner);
   }
@@ -454,37 +437,16 @@ bool RecoveryManager::StaleCommittedTag(
 Status RecoveryManager::ResolveRecordTag(
     NodeId p, RecordId rid, bool stale,
     StableStateReconstructor& reconstructor) {
-  Machine& m = db_->machine();
   RecordStore& rs = db_->records();
-  if (stale) {
-    // Commit happened; only the tag-clear was lost. Clear it now.
-    LineAddr line = rs.SlotLine(rid);
-    SMDB_RETURN_IF_ERROR(m.GetLine(p, line));
-    Status st = rs.WriteTag(p, rid, kTagNone);
-    m.ReleaseLine(p, line);
-    return st;
-  }
-  // Undo: install the last committed value (from stable store).
+  // Commit happened; only the tag-clear was lost. Clear it now.
+  if (stale) return rs.ClearTag(p, rid);
+  // Undo: install the last committed value (from stable store) under a
+  // fresh USN.
   SMDB_ASSIGN_OR_RETURN(SlotImage committed,
                         reconstructor.CommittedValue(p, rid));
-  LineAddr header_line = rs.HeaderLine(rid.page);
-  LineAddr record_line = rs.SlotLine(rid);
-  SMDB_RETURN_IF_ERROR(m.GetLine(p, header_line));
-  Status st = m.GetLine(p, record_line);
-  if (!st.ok()) {
-    m.ReleaseLine(p, header_line);
-    return st;
-  }
-  uint64_t usn = db_->usn().Next();
-  SlotImage img;
-  img.usn = usn;
-  img.tag = kTagNone;
-  img.data = committed.data;
-  Status w = rs.WriteSlot(p, rid, img);
-  if (w.ok()) w = rs.WritePageLsn(p, rid.page, usn);
-  m.ReleaseLine(p, record_line);
-  m.ReleaseLine(p, header_line);
-  SMDB_RETURN_IF_ERROR(w);
+  committed.tag = kTagNone;
+  SMDB_RETURN_IF_ERROR(
+      rs.InstallSlot(p, rid, std::move(committed), &db_->usn()));
   db_->buffers().MarkDirty(rid.page);
   return Status::Ok();
 }

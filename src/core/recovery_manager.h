@@ -176,6 +176,14 @@ class RecoveryManager {
   /// Pure host-side log reads.
   Status CollectUndoWork(Ctx& ctx, UndoWork* out);
 
+  /// Reloads one page from the stable database on `performer` (section
+  /// 4.1.2): the whole image when `whole` (Redo All, RebootAll), else only
+  /// the lines no survivor still holds (Selective Redo). Counts
+  /// pages_reloaded and lines_reinstalled, and records spliced pages.
+  Status ReloadPage(Ctx& ctx, NodeId performer, PageId page, bool whole);
+  /// ReloadPage over `pages` in order, one ctx.NextSurvivor() per page.
+  Status ReloadPages(Ctx& ctx, const std::vector<PageId>& pages, bool whole);
+
   /// The prefix's hand-off, shared by every scheme: collects the redo and
   /// undo work and passes it to the restart engine, which drains it at
   /// once unless `serve` opens a Recovering window.

@@ -35,16 +35,11 @@ Status RecoveryManager::RunRedoAll(Ctx& ctx, bool serve) {
 
   // Step 2a: reload the stable images.
   SMDB_RETURN_IF_ERROR(TimedPhase(ctx, RecoveryPhase::kReload, [&] {
-    auto reload_pages = [&](const std::vector<PageId>& pages) -> Status {
-      for (PageId p : pages) {
-        SMDB_RETURN_IF_ERROR(
-            db_->buffers().ReinstallPage(ctx.NextSurvivor(), p));
-        ++ctx.out.pages_reloaded;
-      }
-      return Status::Ok();
-    };
-    if (!serve) SMDB_RETURN_IF_ERROR(reload_pages(db_->records().pages()));
-    return reload_pages(db_->index().pages());
+    if (!serve) {
+      SMDB_RETURN_IF_ERROR(
+          ReloadPages(ctx, db_->records().pages(), /*whole=*/true));
+    }
+    return ReloadPages(ctx, db_->index().pages(), /*whole=*/true);
   }));
 
   // Step 2b: redo from every reachable log, then undo uncommitted work of

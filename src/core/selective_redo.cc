@@ -20,29 +20,13 @@ namespace smdb {
 // deferred tag work is guarded by a crash-time USN cutoff so post-crash
 // traffic's tags are never touched).
 Status RecoveryManager::RunSelectiveRedo(Ctx& ctx, bool serve) {
-  // Step 0: re-materialise lost lines from the stable database (the probe —
-  // ProbeLine, i.e. "cache miss with I/O disabled" — is what decides
-  // lost-ness inside ReinstallLostLines).
+  // Step 0: re-materialise lost lines from the stable database.
   SMDB_RETURN_IF_ERROR(TimedPhase(ctx, RecoveryPhase::kReload, [&] {
-    const int lines_per_page = static_cast<int>(
-        db_->buffers().page_size() / db_->machine().line_size());
-    auto reinstall = [&](const std::vector<PageId>& pages) -> Status {
-      for (PageId p : pages) {
-        SMDB_ASSIGN_OR_RETURN(
-            int n, db_->buffers().ReinstallLostLines(ctx.NextSurvivor(), p));
-        if (n > 0) {
-          ctx.out.lines_reinstalled += n;
-          ++ctx.out.pages_reloaded;
-          // A partial reinstall splices stable-image lines into surviving
-          // ones; the page's surviving Page-LSN no longer describes every
-          // line, so structural redo must not skip on it (see Ctx).
-          if (n < lines_per_page) ctx.spliced_pages.insert(p);
-        }
-      }
-      return Status::Ok();
-    };
-    if (!serve) SMDB_RETURN_IF_ERROR(reinstall(db_->records().pages()));
-    return reinstall(db_->index().pages());
+    if (!serve) {
+      SMDB_RETURN_IF_ERROR(
+          ReloadPages(ctx, db_->records().pages(), /*whole=*/false));
+    }
+    return ReloadPages(ctx, db_->index().pages(), /*whole=*/false);
   }));
 
   // Step 1: selective redo. Step 2a: undo stolen/stable-logged uncommitted

@@ -19,20 +19,15 @@ void StableStateReconstructor::BuildIndex() {
   if (indexed_) return;
   indexed_ = true;
   for (NodeId n = 0; n < machine_->num_nodes(); ++n) {
-    auto visit = [&](const LogRecord& rec) {
+    log_->ForEachAll(n, [&](const LogRecord& rec) {
       if (rec.type != LogRecordType::kUpdate) return;
       by_record_[rec.update().rid].push_back(rec);
-    };
-    if (machine_->NodeAlive(n)) {
-      log_->ForEachAll(n, visit);
-    } else {
-      log_->ForEachStable(n, visit);
-    }
+    });
   }
   for (auto& [rid, recs] : by_record_) {
     std::sort(recs.begin(), recs.end(),
               [](const LogRecord& a, const LogRecord& b) {
-                return a.update().usn < b.update().usn;
+                return a.usn() < b.usn();
               });
   }
 }

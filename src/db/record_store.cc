@@ -90,6 +90,44 @@ Status RecordStore::WriteTag(NodeId node, RecordId rid, uint16_t tag) {
   return machine_->Write(node, SlotAddr(rid) + 8, &tag, sizeof(tag));
 }
 
+Status RecordStore::ClearTag(NodeId node, RecordId rid) {
+  LineAddr line = SlotLine(rid);
+  SMDB_RETURN_IF_ERROR(machine_->GetLine(node, line));
+  Status s = WriteTag(node, rid, kTagNone);
+  machine_->ReleaseLine(node, line);
+  return s;
+}
+
+Status RecordStore::InstallSlot(
+    NodeId node, RecordId rid, SlotImage img, UsnSource* fresh,
+    SlotImage* before, const std::function<Status(uint64_t usn)>& in_section) {
+  LineAddr header_line = HeaderLine(rid.page);
+  LineAddr record_line = SlotLine(rid);
+  SMDB_RETURN_IF_ERROR(machine_->GetLine(node, header_line));
+  Status s = machine_->GetLine(node, record_line);
+  if (!s.ok()) {
+    machine_->ReleaseLine(node, header_line);
+    return s;
+  }
+  if (before != nullptr) {
+    Result<SlotImage> cur = ReadSlot(node, rid);
+    if (cur.ok()) {
+      *before = std::move(*cur);
+    } else {
+      s = cur.status();
+    }
+  }
+  if (s.ok()) {
+    if (fresh != nullptr) img.usn = fresh->Next();
+    s = WriteSlot(node, rid, img);
+  }
+  if (s.ok()) s = WritePageLsn(node, rid.page, img.usn);
+  if (s.ok() && in_section) s = in_section(img.usn);
+  machine_->ReleaseLine(node, record_line);
+  machine_->ReleaseLine(node, header_line);
+  return s;
+}
+
 Status RecordStore::WritePageLsn(NodeId node, PageId page, uint64_t usn) {
   auto base = buffers_->BaseOf(page);
   if (!base.ok()) return base.status();

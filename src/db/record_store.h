@@ -1,11 +1,13 @@
 #ifndef SMDB_DB_RECORD_STORE_H_
 #define SMDB_DB_RECORD_STORE_H_
 
+#include <functional>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "core/protocol.h"
 #include "db/buffer_manager.h"
 #include "db/page_layout.h"
 
@@ -15,12 +17,11 @@ class Machine;
 
 /// Fixed-size-record heap storage over shared-memory pages.
 ///
-/// RecordStore provides raw coherent slot access and the addressing the
-/// recovery protocols need (slot <-> line resolution, undo-tag scans). It
-/// performs no locking and no logging itself: the update *protocol*
-/// (record lock, line locks on the Page-LSN line and the record line,
-/// in-place write, LBM logging — sections 5.1 and 6) is orchestrated by the
-/// transaction layer.
+/// RecordStore provides raw coherent slot access, the addressing the
+/// recovery protocols need (slot <-> line resolution, undo-tag scans) and
+/// the line-locked slot install every record write goes through. It takes
+/// no record locks and writes no log records itself: the caller's log
+/// append runs inside the install's critical section.
 class RecordStore {
  public:
   RecordStore(Machine* machine, BufferManager* buffers, PageLayout layout);
@@ -57,12 +58,27 @@ class RecordStore {
   /// copy.
   Result<SlotImage> SnoopSlot(RecordId rid) const;
 
-  /// Writes only the undo tag field of a slot (used when commit clears the
-  /// tags of the transaction's records).
+  /// Writes only the undo tag field of a slot.
   Status WriteTag(NodeId node, RecordId rid, uint16_t tag);
 
   /// Updates the Page-LSN in the page's first cache line.
   Status WritePageLsn(NodeId node, PageId page, uint64_t usn);
+
+  /// The ordered-update write of section 6, the one place its machine
+  /// sequence lives. Takes the Page-LSN (header) line, then the record
+  /// line, releasing the header line if the second GetLine fails. Reads
+  /// the slot's current image into `before` when it is set; draws img.usn
+  /// from `fresh` when that is set; writes the slot and Page-LSN = img.usn;
+  /// runs `in_section` (an update's or CLR's log append and LBM hook) with
+  /// that USN while both lines are held; then releases the record line and
+  /// the header line.
+  Status InstallSlot(
+      NodeId node, RecordId rid, SlotImage img, UsnSource* fresh = nullptr,
+      SlotImage* before = nullptr,
+      const std::function<Status(uint64_t usn)>& in_section = nullptr);
+
+  /// Clears the slot's undo tag under its record line's line lock.
+  Status ClearTag(NodeId node, RecordId rid);
 
   /// Reads a slot from a stable page image previously fetched from disk.
   SlotImage DecodeStableSlot(const std::vector<uint8_t>& page_image,

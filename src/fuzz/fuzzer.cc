@@ -1,8 +1,9 @@
 #include "fuzz/fuzzer.h"
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
-#include "common/thread_pool.h"
 #include "obs/forensics.h"
 
 namespace smdb {
@@ -328,24 +329,18 @@ Result<CrashScheduleFuzzer::ReplayDoc> CrashScheduleFuzzer::ParseReplay(
   // Absent in documents that predate recovery streams: a single stream.
   uint64_t streams = doc.GetUint("recovery_streams");
   out.recovery_streams = streams == 0 ? 1 : static_cast<uint32_t>(streams);
-  // Absent in documents that predate the group-commit pipeline: off.
-  out.group_commit = doc.GetBool("group_commit");
-  out.protocol.group_commit = out.group_commit;
-  if (out.group_commit) {
+  // The group-commit and on-demand knobs travel in `protocol`. Absent in
+  // documents that predate them: off.
+  out.protocol.group_commit = doc.GetBool("group_commit");
+  if (out.protocol.group_commit) {
     uint64_t window = doc.GetUint("group_commit_window_ns");
-    if (window != 0) {
-      out.group_commit_window_ns = window;
-      out.protocol.group_commit_window_ns = window;
-    }
+    if (window != 0) out.protocol.group_commit_window_ns = window;
     uint64_t batch = doc.GetUint("group_commit_max_batch");
     if (batch != 0) {
-      out.group_commit_max_batch = static_cast<uint32_t>(batch);
       out.protocol.group_commit_max_batch = static_cast<uint32_t>(batch);
     }
   }
-  // Absent in documents that predate on-demand recovery: off.
-  out.on_demand = doc.GetBool("on_demand");
-  out.protocol.on_demand = out.on_demand;
+  out.protocol.on_demand = doc.GetBool("on_demand");
   // Absent in documents that predate the observability layer: defaults.
   if (doc.Find("forensics_enabled") != nullptr) {
     out.forensics_enabled = doc.GetBool("forensics_enabled");
@@ -405,44 +400,42 @@ json::Value PerSeedAggregateJson(const std::vector<FuzzStats>& per_seed) {
 FuzzCampaignResult RunFuzzCampaign(const CrashScheduleFuzzer::Options& opts,
                                    uint64_t seed_start, uint64_t seed_count,
                                    unsigned jobs) {
-  FuzzCampaignResult out;
-  if (jobs <= 1) {
-    // One fresh fuzzer per seed (same as the sharded path) so per-seed
-    // stats blocks exist; merging them gives the exact totals the old
-    // single-fuzzer loop accumulated.
-    for (uint64_t i = 0; i < seed_count; ++i) {
+  // Each seed runs in a fresh fuzzer (a seed's outcome is a pure function of
+  // (seed, opts); stats never feed back into sampling or execution) and
+  // writes its own slot. Workers claim seeds from one counter in increasing
+  // order and stop once they pass the lowest failing seed found so far, so
+  // every seed below the first failure runs. Folding the slots in seed
+  // order up to and including the first failure then gives the verdict and
+  // merged stats of a serial run, whatever `jobs` is.
+  std::vector<std::optional<FuzzFailure>> failures(seed_count);
+  std::vector<FuzzStats> stats(seed_count);
+  std::atomic<uint64_t> next{0};
+  std::atomic<uint64_t> first_failure{seed_count};
+  auto claim_seeds = [&] {
+    for (uint64_t i = next++; i < first_failure.load(); i = next++) {
       CrashScheduleFuzzer fuzzer(opts);
-      out.failure = fuzzer.RunSeed(seed_start + i);
-      out.per_seed.push_back(fuzzer.stats());
-      out.stats.Merge(fuzzer.stats());
-      if (out.failure.has_value()) break;
-    }
-    return out;
-  }
-  // Sharded: chunks of jobs*4 seeds, each seed in a fresh fuzzer (a seed's
-  // outcome is a pure function of (seed, opts); stats never feed back into
-  // sampling or execution). Folding the per-seed slots in seed order up to
-  // and including the first failure reproduces the serial result exactly —
-  // later seeds in the failing chunk may have run, but their results are
-  // discarded, so the verdict and merged stats are independent of `jobs`.
-  ThreadPool pool(jobs);
-  const uint64_t chunk = static_cast<uint64_t>(jobs) * 4;
-  for (uint64_t base = 0; base < seed_count; base += chunk) {
-    const uint64_t n = std::min(chunk, seed_count - base);
-    std::vector<std::optional<FuzzFailure>> failures(n);
-    std::vector<FuzzStats> stats(n);
-    pool.ParallelFor(static_cast<size_t>(n), [&](size_t i) {
-      CrashScheduleFuzzer fuzzer(opts);
-      failures[i] = fuzzer.RunSeed(seed_start + base + i);
+      failures[i] = fuzzer.RunSeed(seed_start + i);
       stats[i] = fuzzer.stats();
-    });
-    for (uint64_t i = 0; i < n; ++i) {
-      out.per_seed.push_back(stats[i]);
-      out.stats.Merge(stats[i]);
-      if (failures[i].has_value()) {
-        out.failure = std::move(failures[i]);
-        return out;
-      }
+      if (!failures[i].has_value()) continue;
+      // Lower the shared bound to i (an atomic min).
+      uint64_t seen = first_failure.load();
+      while (i < seen && !first_failure.compare_exchange_weak(seen, i)) {}
+    }
+  };
+  {
+    std::vector<std::jthread> workers;  // joined when the scope ends
+    const uint64_t threads =
+        std::min<uint64_t>(std::max(jobs, 1u), seed_count);
+    for (uint64_t t = 0; t < threads; ++t) workers.emplace_back(claim_seeds);
+  }
+
+  FuzzCampaignResult out;
+  for (uint64_t i = 0; i < seed_count; ++i) {
+    out.per_seed.push_back(stats[i]);
+    out.stats.Merge(stats[i]);
+    if (failures[i].has_value()) {
+      out.failure = std::move(failures[i]);
+      break;
     }
   }
   return out;

@@ -153,14 +153,6 @@ class CrashScheduleFuzzer {
     RecoveryConfig protocol;
     /// Recovery streams the failing run used (1 = single-stream run).
     uint32_t recovery_streams = 1;
-    /// Group-commit pipeline configuration of the failing run (absent in
-    /// older documents: off).
-    bool group_commit = false;
-    uint64_t group_commit_window_ns = 0;
-    uint32_t group_commit_max_batch = 0;
-    /// On-demand recovery flag of the failing run (absent in older
-    /// documents: off).
-    bool on_demand = false;
     /// Observability settings of the producing campaign (absent in older
     /// documents: forensics on, default capacity).
     bool forensics_enabled = true;
@@ -205,12 +197,12 @@ struct FuzzCampaignResult {
 /// when no seed completed.
 json::Value PerSeedAggregateJson(const std::vector<FuzzStats>& per_seed);
 
-/// Runs seeds [seed_start, seed_start + seed_count) under `opts`, sharded
-/// across `jobs` worker threads. Each seed runs in a fresh fuzzer instance
-/// (a seed's outcome depends only on (seed, opts)), and results are folded
-/// in seed order up to and including the first failure — so the verdict,
-/// the failing seed, and the merged stats are byte-identical to a serial
-/// run regardless of `jobs`.
+/// Runs seeds [seed_start, seed_start + seed_count) under `opts` on
+/// min(jobs, seed_count) worker threads. Each seed runs in a fresh fuzzer
+/// instance (a seed's outcome depends only on (seed, opts)), and results
+/// are folded in seed order up to and including the first failure — so the
+/// verdict, the failing seed, and the merged stats are byte-identical to a
+/// serial run regardless of `jobs`.
 FuzzCampaignResult RunFuzzCampaign(const CrashScheduleFuzzer::Options& opts,
                                    uint64_t seed_start, uint64_t seed_count,
                                    unsigned jobs);

@@ -25,11 +25,13 @@ uint64_t HashName(uint64_t x) {
 }  // namespace
 
 LockTable::LockTable(Machine* machine, LogManager* log,
-                     LockTableConfig config, Instruments* inst)
+                     LockTableConfig config, bool log_lock_ops,
+                     Instruments* inst)
     : machine_(machine),
       log_(log),
       inst_(inst),
       config_(config),
+      log_lock_ops_(log_lock_ops),
       codec_(machine->line_size(), config.two_line_lcb) {
   base_ = machine_->AllocShared(static_cast<size_t>(config_.buckets) *
                                 codec_.bytes());
@@ -78,7 +80,7 @@ Result<uint32_t> LockTable::FindSlot(NodeId node, uint64_t name,
 Status LockTable::LogLockOp(NodeId node, TxnId txn, uint64_t name,
                             LockMode mode, LockOpPayload::Op op,
                             Lsn* chain_prev) {
-  if (!config_.log_lock_ops) return Status::Ok();
+  if (!log_lock_ops_) return Status::Ok();
   LogRecord rec;
   rec.type = LogRecordType::kLockOp;
   rec.txn = txn;

@@ -29,9 +29,6 @@ struct LockTableConfig {
   /// Store each LCB across two cache lines (holders / waiters split) to
   /// model the partial-loss scenario of section 4.2.2.
   bool two_line_lcb = false;
-  /// Log lock operations — including *read* locks and queued requests — as
-  /// logical log records (required for IFA; one of the Table 1 overheads).
-  bool log_lock_ops = true;
 };
 
 struct LockTableStats {
@@ -70,10 +67,13 @@ enum class LockResult : uint8_t { kGranted, kQueued };
 /// operations are logged and the restart procedure rebuilds lost LCBs.
 class LockTable {
  public:
-  /// `inst` (may be null) receives acquire/queue/release events and
-  /// attributes Acquire/PollGrant sim time to the lock_wait phase.
+  /// `log_lock_ops`: log lock operations — including *read* locks and
+  /// queued requests — as logical log records (required for IFA; one of
+  /// the Table 1 overheads; RecoveryConfig::log_lock_ops picks it). `inst`
+  /// (may be null) receives acquire/queue/release events and attributes
+  /// Acquire/PollGrant sim time to the lock_wait phase.
   LockTable(Machine* machine, LogManager* log, LockTableConfig config,
-            Instruments* inst = nullptr);
+            bool log_lock_ops = true, Instruments* inst = nullptr);
 
   /// Attempts to acquire `name` in `mode` for `txn` running on `node`.
   /// Returns kGranted or kQueued; logs the operation first (when enabled),
@@ -154,6 +154,7 @@ class LockTable {
   LogManager* log_;
   Instruments* inst_;
   LockTableConfig config_;
+  bool log_lock_ops_;
   LcbCodec codec_;
   Addr base_ = 0;
   LockTableStats stats_;

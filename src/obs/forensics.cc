@@ -65,13 +65,7 @@ json::Value CollectLogChain(Database& db, const IfaChecker::Violation& v) {
   };
   auto for_each_reachable = [&](const std::function<void(const LogRecord&)>&
                                     fn) {
-    for (NodeId n = 0; n < m.num_nodes(); ++n) {
-      if (m.NodeAlive(n)) {
-        db.log().ForEachAll(n, fn);
-      } else {
-        db.log().ForEachStable(n, fn);
-      }
-    }
+    for (NodeId n = 0; n < m.num_nodes(); ++n) db.log().ForEachAll(n, fn);
   };
   std::vector<LogRecord> chain;
   std::set<TxnId> touching;

@@ -12,8 +12,7 @@ namespace smdb {
 TxnManager::TxnManager(Machine* machine, LogManager* log, LockTable* locks,
                        RecordStore* records, BTree* index, WalTable* wal_table,
                        BufferManager* buffers, LbmPolicy* lbm, UsnSource* usn,
-                       DependencyTracker* deps, RecoveryConfig config,
-                       Instruments* inst)
+                       RecoveryConfig config, Instruments* inst)
     : machine_(machine),
       log_(log),
       locks_(locks),
@@ -23,7 +22,6 @@ TxnManager::TxnManager(Machine* machine, LogManager* log, LockTable* locks,
       buffers_(buffers),
       lbm_(lbm),
       usn_(usn),
-      deps_(deps),
       inst_(inst),
       config_(config) {
   next_seq_.assign(machine_->num_nodes(), 0);
@@ -75,13 +73,6 @@ std::vector<Transaction*> TxnManager::ActiveAll() {
     if (txn->state == TxnState::kActive) out.push_back(txn.get());
   }
   return out;
-}
-
-void TxnManager::NotifyCommit(TxnId id) {
-  for (auto* obs : observers_) obs->OnCommit(id);
-}
-void TxnManager::NotifyAbort(TxnId id) {
-  for (auto* obs : observers_) obs->OnAbort(id);
 }
 
 bool TxnManager::WouldDeadlock(Transaction* txn, uint64_t name) {
@@ -177,68 +168,40 @@ Result<std::vector<uint8_t>> TxnManager::DirtyRead(NodeId node, RecordId rid) {
 }
 
 Status TxnManager::DoUpdate(Transaction* txn, RecordId rid,
-                            const std::vector<uint8_t>& value, bool is_clr,
-                            uint64_t /*expected_usn*/) {
+                            const std::vector<uint8_t>& value) {
   ProfScope apply(inst_, ProfPhase::kApply);
   NodeId node = txn->node();
-  uint16_t tag =
-      (config_.undo_tagging() && !is_clr) ? TagForNode(node) : kTagNone;
-  PageId page = rid.page;
-  LineAddr header_line = records_->HeaderLine(page);
-  LineAddr record_line = records_->SlotLine(rid);
-
-  // Ordered-update-logging via line locks (section 6): lock the Page-LSN
-  // line and the record line, update in place, log, then release. The log
-  // record is written while the lines are pinned locally, which enforces
-  // Volatile LBM.
-  SMDB_RETURN_IF_ERROR(machine_->GetLine(node, header_line));
-  Status st = machine_->GetLine(node, record_line);
-  if (!st.ok()) {
-    machine_->ReleaseLine(node, header_line);
-    return st;
-  }
-
-  auto finish = [&](Status s) {
-    machine_->ReleaseLine(node, record_line);
-    machine_->ReleaseLine(node, header_line);
-    return s;
-  };
-
-  auto cur_or = records_->ReadSlot(node, rid);
-  if (!cur_or.ok()) return finish(cur_or.status());
-  SlotImage cur = std::move(*cur_or);
-
-  uint64_t usn = usn_->Next();
   SlotImage img;
-  img.usn = usn;
-  img.tag = tag;
+  img.tag = config_.undo_tagging() ? TagForNode(node) : kTagNone;
   img.data = value;
-  Status s = records_->WriteSlot(node, rid, img);
-  if (s.ok()) s = records_->WritePageLsn(node, page, usn);
-  if (!s.ok()) return finish(s);
-
-  LogRecord rec;
-  rec.type = LogRecordType::kUpdate;
-  rec.txn = txn->id;
-  rec.prev_lsn = txn->last_lsn;
-  UpdatePayload up;
-  up.rid = rid;
-  up.usn = usn;
-  up.before_usn = cur.usn;
-  up.before = cur.data;
-  up.after = value;
-  up.is_clr = is_clr;
-  rec.payload = std::move(up);
-  Lsn lsn = log_->Append(node, std::move(rec));
-  txn->last_lsn = lsn;
-  s = lbm_->OnUpdateLogged(node, lsn, {record_line, header_line});
-  if (!s.ok()) return finish(s);
-
-  wal_table_->NoteUpdate(page, node, lsn);
-  buffers_->MarkDirty(page);
-  if (tag != kTagNone) ++stats_.undo_tag_writes;
-  if (deps_ != nullptr && !is_clr) deps_->OnTxnUpdate(txn->id, record_line);
-  return finish(Status::Ok());
+  // Ordered-update-logging via line locks (section 6): the log record is
+  // written while the lines are pinned locally, which enforces Volatile
+  // LBM.
+  SlotImage cur;
+  Lsn lsn = kInvalidLsn;
+  SMDB_RETURN_IF_ERROR(records_->InstallSlot(
+      node, rid, std::move(img), usn_, &cur, [&](uint64_t usn) {
+        LogRecord rec;
+        rec.type = LogRecordType::kUpdate;
+        rec.txn = txn->id;
+        rec.prev_lsn = txn->last_lsn;
+        UpdatePayload up;
+        up.rid = rid;
+        up.usn = usn;
+        up.before_usn = cur.usn;
+        up.before = cur.data;
+        up.after = value;
+        rec.payload = std::move(up);
+        lsn = log_->Append(node, std::move(rec));
+        txn->last_lsn = lsn;
+        return lbm_->OnUpdateLogged(node, lsn,
+                                    {records_->SlotLine(rid),
+                                     records_->HeaderLine(rid.page)});
+      }));
+  wal_table_->NoteUpdate(rid.page, node, lsn);
+  buffers_->MarkDirty(rid.page);
+  if (config_.undo_tagging()) ++stats_.undo_tag_writes;
+  return Status::Ok();
 }
 
 Status TxnManager::Update(Transaction* txn, RecordId rid,
@@ -249,7 +212,7 @@ Status TxnManager::Update(Transaction* txn, RecordId rid,
   SMDB_RETURN_IF_ERROR(AcquireLock(txn, RecordLockName(rid),
                                    LockMode::kExclusive));
   if (touch_record_) SMDB_RETURN_IF_ERROR(touch_record_(txn->node(), rid));
-  SMDB_RETURN_IF_ERROR(DoUpdate(txn, rid, value, /*is_clr=*/false, 0));
+  SMDB_RETURN_IF_ERROR(DoUpdate(txn, rid, value));
   txn->updated_records.push_back(rid);
   ++stats_.updates;
   for (auto* obs : observers_) obs->OnUpdate(txn->id, rid, value);
@@ -392,11 +355,7 @@ Status TxnManager::FinishCommit(Transaction* txn) {
       }
     }
     for (RecordId rid : seen) {
-      LineAddr line = records_->SlotLine(rid);
-      SMDB_RETURN_IF_ERROR(machine_->GetLine(node, line));
-      Status s = records_->WriteTag(node, rid, kTagNone);
-      machine_->ReleaseLine(node, line);
-      SMDB_RETURN_IF_ERROR(s);
+      SMDB_RETURN_IF_ERROR(records_->ClearTag(node, rid));
     }
     std::set<std::pair<uint32_t, uint64_t>> keys(txn->index_keys.begin(),
                                                  txn->index_keys.end());
@@ -411,25 +370,46 @@ Status TxnManager::FinishCommit(Transaction* txn) {
   }
 
   // 3. Strict 2PL: release all locks only now.
-  std::set<uint64_t> names = txn->granted_locks;
-  names.insert(txn->queued_locks.begin(), txn->queued_locks.end());
-  for (uint64_t name : names) {
-    SMDB_RETURN_IF_ERROR(locks_->Release(node, txn->id, name,
-                                         &txn->last_lsn));
+  return Complete(txn, End::kCommit);
+}
+
+Status TxnManager::Complete(Transaction* txn, End end) {
+  const NodeId node = txn->node();
+  const bool commit = end == End::kCommit || end == End::kResolvedCommit;
+  if (end == End::kCommit || end == End::kAbort) {
+    std::set<uint64_t> names = txn->granted_locks;
+    names.insert(txn->queued_locks.begin(), txn->queued_locks.end());
+    for (uint64_t name : names) {
+      SMDB_RETURN_IF_ERROR(locks_->Release(node, txn->id, name,
+                                           &txn->last_lsn));
+    }
   }
   txn->granted_locks.clear();
   txn->queued_locks.clear();
   waiting_for_.erase(txn->id);
-
-  txn->state = TxnState::kCommitted;
-  if (deps_ != nullptr) deps_->OnTxnEnd(txn->id);
-  ++stats_.commits;
-  SMDB_EMIT(inst_, {.kind = TraceEventKind::kTxnCommit,
+  txn->state = commit ? TxnState::kCommitted : TxnState::kAborted;
+  if (commit) {
+    ++stats_.commits;
+  } else if (end == End::kAbort) {
+    ++stats_.aborts;
+  }
+  const char* label = end == End::kResolvedCommit ? "resolved"
+                      : end == End::kAnnulled     ? "annulled"
+                                                  : nullptr;
+  SMDB_EMIT(inst_, {.kind = commit ? TraceEventKind::kTxnCommit
+                                   : TraceEventKind::kTxnAbort,
                     .node = node,
                     .txn = txn->id,
                     .ts = machine_->NodeClock(node),
+                    .label = label,
                     .begin_ts = txn->begin_ts});
-  NotifyCommit(txn->id);
+  for (auto* obs : observers_) {
+    if (commit) {
+      obs->OnCommit(txn->id);
+    } else {
+      obs->OnAbort(txn->id);
+    }
+  }
   return Status::Ok();
 }
 
@@ -451,19 +431,7 @@ Status TxnManager::ResolvePendingCommits() {
     // tags are cleared lazily by the tag scan's stale-committed path
     // (identical to a crash landing between a synchronous commit's force
     // and its tag clears).
-    txn->granted_locks.clear();
-    txn->queued_locks.clear();
-    waiting_for_.erase(txn->id);
-    txn->state = TxnState::kCommitted;
-    if (deps_ != nullptr) deps_->OnTxnEnd(txn->id);
-    ++stats_.commits;
-    SMDB_EMIT(inst_, {.kind = TraceEventKind::kTxnCommit,
-                      .node = node,
-                      .txn = txn->id,
-                      .ts = machine_->NodeClock(node),
-                      .label = "resolved",
-                      .begin_ts = txn->begin_ts});
-    NotifyCommit(txn->id);
+    SMDB_RETURN_IF_ERROR(Complete(txn, End::kResolvedCommit));
     resolved_commit_ids_.insert(txn->id);
   }
   return Status::Ok();
@@ -494,42 +462,30 @@ Status TxnManager::ApplyUndoUpdate(NodeId performer, const LogRecord& rec,
   eng->records[u.rid] = rec.txn;
   // Install the before image as a compensation update on the performer's
   // log (redo-only; never undone).
-  PageId page = u.rid.page;
-  LineAddr header_line = records_->HeaderLine(page);
-  LineAddr record_line = records_->SlotLine(u.rid);
-  SMDB_RETURN_IF_ERROR(machine_->GetLine(performer, header_line));
-  Status st = machine_->GetLine(performer, record_line);
-  if (!st.ok()) {
-    machine_->ReleaseLine(performer, header_line);
-    return st;
-  }
-  uint64_t usn = usn_->Next();
   SlotImage img;
-  img.usn = usn;
-  img.tag = kTagNone;
   img.data = u.before;
-  Status s = records_->WriteSlot(performer, u.rid, img);
-  if (s.ok()) s = records_->WritePageLsn(performer, page, usn);
-  if (s.ok()) {
-    LogRecord clr;
-    clr.type = LogRecordType::kUpdate;
-    clr.txn = rec.txn;
-    UpdatePayload cp;
-    cp.rid = u.rid;
-    cp.usn = usn;
-    cp.before_usn = cur.usn;
-    cp.before = cur.data;
-    cp.after = u.before;
-    cp.is_clr = true;
-    clr.payload = std::move(cp);
-    Lsn lsn = log_->Append(performer, std::move(clr));
-    s = lbm_->OnUpdateLogged(performer, lsn, {record_line, header_line});
-    wal_table_->NoteUpdate(page, performer, lsn);
-    buffers_->MarkDirty(page);
-  }
-  machine_->ReleaseLine(performer, record_line);
-  machine_->ReleaseLine(performer, header_line);
-  return s;
+  Lsn lsn = kInvalidLsn;
+  SMDB_RETURN_IF_ERROR(records_->InstallSlot(
+      performer, u.rid, std::move(img), usn_, nullptr, [&](uint64_t usn) {
+        LogRecord clr;
+        clr.type = LogRecordType::kUpdate;
+        clr.txn = rec.txn;
+        UpdatePayload cp;
+        cp.rid = u.rid;
+        cp.usn = usn;
+        cp.before_usn = cur.usn;
+        cp.before = cur.data;
+        cp.after = u.before;
+        cp.is_clr = true;
+        clr.payload = std::move(cp);
+        lsn = log_->Append(performer, std::move(clr));
+        return lbm_->OnUpdateLogged(performer, lsn,
+                                    {records_->SlotLine(u.rid),
+                                     records_->HeaderLine(u.rid.page)});
+      }));
+  wal_table_->NoteUpdate(u.rid.page, performer, lsn);
+  buffers_->MarkDirty(u.rid.page);
+  return Status::Ok();
 }
 
 Status TxnManager::ApplyUndoIndexOp(NodeId performer, const LogRecord& rec,
@@ -579,16 +535,11 @@ Status TxnManager::Abort(Transaction* txn) {
   }
 
   // Collect this transaction's loggable operations from its own (intact)
-  // log: durable prefix plus volatile tail.
+  // log, from its first record on: checkpoints never truncate past an
+  // active transaction's first record.
   std::vector<LogRecord> ops;
-  log_->ForEachAll(node, [&](const LogRecord& rec) {
-    if (rec.txn != txn->id) return;
-    if (rec.type == LogRecordType::kUpdate && !rec.update().is_clr) {
-      ops.push_back(rec);
-    } else if (rec.type == LogRecordType::kIndexOp &&
-               !rec.index_op().is_clr) {
-      ops.push_back(rec);
-    }
+  log_->ForEachFrom(node, txn->first_lsn, [&](const LogRecord& rec) {
+    if (rec.txn == txn->id && rec.undoable()) ops.push_back(rec);
   });
   // During on-demand recovery, discharge lazy obligations on every object
   // this rollback will touch, so the undo's before-images land on fully
@@ -618,44 +569,13 @@ Status TxnManager::Abort(Transaction* txn) {
   rec.prev_lsn = txn->last_lsn;
   rec.payload = AbortPayload{};
   txn->last_lsn = log_->Append(node, std::move(rec));
-
-  std::set<uint64_t> names = txn->granted_locks;
-  names.insert(txn->queued_locks.begin(), txn->queued_locks.end());
-  for (uint64_t name : names) {
-    SMDB_RETURN_IF_ERROR(locks_->Release(node, txn->id, name,
-                                         &txn->last_lsn));
-  }
-  txn->granted_locks.clear();
-  txn->queued_locks.clear();
-  waiting_for_.erase(txn->id);
-
-  txn->state = TxnState::kAborted;
-  if (deps_ != nullptr) deps_->OnTxnEnd(txn->id);
-  ++stats_.aborts;
-  SMDB_EMIT(inst_, {.kind = TraceEventKind::kTxnAbort,
-                    .node = txn->node(),
-                    .txn = txn->id,
-                    .ts = machine_->NodeClock(node),
-                    .begin_ts = txn->begin_ts});
-  NotifyAbort(txn->id);
-  return Status::Ok();
+  return Complete(txn, End::kAbort);
 }
 
 void TxnManager::MarkCrashAnnulled(Transaction* txn) {
   if (txn->state != TxnState::kActive) return;
   if (gc_ != nullptr) gc_->DropCommit(txn->id);
-  txn->state = TxnState::kAborted;
-  txn->granted_locks.clear();
-  txn->queued_locks.clear();
-  waiting_for_.erase(txn->id);
-  if (deps_ != nullptr) deps_->OnTxnEnd(txn->id);
-  SMDB_EMIT(inst_, {.kind = TraceEventKind::kTxnAbort,
-                    .node = txn->node(),
-                    .txn = txn->id,
-                    .ts = machine_->NodeClock(txn->node()),
-                    .label = "annulled",
-                    .begin_ts = txn->begin_ts});
-  NotifyAbort(txn->id);
+  (void)Complete(txn, End::kAnnulled);  // releases nothing, cannot fail
 }
 
 }  // namespace smdb

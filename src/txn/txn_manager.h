@@ -10,7 +10,6 @@
 #include "btree/btree.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "core/dependency_tracker.h"
 #include "core/lbm_policy.h"
 #include "core/protocol.h"
 #include "db/buffer_manager.h"
@@ -58,8 +57,7 @@ class TxnManager {
   TxnManager(Machine* machine, LogManager* log, LockTable* locks,
              RecordStore* records, BTree* index, WalTable* wal_table,
              BufferManager* buffers, LbmPolicy* lbm, UsnSource* usn,
-             DependencyTracker* deps, RecoveryConfig config,
-             Instruments* inst = nullptr);
+             RecoveryConfig config, Instruments* inst = nullptr);
 
   // ----------------------------------------------------------------------
   // Lifecycle.
@@ -205,14 +203,19 @@ class TxnManager {
   /// clears undo tags, releases locks, transitions state, notifies.
   Status FinishCommit(Transaction* txn);
 
-  /// The in-place update protocol of sections 5.1/6: line locks on the
-  /// Page-LSN line and the record line, write, log, LBM hook, release.
+  /// The in-place update protocol of sections 5.1/6: RecordStore's
+  /// line-locked install with the update's log append and LBM hook inside.
   Status DoUpdate(Transaction* txn, RecordId rid,
-                  const std::vector<uint8_t>& value, bool is_clr,
-                  uint64_t expected_usn);
+                  const std::vector<uint8_t>& value);
 
-  void NotifyCommit(TxnId id);
-  void NotifyAbort(TxnId id);
+  /// How a transaction ends. A commit and an abort release their locks
+  /// through the lock table; a resolved commit (crash-time, see
+  /// ResolvePendingCommits) and a crash annulment only drop the
+  /// bookkeeping, and an annulment counts no abort.
+  enum class End { kCommit, kResolvedCommit, kAbort, kAnnulled };
+  /// The one transaction end: lock release or drop, state, counter, trace
+  /// event (labelled "resolved" / "annulled"), observers.
+  Status Complete(Transaction* txn, End end);
 
   Machine* machine_;
   LogManager* log_;
@@ -223,7 +226,6 @@ class TxnManager {
   BufferManager* buffers_;
   LbmPolicy* lbm_;
   UsnSource* usn_;
-  DependencyTracker* deps_;  // may be null
   GroupCommitPipeline* gc_ = nullptr;  // may be null (group commit off)
   /// May be null. Receives the lifecycle events; slot reads and the
   /// update protocol attribute to the apply phase, index traversals

@@ -1,5 +1,6 @@
 #include "wal/log_manager.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "obs/trace.h"
@@ -100,10 +101,20 @@ void LogManager::ForEachStable(
   for (const auto& rec : stable_->Records(node)) fn(rec);
 }
 
-void LogManager::ForEachAll(
-    NodeId node, const std::function<void(const LogRecord&)>& fn) const {
-  ForEachStable(node, fn);
-  for (const auto& rec : tails_[node]) fn(rec);
+void LogManager::ForEachFrom(
+    NodeId node, Lsn from,
+    const std::function<void(const LogRecord&)>& fn) const {
+  auto before = [](const LogRecord& rec, Lsn lsn) { return rec.lsn < lsn; };
+  const auto& stable = stable_->Records(node);
+  for (auto it = std::lower_bound(stable.begin(), stable.end(), from, before);
+       it != stable.end(); ++it) {
+    fn(*it);
+  }
+  const auto& tail = tails_[node];
+  for (auto it = std::lower_bound(tail.begin(), tail.end(), from, before);
+       it != tail.end(); ++it) {
+    fn(*it);
+  }
 }
 
 }  // namespace smdb

@@ -1,6 +1,7 @@
 #ifndef SMDB_WAL_LOG_MANAGER_H_
 #define SMDB_WAL_LOG_MANAGER_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -146,10 +147,18 @@ class LogManager {
   void ForEachStable(NodeId node,
                      const std::function<void(const LogRecord&)>& fn) const;
 
-  /// Iterates `node`'s full log — durable prefix then volatile tail. Only
-  /// meaningful for surviving nodes (a crashed node's tail is empty).
+  /// Iterates `node`'s full log — durable prefix then volatile tail. A
+  /// crashed node's tail is empty, so for it this is its stable log.
   void ForEachAll(NodeId node,
-                  const std::function<void(const LogRecord&)>& fn) const;
+                  const std::function<void(const LogRecord&)>& fn) const {
+    ForEachFrom(node, kInvalidLsn, fn);
+  }
+
+  /// ForEachAll from the first record with LSN >= `from`: a binary search
+  /// into the LSN-sorted stable stream, then the tail. Annulled LSNs are
+  /// gaps, so `from` may name no record.
+  void ForEachFrom(NodeId node, Lsn from,
+                   const std::function<void(const LogRecord&)>& fn) const;
 
   /// Volatile tail size (diagnostics/tests).
   size_t TailSize(NodeId node) const {
@@ -171,15 +180,7 @@ class LogManager {
     // that only ever existed in a lost volatile tail (above the mark).
     for (const LogRecord& rec : stable_->Records(node)) {
       if (rec.lsn > lsn) break;
-      uint64_t usn = 0;
-      if (rec.type == LogRecordType::kUpdate) {
-        usn = rec.update().usn;
-      } else if (rec.type == LogRecordType::kIndexOp) {
-        usn = rec.index_op().usn;
-      } else if (rec.type == LogRecordType::kStructural) {
-        usn = rec.structural().usn;
-      }
-      if (usn > max_truncated_usn_[node]) max_truncated_usn_[node] = usn;
+      max_truncated_usn_[node] = std::max(max_truncated_usn_[node], rec.usn());
     }
     size_t n = stable_->Truncate(node, lsn);
     stats_.truncated_records += n;

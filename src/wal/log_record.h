@@ -143,6 +143,25 @@ struct LogRecord {
     return std::get<StructuralPayload>(payload);
   }
 
+  /// USN this record stamped (update, index op or structural change); 0
+  /// when the record carries none.
+  uint64_t usn() const {
+    switch (type) {
+      case LogRecordType::kUpdate: return update().usn;
+      case LogRecordType::kIndexOp: return index_op().usn;
+      case LogRecordType::kStructural: return structural().usn;
+      default: return 0;
+    }
+  }
+
+  /// True for a record a rollback must compensate: a non-CLR update or
+  /// index op.
+  bool undoable() const {
+    if (type == LogRecordType::kUpdate) return !update().is_clr;
+    if (type == LogRecordType::kIndexOp) return !index_op().is_clr;
+    return false;
+  }
+
   /// Short human-readable form for tracing and tests.
   std::string ToString() const;
 };

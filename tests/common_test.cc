@@ -1,14 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "common/types.h"
 #include "storage/stable_log.h"
 
@@ -129,60 +127,6 @@ TEST(RngTest, ShuffleIsPermutation) {
   r.Shuffle(v);
   std::multiset<int> a(v.begin(), v.end()), b(orig.begin(), orig.end());
   EXPECT_EQ(a, b);
-}
-
-TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
-  for (unsigned workers : {1u, 2u, 4u, 8u}) {
-    ThreadPool pool(workers);
-    for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{100}}) {
-      std::vector<std::atomic<int>> hits(n);
-      pool.ParallelFor(n, [&](size_t i) { hits[i].fetch_add(1); });
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(hits[i].load(), 1) << "workers=" << workers << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(ThreadPoolTest, DisjointSlotWritesNeedNoSynchronisation) {
-  // The recovery pipeline's usage pattern: each task writes only its own
-  // slot of a pre-sized vector.
-  ThreadPool pool(4);
-  std::vector<uint64_t> out(1000, 0);
-  pool.ParallelFor(out.size(), [&](size_t i) { out[i] = i * i; });
-  for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-}
-
-TEST(ThreadPoolTest, BackToBackCallsNeverLeakWorkAcrossGenerations) {
-  // Regression: a straggler worker still draining generation g while the
-  // caller starts generation g+1 must not execute the new items through
-  // its stale job pointer (the previous ParallelFor's function object is
-  // destroyed the moment that call returns). Rapid back-to-back calls
-  // with a fresh heap-allocated capture each round make a stale execution
-  // a use-after-free, which ASan/TSan runs of this test flag loudly.
-  ThreadPool pool(8);
-  for (int round = 0; round < 2000; ++round) {
-    auto sums = std::make_unique<std::vector<std::atomic<uint64_t>>>(4);
-    auto* s = sums.get();
-    pool.ParallelFor(4, [s, round](size_t i) {
-      (*s)[i].fetch_add(uint64_t{unsigned(round)} * 4 + i);
-    });
-    for (size_t i = 0; i < 4; ++i) {
-      ASSERT_EQ((*s)[i].load(), uint64_t{unsigned(round)} * 4 + i)
-          << "round " << round;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ReusableAcrossParallelForCalls) {
-  ThreadPool pool(3);
-  uint64_t total = 0;
-  for (int round = 0; round < 50; ++round) {
-    std::vector<uint64_t> slot(17, 0);
-    pool.ParallelFor(slot.size(), [&](size_t i) { slot[i] = i + 1; });
-    total += std::accumulate(slot.begin(), slot.end(), uint64_t{0});
-  }
-  EXPECT_EQ(total, 50u * (17u * 18u / 2u));
 }
 
 TEST(StableLogStoreTest, BulkAppendPreservesLsnOrder) {

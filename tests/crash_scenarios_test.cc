@@ -287,6 +287,44 @@ TEST_P(CrashScenarioTest, IndexInsertDeleteRecovery) {
   EXPECT_TRUE(fx.db.index().CheckStructure(2).ok());
 }
 
+// A crashed node's volatile tail dies with it, and no recovery step may
+// append to its log: recovery reads a dead node's log with ForEachAll,
+// which then is its stable log.
+TEST(CrashedNodeLogTest, RecoveryLeavesDeadNodesTailsEmpty) {
+  for (const RecoveryConfig& rc :
+       {RecoveryConfig::VolatileSelectiveRedo(),
+        RecoveryConfig::VolatileRedoAll(), RecoveryConfig::StableEagerRedoAll(),
+        RecoveryConfig::StableTriggeredRedoAll(),
+        RecoveryConfig::StableTriggeredSelectiveRedo(),
+        RecoveryConfig::BaselineRebootAll(),
+        RecoveryConfig::BaselineAbortDependents()}) {
+    SCOPED_TRACE(rc.Name());
+    Fixture fx(rc);
+    Figure2 f2(fx);
+    // A stolen uncommitted update of a crashing node and an index insert
+    // give the undo pass CLRs to write. The steal flush's WAL gate forces
+    // the logs; the update (under Stable LBM, forced too) and the read lock
+    // after it leave records in the tails.
+    Transaction* t2 = fx.db.txn().Begin(2);
+    ASSERT_TRUE(fx.db.txn().Update(t2, fx.table[5], Value(0x55)).ok());
+    ASSERT_TRUE(fx.db.txn().IndexInsert(t2, 7, fx.table[5]).ok());
+    ASSERT_TRUE(fx.db.buffers().FlushPage(3, fx.table[5].page).ok());
+    ASSERT_TRUE(fx.db.txn().Update(f2.tx, fx.table[2], Value(0x22)).ok());
+    ASSERT_TRUE(fx.db.txn().Update(t2, fx.table[6], Value(0x66)).ok());
+    ASSERT_TRUE(fx.db.txn().Read(f2.tx, fx.table[3]).ok());
+    ASSERT_TRUE(fx.db.txn().Read(t2, fx.table[7]).ok());
+    ASSERT_GT(fx.db.log().TailSize(0), 0u);
+    ASSERT_GT(fx.db.log().TailSize(2), 0u);
+
+    auto outcome = fx.db.Crash({0, 2});
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    ASSERT_TRUE(fx.checker.VerifyAll().ok())
+        << fx.checker.VerifyAll().ToString();
+    EXPECT_EQ(fx.db.log().TailSize(0), 0u);
+    EXPECT_EQ(fx.db.log().TailSize(2), 0u);
+  }
+}
+
 TEST_P(CrashScenarioTest, SurvivorContinuesAfterRecovery) {
   Fixture fx(GetParam());
   Figure2 f2(fx);

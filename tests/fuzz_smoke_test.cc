@@ -361,9 +361,6 @@ TEST(FuzzSmoke, GroupCommitKnobsRoundTripThroughReplays) {
   std::string text = fuzzer.ReplayJson(failure, failure.fuzz_case);
   auto doc = CrashScheduleFuzzer::ParseReplay(text);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  EXPECT_TRUE(doc->group_commit);
-  EXPECT_EQ(doc->group_commit_window_ns, 50'000u);
-  EXPECT_EQ(doc->group_commit_max_batch, 16u);
   EXPECT_TRUE(doc->protocol.group_commit);
   EXPECT_EQ(doc->protocol.group_commit_window_ns, 50'000u);
   EXPECT_EQ(doc->protocol.group_commit_max_batch, 16u);

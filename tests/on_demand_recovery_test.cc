@@ -368,7 +368,6 @@ TEST(OnDemandFuzz, FlagRoundTripsThroughReplays) {
   std::string text = fuzzer.ReplayJson(failure, failure.fuzz_case);
   auto doc = CrashScheduleFuzzer::ParseReplay(text);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  EXPECT_TRUE(doc->on_demand);
   EXPECT_TRUE(doc->protocol.on_demand);
 }
 

@@ -246,6 +246,31 @@ TEST(LogManagerTest, ForEachAllCoversStableAndVolatile) {
   EXPECT_EQ(seen, (std::vector<Lsn>{1, 2}));
 }
 
+TEST(LogManagerTest, ForEachFromSkipsToTheFirstLsnAtOrAbove) {
+  WalFixture f;
+  TxnId t = MakeTxnId(0, 1);
+  for (uint16_t i = 1; i <= 6; ++i) {
+    f.log.Append(0, f.Update(t, {1, i}, i));  // LSN i
+    if (i == 3) {
+      ASSERT_TRUE(f.log.Force(0, 0).ok());
+    }
+  }
+  f.log.AnnulVolatile(0, 5);  // LSNs 1-3 stable, 4 and 6 in the tail
+  auto from = [&](Lsn lsn) {
+    std::vector<Lsn> seen;
+    f.log.ForEachFrom(0, lsn,
+                      [&](const LogRecord& r) { seen.push_back(r.lsn); });
+    return seen;
+  };
+  EXPECT_EQ(from(kInvalidLsn), (std::vector<Lsn>{1, 2, 3, 4, 6}));
+  EXPECT_EQ(from(2), (std::vector<Lsn>{2, 3, 4, 6}));
+  EXPECT_EQ(from(4), (std::vector<Lsn>{4, 6}));  // the tail only
+  EXPECT_EQ(from(5), (std::vector<Lsn>{6}));     // the annulled gap
+  EXPECT_EQ(from(7), (std::vector<Lsn>{}));
+  f.log.TruncateThrough(0, 2);
+  EXPECT_EQ(from(1), (std::vector<Lsn>{3, 4, 6}));
+}
+
 TEST(LogRecordTest, ToStringVariants) {
   LogRecord rec;
   rec.type = LogRecordType::kUpdate;

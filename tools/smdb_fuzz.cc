@@ -27,6 +27,9 @@
 namespace smdb {
 namespace {
 
+/// Upper bound on --jobs (one host thread each).
+constexpr uint64_t kMaxJobs = 256;
+
 struct Flags {
   uint64_t seeds = 100;
   uint64_t seed_start = 0;
@@ -63,9 +66,10 @@ void Usage() {
       "                        every recovery re-runs at N simulated\n"
       "                        streams and must produce the single-stream\n"
       "                        run's state digest (default 1 = off)\n"
-      "  --jobs=N              shard seeds across N worker threads; the\n"
-      "                        verdict, stats, and replay file are\n"
-      "                        byte-identical to --jobs=1 (default 1)\n"
+      "  --jobs=N              shard seeds across N worker threads (at\n"
+      "                        most 256); the verdict, stats, and replay\n"
+      "                        file are byte-identical to --jobs=1\n"
+      "                        (default 1)\n"
       "  --group-commit        run every protocol with the group-commit\n"
       "                        log-force pipeline on\n"
       "  --group-commit-window=NS   coalescing window in sim-ns (0 = keep\n"
@@ -126,7 +130,10 @@ bool ParseFlag(Flags& f, const std::string& key, const std::string& val) {
       return false;
     }
   } else if (key == "--jobs") {
-    if (!ParseUint(val, &f.jobs) || f.jobs == 0) return false;
+    // One host thread per job: bound the request.
+    if (!ParseUint(val, &f.jobs) || f.jobs == 0 || f.jobs > kMaxJobs) {
+      return false;
+    }
   } else if (key == "--group-commit") {
     f.group_commit = true;
   } else if (key == "--group-commit-window") {
