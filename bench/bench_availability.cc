@@ -16,15 +16,21 @@
 // on-demand mode (§AV2) — and writes the series to
 // BENCH_availability.json (the baseline tools/bench_compare diffs against).
 //
-// Asserted (exit 1 otherwise), AV1: at every crash the reboot-all
-// baseline's throughput trough is longer than every IFA row's — a node
-// failure is a whole-machine outage only without isolated failure
-// atomicity.
+// Asserted (exit 1 otherwise):
+//   AV1: at every crash the reboot-all baseline's throughput trough is
+//        longer than every IFA row's — a node failure is a whole-machine
+//        outage only without isolated failure atomicity.
+//   AV2: at every crash each IFA protocol's on-demand row blocks for less
+//        than its eager row, and serves traffic while Recovering (serving
+//        span > 0).
 
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -77,14 +83,8 @@ json::Value CrashJson(const CrashAvailability& c) {
   o.Set("steady_tps", json::Value::Double(c.steady_tps));
   // For on-demand rows this is just the eager crash-time prefix — the
   // blocking part of the outage; eager rows block for the whole thing.
-  o.Set("recovery_span_ns",
-        json::Value::Uint(c.recovery_end_ts >= c.crash_ts
-                              ? c.recovery_end_ts - c.crash_ts
-                              : 0));
-  o.Set("recovering_serving_span_ns",
-        json::Value::Uint(c.drain_end_ts > c.recovery_end_ts
-                              ? c.drain_end_ts - c.recovery_end_ts
-                              : 0));
+  o.Set("recovery_span_ns", json::Value::Uint(c.blocking_ns()));
+  o.Set("recovering_serving_span_ns", json::Value::Uint(c.serving_ns()));
   return o;
 }
 
@@ -118,6 +118,14 @@ int Run() {
   // Per crash: the reboot-all trough and the longest IFA trough (AV1).
   std::vector<SimTime> reboot_trough;
   std::vector<SimTime> ifa_trough;
+  // Per IFA protocol and crash: the eager row's blocking span and the
+  // on-demand row's blocking and serving spans (AV2).
+  struct Av2Spans {
+    SimTime eager_blocking = 0;
+    SimTime blocking = 0;
+    SimTime serving = 0;
+  };
+  std::map<std::pair<std::string, size_t>, Av2Spans> av2;
   for (const Variant& v : variants) {
     const bool reboot = v.rc.restart == RestartKind::kRebootAll;
     std::string name = v.rc.Name() + (v.on_demand ? " (on-demand)" : "");
@@ -140,16 +148,19 @@ int Run() {
     json::Value crashes = json::Value::Array();
     for (size_t i = 0; i < lat.availability.crashes.size(); ++i) {
       const CrashAvailability& c = lat.availability.crashes[i];
-      SimTime blocking = c.recovery_end_ts >= c.crash_ts
-                             ? c.recovery_end_ts - c.crash_ts
-                             : 0;
-      SimTime serving = c.drain_end_ts > c.recovery_end_ts
-                            ? c.drain_end_ts - c.recovery_end_ts
-                            : 0;
       Row({name, std::to_string(i), FmtUs(c.ttfc_ns()),
            Fmt(c.depth_pct, 0) + "%", FmtUs(c.trough_duration_ns),
-           FmtUs(blocking), FmtUs(serving)},
+           FmtUs(c.blocking_ns()), FmtUs(c.serving_ns())},
           17);
+      if (!reboot) {
+        Av2Spans& spans = av2[{v.rc.Name(), i}];
+        if (v.on_demand) {
+          spans.blocking = c.blocking_ns();
+          spans.serving = c.serving_ns();
+        } else {
+          spans.eager_blocking = c.blocking_ns();
+        }
+      }
       crashes.Append(CrashJson(c));
       std::vector<SimTime>& trough = reboot ? reboot_trough : ifa_trough;
       if (trough.size() <= i) trough.resize(i + 1, 0);
@@ -176,7 +187,18 @@ int Run() {
                       FmtUs(reboot_trough[i]) + " > longest IFA trough " +
                       FmtUs(ifa_trough[i]));
   }
-  return checks.ExitCode();
+  ShapeChecks av2_checks("AV2");
+  if (av2.empty()) av2_checks.Expect(false, "one IFA row per crash");
+  for (const auto& [key, spans] : av2) {
+    const std::string at = key.first + " crash " + std::to_string(key.second);
+    av2_checks.Expect(spans.blocking < spans.eager_blocking,
+                      at + ": on-demand blocking span " +
+                          FmtUs(spans.blocking) + " < eager " +
+                          FmtUs(spans.eager_blocking));
+    av2_checks.Expect(spans.serving > 0, at + ": on-demand serving span " +
+                                             FmtUs(spans.serving) + " > 0");
+  }
+  return checks.ExitCode() | av2_checks.ExitCode();
 }
 
 }  // namespace

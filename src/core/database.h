@@ -73,7 +73,10 @@ class Database {
 
   /// Crashes the given nodes (destroying their caches, home memories, and
   /// volatile log tails), then runs the configured restart recovery
-  /// protocol on the survivors.
+  /// protocol on the survivors. Returns the recovery's outcome as it stands
+  /// when the crash-time work returns. For eager recovery that is final;
+  /// an on-demand recovery's ledger keeps counting until its drain ends
+  /// (OnDemandRecovery::outcome, SetCloseHook).
   Result<RecoveryOutcome> Crash(const std::vector<NodeId>& crashed);
 
   /// Brings previously crashed nodes back with cold caches.

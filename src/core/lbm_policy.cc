@@ -62,7 +62,12 @@ bool RecoveryConfig::FromFlagName(const std::string& name,
                                   RecoveryConfig* out) {
   for (const FlagNameEntry& e : kFlagNames) {
     if (name == e.name) {
-      *out = e.config;
+      // The preset's identity only (what FlagName compares): run knobs set
+      // on *out before the protocol was named keep their values.
+      out->lbm = e.config.lbm;
+      out->restart = e.config.restart;
+      out->log_lock_ops = e.config.log_lock_ops;
+      out->early_commit_structural = e.config.early_commit_structural;
       return true;
     }
   }

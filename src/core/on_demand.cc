@@ -13,6 +13,7 @@ OnDemandRecovery::~OnDemandRecovery() = default;
 
 RecoveryManager::Ctx& OnDemandRecovery::Begin() {
   std::map<NodeId, uint64_t> inherited = PendingDeadTags();
+  if (active_) Close();
   active_ = false;
   tagged_ = false;
   whole_pages_ = false;
@@ -38,8 +39,19 @@ RecoveryManager::Ctx& OnDemandRecovery::Begin() {
   eng_ = TxnManager::UndoEngagement{};
   usn_owner_.clear();
   reconstructor_.reset();
-  stats_ = Stats{};
   return ctx_;
+}
+
+void OnDemandRecovery::Close() {
+  // Reads the clock without syncing it: closing must not move simulated
+  // time. A superseding crash can take the node with the latest clock, or
+  // every node, out of GlobalTime; the span never shrinks below what the
+  // crash-time work measured.
+  SimTime now = db_->machine().GlobalTime();
+  if (now >= ctx_.t0 + ctx_.out.recovery_time_ns) {
+    ctx_.out.recovery_time_ns = now - ctx_.t0;
+  }
+  if (close_hook_) close_hook_(ctx_.out);
 }
 
 Status OnDemandRecovery::Activate(std::vector<LogRecord> redo,
@@ -132,8 +144,8 @@ std::map<NodeId, uint64_t> OnDemandRecovery::PendingDeadTags() const {
 }
 
 void OnDemandRecovery::CountDischarge(Via via) {
-  ++(via == Via::kTouch ? stats_.first_touch_discharges
-                        : stats_.sweep_discharges);
+  ++(via == Via::kTouch ? ctx_.out.first_touch_discharges
+                        : ctx_.out.sweep_discharges);
 }
 
 Status OnDemandRecovery::EnsureHeapPage(NodeId performer, PageId page) {
@@ -426,6 +438,7 @@ void OnDemandRecovery::Deactivate() {
   SMDB_EMIT(&db_->instruments(),
             {.kind = TraceEventKind::kRecoveryDrained,
              .ts = db_->machine().GlobalTime()});
+  Close();
 }
 
 }  // namespace smdb

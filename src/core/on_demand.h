@@ -1,6 +1,7 @@
 #ifndef SMDB_CORE_ON_DEMAND_H_
 #define SMDB_CORE_ON_DEMAND_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -40,6 +41,11 @@ class StableStateReconstructor;
 /// Obligations are derived from stable logs and the crash-time transaction
 /// table only, so a second crash during the Recovering window simply
 /// re-derives them: every RecoveryManager::Run starts with Begin.
+///
+/// Each recovery keeps one RecoveryOutcome, its ledger: the prefix and every
+/// later discharge count into it. It closes when the drain ends, or at the
+/// next Begin when a later crash supersedes the window; an eager recovery
+/// closes at the end of RecoveryManager::Run.
 class OnDemandRecovery {
  public:
   explicit OnDemandRecovery(Database* db);
@@ -51,11 +57,13 @@ class OnDemandRecovery {
   /// True while deferred obligations exist (the `Recovering` serving state).
   bool active() const { return active_; }
 
-  struct Stats {
-    uint64_t first_touch_discharges = 0;
-    uint64_t sweep_discharges = 0;
-  };
-  const Stats& stats() const { return stats_; }
+  /// The current recovery's ledger: live while active, closed after.
+  const RecoveryOutcome& outcome() const { return ctx_.out; }
+
+  /// Called with each recovery's ledger when it closes, in crash order.
+  void SetCloseHook(std::function<void(const RecoveryOutcome&)> hook) {
+    close_hook_ = std::move(hook);
+  }
 
   /// Objects (records + index keys) still carrying deferred obligations.
   size_t pending_objects();
@@ -88,10 +96,14 @@ class OnDemandRecovery {
   /// How a discharge was driven, for stats attribution.
   enum class Via { kTouch, kSweep };
 
-  /// Starts a recovery: drops the previous one's state and returns a fresh
-  /// context, which inherits the dead-node tags a superseded Recovering
-  /// window left undischarged.
+  /// Starts a recovery: closes a superseded Recovering window, drops the
+  /// previous recovery's state and returns a fresh context, which inherits
+  /// the dead-node tags that window left undischarged.
   RecoveryManager::Ctx& Begin();
+
+  /// Closes the ledger: stamps recovery_time_ns with the global time since
+  /// the crash and hands the outcome to the close hook. Host-side only.
+  void Close();
 
   /// Takes a crash's obligations: `redo` is every collected redo record in
   /// global-USN order (structural ones included), `undo` the stable-log
@@ -136,6 +148,7 @@ class OnDemandRecovery {
   /// Loads still-pending pages and runs the deferred tag scan, then leaves
   /// the Recovering state.
   Status FinishResidual();
+  /// Leaves the Recovering state and closes the ledger.
   void Deactivate();
 
   Database* db_;
@@ -150,9 +163,10 @@ class OnDemandRecovery {
   bool indexed_ = false;
 
   /// The recovery context: dead set, uncommitted ids, survivors, performer
-  /// round-robin, outcome counters and phase times. RecoveryManager::Run
-  /// and the drain share it; a Recovering window keeps it.
+  /// round-robin and the ledger. RecoveryManager::Run and the drain share
+  /// it; a Recovering window keeps it.
   RecoveryManager::Ctx ctx_;
+  std::function<void(const RecoveryOutcome&)> close_hook_;
 
   std::vector<LogRecord> redo_;  // global-USN order
   std::vector<bool> redo_done_;
@@ -181,8 +195,6 @@ class OnDemandRecovery {
   /// every stable log, plus the committed-value reconstructor.
   HashMap<uint64_t, TxnId> usn_owner_;
   std::unique_ptr<StableStateReconstructor> reconstructor_;
-
-  Stats stats_;
 };
 
 }  // namespace smdb

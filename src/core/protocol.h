@@ -129,7 +129,9 @@ struct RecoveryConfig {
   /// CLI tools and the fuzzer's replay files.
   std::string FlagName() const;
 
-  /// Parses a FlagName back into a preset. Returns false for unknown names.
+  /// Parses a FlagName back into a preset: sets the four fields FlagName
+  /// compares and leaves the run knobs (streams, group commit, on-demand,
+  /// fault injection) as they are. Returns false for unknown names.
   static bool FromFlagName(const std::string& name, RecoveryConfig* out);
 
   // Presets -----------------------------------------------------------

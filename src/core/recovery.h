@@ -28,8 +28,12 @@ inline constexpr size_t kNumRecoveryPhases = 7;
 /// Stable human-readable phase name (also the trace span label).
 const char* RecoveryPhaseName(RecoveryPhase phase);
 
-/// What restart recovery did, and what it cost. The benches for the
-/// recovery-time (R1) and abort-avoidance (A1) experiments read these
+/// What restart recovery did, and what it cost: one ledger per recovery.
+/// The crash-time prefix and every later discharge of its obligations
+/// (first touch, sweep, drain) add to it, and it closes when the last
+/// obligation is discharged or a later crash supersedes the recovery. An
+/// eager recovery closes before Database::Crash returns. The benches for
+/// the recovery-time (R1) and abort-avoidance (A1) experiments read these
 /// fields directly.
 struct RecoveryOutcome {
   /// The node set this recovery was run for (deduplicated). Triage tools —
@@ -57,8 +61,16 @@ struct RecoveryOutcome {
   uint64_t locks_dropped = 0;
   uint64_t tags_scanned = 0;   // cache lines visited by the tag scan
   uint64_t tag_undos = 0;      // undos performed from undo tags
+  /// Objects a Recovering window discharged on their first touch, and
+  /// objects its background sweeper discharged. Both stay 0 for eager
+  /// recovery, whose drain runs inside the crash.
+  uint64_t first_touch_discharges = 0;
+  uint64_t sweep_discharges = 0;
 
-  /// Simulated wall-clock of the restart procedure (global-time delta).
+  /// Simulated wall-clock of the restart procedure: global time at close
+  /// minus global time at the crash. For an on-demand recovery that spans
+  /// the whole Recovering window, traffic included; the blocking part is
+  /// the observatory's recovery_end_ts - crash_ts.
   SimTime recovery_time_ns = 0;
   /// Per-phase global-time deltas (indexed by RecoveryPhase); phases the
   /// scheme did not run stay 0. Sums to <= recovery_time_ns (coordinator

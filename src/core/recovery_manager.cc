@@ -47,6 +47,10 @@ std::string RecoveryOutcome::ToString() const {
     os << " " << RecoveryPhaseName(static_cast<RecoveryPhase>(i))
        << "_ns=" << phase_ns[i];
   }
+  if (first_touch_discharges != 0) {
+    os << " first_touch_discharges=" << first_touch_discharges;
+  }
+  if (sweep_discharges != 0) os << " sweep_discharges=" << sweep_discharges;
   os << (whole_machine_restart ? " WHOLE-MACHINE-RESTART" : "");
   return os.str();
 }
@@ -707,12 +711,13 @@ Result<RecoveryOutcome> RecoveryManager::Run(
   // obligations are re-derived from stable logs and the transaction table
   // by this run. Its dead nodes' tags are not derivable once such a node
   // restarts, so the new context inherits them.
-  Ctx& ctx = db_->on_demand().Begin();
+  OnDemandRecovery& engine = db_->on_demand();
+  Ctx& ctx = engine.Begin();
   ctx.num_streams =
       std::max<uint32_t>(1, db_->config().recovery.recovery_streams);
   Machine& m = db_->machine();
   m.SyncClocks();
-  SimTime t0 = m.GlobalTime();
+  ctx.t0 = m.GlobalTime();
   // BuildContext performs no machine operations — its log scans are pure
   // host-side reads — so timing it as the analysis phase costs nothing and
   // changes nothing (dt is 0 in simulated time, but the span marks where
@@ -764,16 +769,19 @@ Result<RecoveryOutcome> RecoveryManager::Run(
   ctx.surviving_active.clear();
 
   m.SyncClocks();
-  ctx.out.recovery_time_ns = m.GlobalTime() - t0;
-  // Whole-recovery envelope span (the per-phase spans nest inside it in
-  // the Chrome trace view). survivors is never empty here: the
+  ctx.out.recovery_time_ns = m.GlobalTime() - ctx.t0;
+  // Crash-time envelope span (the per-phase spans nest inside it in the
+  // Chrome trace view). survivors is never empty here: the
   // whole-machine-restart path repopulates it with every node.
   SMDB_EMIT(&db_->instruments(),
             {.kind = TraceEventKind::kRecoveryPhase,
              .node = ctx.survivors.front(),
-             .ts = t0,
+             .ts = ctx.t0,
              .dur = ctx.out.recovery_time_ns,
              .label = "recovery"});
+  // An eager recovery drained inside the prefix, so its ledger closes now;
+  // a Recovering window keeps it open until its drain ends.
+  if (!engine.active()) engine.Close();
   return ctx.out;
 }
 

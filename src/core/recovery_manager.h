@@ -46,7 +46,9 @@ class RecoveryManager {
   explicit RecoveryManager(Database* db);
 
   /// Runs restart recovery for the given crashed set (the machine must
-  /// already reflect the crashes). Returns what was done.
+  /// already reflect the crashes). Returns the ledger as it stands when the
+  /// crash-time work returns: final for eager recovery, still open while a
+  /// Recovering window serves traffic.
   Result<RecoveryOutcome> Run(const std::vector<NodeId>& crashed);
 
  private:
@@ -74,7 +76,10 @@ class RecoveryManager {
     /// Their rollback already ran, so node-granular schemes leave them
     /// alone — but RebootAll destroys that tail and must re-undo them.
     std::set<TxnId> volatile_finished;
+    /// The recovery's ledger (see OnDemandRecovery) and the global time of
+    /// the crash it measures from.
     RecoveryOutcome out;
+    SimTime t0 = 0;
     size_t rr = 0;
 
     /// Pages whose lost-line reinstall spliced stable-image lines into a

@@ -118,6 +118,18 @@ struct CrashAvailability {
   /// the span the database served traffic while still Recovering.
   SimTime drain_end_ts = 0;
 
+  /// The blocking part of the outage: crash to the end of the crash-time
+  /// recovery work (the whole recovery when eager).
+  SimTime blocking_ns() const {
+    return recovery_end_ts >= crash_ts ? recovery_end_ts - crash_ts : 0;
+  }
+  /// On-demand recovery only: the span served while still Recovering
+  /// (drain end minus recovery end). 0 for an eager recovery.
+  SimTime serving_ns() const {
+    return drain_end_ts > recovery_end_ts ? drain_end_ts - recovery_end_ts
+                                          : 0;
+  }
+
   /// First commit acknowledged anywhere after the crash fired. Resolved
   /// pending commits (crash-time group-commit resolution) count — they are
   /// real acknowledgements during the outage window.

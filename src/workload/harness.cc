@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/on_demand.h"
+
 namespace smdb {
 
 Harness::Harness(HarnessConfig config)
@@ -12,6 +14,8 @@ Harness::~Harness() = default;
 Status Harness::Setup() {
   if (setup_done_) return Status::Ok();
   db_ = std::make_unique<Database>(config_.db);
+  db_->on_demand().SetCloseHook(
+      [this](const RecoveryOutcome& out) { closed_.push_back(out); });
   checker_ = std::make_unique<IfaChecker>(db_.get());
   db_->txn().AddObserver(checker_.get());
 
@@ -52,6 +56,7 @@ Result<HarnessReport> Harness::Run() {
   HarnessReport report;
 
   size_t next_crash = 0;
+  size_t fired = 0;
   std::sort(config_.crashes.begin(), config_.crashes.end(),
             [](const CrashPlan& a, const CrashPlan& b) {
               return a.at_step < b.at_step;
@@ -80,16 +85,15 @@ Result<HarnessReport> Harness::Run() {
             {plan_index, plan, SkippedCrash::Reason::kTargetsAlreadyDead});
         continue;
       }
-      size_t fired = report.recoveries.size();
       if (fired < config_.recovery_stream_overrides.size()) {
         db_->SetRecoveryStreams(config_.recovery_stream_overrides[fired]);
       }
+      ++fired;
       for (NodeId n : to_crash) exec_->executor(n).OnCrash();
       SMDB_ASSIGN_OR_RETURN(RecoveryOutcome outcome, db_->Crash(to_crash));
       if (config_.drain_recovery_immediately) {
         SMDB_RETURN_IF_ERROR(db_->DrainRecovery());
       }
-      report.recoveries.push_back(outcome);
       if (config_.capture_digests) {
         report.digests.push_back(ComputeStateDigest(*db_));
       }
@@ -169,6 +173,9 @@ Result<HarnessReport> Harness::Run() {
 }
 
 void Harness::FillReport(HarnessReport* report) {
+  // Every fired recovery has closed by now: verification only runs outside
+  // a Recovering window, and the run ends with a drain.
+  report->recoveries = closed_;
   report->exec = exec_->TotalStats();
   report->machine = db_->machine().stats();
   report->logs = db_->log().stats();

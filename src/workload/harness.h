@@ -69,6 +69,9 @@ struct SkippedCrash {
 
 struct HarnessReport {
   ExecutorStats exec;
+  /// One closed outcome per fired crash, in crash order: an on-demand
+  /// recovery's counts include everything its Recovering window
+  /// discharged after the crash.
   std::vector<RecoveryOutcome> recoveries;
   /// One digest per fired recovery when capture_digests is set (index i
   /// matches recoveries[i]), plus one final end-of-run digest.
@@ -140,6 +143,8 @@ class Harness {
   std::unique_ptr<IfaChecker> checker_;
   std::unique_ptr<SystemExecutor> exec_;
   std::vector<RecordId> table_;
+  /// Each recovery's closed ledger, in crash order (the close hook's).
+  std::vector<RecoveryOutcome> closed_;
   Rng rng_;
   bool setup_done_ = false;
 };

@@ -101,6 +101,16 @@ void ExpectLazyDrainMatchesEager(uint64_t seed, const RecoveryConfig& rc,
     EXPECT_EQ(lazy_report->recoveries[i].whole_machine_restart,
               eager_report->recoveries[i].whole_machine_restart)
         << where;
+    // One ledger per recovery: the drain's work counts with the prefix's,
+    // so the drained-at-once outcome does exactly the eager work.
+    const RecoveryOutcome& l = lazy_report->recoveries[i];
+    const RecoveryOutcome& e = eager_report->recoveries[i];
+    EXPECT_EQ(l.redo_applied, e.redo_applied) << where;
+    EXPECT_EQ(l.redo_skipped, e.redo_skipped) << where;
+    EXPECT_EQ(l.undo_applied, e.undo_applied) << where;
+    EXPECT_EQ(l.pages_reloaded, e.pages_reloaded) << where;
+    EXPECT_EQ(l.lines_reinstalled, e.lines_reinstalled) << where;
+    EXPECT_EQ(l.tag_undos, e.tag_undos) << where;
   }
   EXPECT_EQ(lazy_report->exec.committed, eager_report->exec.committed)
       << where;
@@ -108,7 +118,8 @@ void ExpectLazyDrainMatchesEager(uint64_t seed, const RecoveryConfig& rc,
 
 void RunDigestMatrix(uint64_t begin, uint64_t end, uint32_t streams) {
   for (uint64_t seed = begin; seed < end; ++seed) {
-    for (const RecoveryConfig& rc : OnDemandProtocols()) {
+    // All seven presets: on the baselines the knob must be a no-op.
+    for (const RecoveryConfig& rc : CrashScheduleFuzzer::DefaultProtocols()) {
       ExpectLazyDrainMatchesEager(seed, rc, streams);
       if (::testing::Test::HasFatalFailure()) return;
     }
@@ -214,10 +225,16 @@ TEST(OnDemandServing, CommitsLandWhileObligationsPending) {
   Transaction* t2 = fx.db.txn().Begin(1);
   ASSERT_TRUE(fx.db.txn().Update(t2, fx.table[3], Value(0xBB)).ok());
 
+  std::vector<RecoveryOutcome> closed;
+  fx.db.on_demand().SetCloseHook(
+      [&closed](const RecoveryOutcome& out) { closed.push_back(out); });
   auto outcome = fx.db.Crash({1});
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   ASSERT_TRUE(fx.db.RecoveringActive());
   EXPECT_GT(fx.db.on_demand().pending_objects(), 0u);
+  EXPECT_TRUE(closed.empty()) << "the ledger stays open while Recovering";
+  EXPECT_EQ(outcome->first_touch_discharges, 0u);
+  EXPECT_EQ(outcome->sweep_discharges, 0u);
 
   // A brand-new transaction on an untouched record commits immediately,
   // while the crash's obligations are still pending.
@@ -240,7 +257,11 @@ TEST(OnDemandServing, CommitsLandWhileObligationsPending) {
   EXPECT_NE(*v3, Value(0xBB)) << "uncommitted crash work must be undone";
   ASSERT_TRUE(fx.db.txn().Commit(t4).ok());
   EXPECT_LT(fx.db.on_demand().pending_objects(), pending_before);
-  EXPECT_GT(fx.db.on_demand().stats().first_touch_discharges, 0u);
+  // The first touches count into the crash's ledger: t1's lost committed
+  // update was redone on its first read.
+  const RecoveryOutcome& ledger = fx.db.on_demand().outcome();
+  EXPECT_GT(ledger.first_touch_discharges, 0u);
+  EXPECT_GT(ledger.redo_applied, outcome->redo_applied);
 
   // The sweeper finishes the rest; the drained state verifies.
   while (fx.db.RecoveringActive()) {
@@ -248,7 +269,13 @@ TEST(OnDemandServing, CommitsLandWhileObligationsPending) {
     ASSERT_TRUE(swept.ok()) << swept.status().ToString();
   }
   EXPECT_EQ(fx.db.on_demand().pending_objects(), 0u);
-  EXPECT_GT(fx.db.on_demand().stats().sweep_discharges, 0u);
+  EXPECT_GT(ledger.sweep_discharges, 0u);
+  // The drain's end closes the ledger once, spanning the whole window.
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].first_touch_discharges, ledger.first_touch_discharges);
+  EXPECT_EQ(closed[0].sweep_discharges, ledger.sweep_discharges);
+  EXPECT_EQ(closed[0].redo_applied, ledger.redo_applied);
+  EXPECT_GT(closed[0].recovery_time_ns, outcome->recovery_time_ns);
 }
 
 // Checkpoints truncate the stable logs lazy obligations still reference;

@@ -14,7 +14,6 @@
 // written) · in --replay mode: 0 the recorded failure reproduces, 3 it
 // does not (determinism broken).
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -22,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "fuzz/fuzzer.h"
 
 namespace smdb {
@@ -99,18 +99,6 @@ bool TakesValue(const std::string& key) {
          key == "--group-commit-window" ||
          key == "--group-commit-max-batch" || key == "--trace-capacity" ||
          key == "--stats-json";
-}
-
-bool ParseUint(const std::string& val, uint64_t* out) {
-  // strtoull accepts "-3" (wrapping to 2^64-3) and leading whitespace;
-  // insist on a plain digit string.
-  if (val.empty() || val[0] < '0' || val[0] > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  uint64_t v = std::strtoull(val.c_str(), &end, 10);
-  if (errno != 0 || end != val.c_str() + val.size()) return false;
-  *out = v;
-  return true;
 }
 
 bool ParseFlag(Flags& f, const std::string& key, const std::string& val) {

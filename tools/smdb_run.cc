@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "obs/metrics.h"
 #include "workload/harness.h"
 
@@ -49,8 +50,9 @@ void Usage() {
       "  --shared=F               shared (vs partitioned) fraction "
       "(default 1)\n"
       "  --abort-ratio=F          voluntary abort fraction (default 0)\n"
-      "  --crash=STEP:NODE[:r]    inject a crash (repeatable; ':r' "
-      "restarts)\n"
+      "  --crash=STEP:NODES[:r]   crash NODES (one id or a comma list,\n"
+      "                           e.g. 200:2,3) before step STEP\n"
+      "                           (repeatable; ':r' restarts them)\n"
       "  --steal=F                per-step steal flush probability\n"
       "  --checkpoint-every=N     steps between checkpoints (default 0)\n"
       "  --recovery-streams=N     simulated survivor streams for restart\n"
@@ -94,15 +96,42 @@ void Usage() {
       "  --verbose                dump per-subsystem statistics\n");
 }
 
+/// Parses `--crash`'s STEP:NODE[,NODE...][:r].
+bool ParseCrash(const std::string& val, CrashPlan* plan) {
+  size_t colon = val.find(':');
+  if (colon == std::string::npos) return false;
+  if (!ParseUint(val.substr(0, colon), &plan->at_step)) return false;
+  std::string rest = val.substr(colon + 1);
+  size_t colon2 = rest.find(':');
+  if (colon2 != std::string::npos) {
+    if (rest.substr(colon2 + 1) != "r") return false;
+    plan->restart_after = true;
+    rest.resize(colon2);
+  }
+  size_t pos = 0;
+  while (true) {
+    size_t comma = rest.find(',', pos);
+    NodeId node = 0;
+    if (!ParseUint(rest.substr(pos, comma - pos), &node)) return false;
+    plan->nodes.push_back(node);
+    if (comma == std::string::npos) return true;
+    pos = comma + 1;
+  }
+}
+
 bool ParseFlag(Flags& f, const std::string& arg) {
   auto eq = arg.find('=');
   std::string key = arg.substr(0, eq);
   std::string val = eq == std::string::npos ? "" : arg.substr(eq + 1);
   HarnessConfig& cfg = f.cfg;
   if (key == "--nodes") {
-    cfg.db.machine.num_nodes = static_cast<uint16_t>(std::stoul(val));
+    uint16_t nodes = 0;
+    if (!ParseUint(val, &nodes) || nodes == 0 || nodes > kMaxNodes) {
+      return false;
+    }
+    cfg.db.machine.num_nodes = nodes;
   } else if (key == "--protocol") {
-    if (!RecoveryConfig::FromFlagName(val, &cfg.db.recovery)) return false;
+    return RecoveryConfig::FromFlagName(val, &cfg.db.recovery);
   } else if (key == "--coherence") {
     if (val == "broadcast") {
       cfg.db.machine.coherence = CoherenceKind::kWriteBroadcast;
@@ -110,58 +139,50 @@ bool ParseFlag(Flags& f, const std::string& arg) {
       return false;
     }
   } else if (key == "--records") {
-    cfg.num_records = std::stoul(val);
+    return ParseUint(val, &cfg.num_records);
   } else if (key == "--record-bytes") {
-    cfg.db.record_data_size = static_cast<uint16_t>(std::stoul(val));
+    return ParseUint(val, &cfg.db.record_data_size);
   } else if (key == "--txns") {
-    cfg.workload.txns_per_node = std::stoul(val);
+    return ParseUint(val, &cfg.workload.txns_per_node);
   } else if (key == "--ops") {
-    cfg.workload.ops_per_txn = std::stoul(val);
+    return ParseUint(val, &cfg.workload.ops_per_txn);
   } else if (key == "--write-ratio") {
-    cfg.workload.write_ratio = std::stod(val);
+    return ParseDouble(val, &cfg.workload.write_ratio);
   } else if (key == "--index-ratio") {
-    cfg.workload.index_op_ratio = std::stod(val);
+    return ParseDouble(val, &cfg.workload.index_op_ratio);
   } else if (key == "--dirty-read-ratio") {
-    cfg.workload.dirty_read_ratio = std::stod(val);
+    return ParseDouble(val, &cfg.workload.dirty_read_ratio);
   } else if (key == "--zipf") {
-    cfg.workload.zipf_theta = std::stod(val);
+    return ParseDouble(val, &cfg.workload.zipf_theta);
   } else if (key == "--shared") {
-    cfg.workload.shared_fraction = std::stod(val);
+    return ParseDouble(val, &cfg.workload.shared_fraction);
   } else if (key == "--abort-ratio") {
-    cfg.workload.voluntary_abort_ratio = std::stod(val);
+    return ParseDouble(val, &cfg.workload.voluntary_abort_ratio);
   } else if (key == "--crash") {
     CrashPlan plan;
-    size_t colon = val.find(':');
-    if (colon == std::string::npos) return false;
-    plan.at_step = std::stoull(val.substr(0, colon));
-    std::string rest = val.substr(colon + 1);
-    size_t colon2 = rest.find(':');
-    plan.nodes = {static_cast<NodeId>(std::stoul(rest.substr(0, colon2)))};
-    plan.restart_after =
-        colon2 != std::string::npos && rest.substr(colon2 + 1) == "r";
+    if (!ParseCrash(val, &plan)) return false;
     cfg.crashes.push_back(plan);
   } else if (key == "--steal") {
-    cfg.steal_flush_prob = std::stod(val);
+    return ParseDouble(val, &cfg.steal_flush_prob);
   } else if (key == "--checkpoint-every") {
-    cfg.checkpoint_every_steps = std::stoull(val);
+    return ParseUint(val, &cfg.checkpoint_every_steps);
   } else if (key == "--recovery-streams") {
-    unsigned long streams = std::stoul(val);
-    if (streams == 0) return false;
-    cfg.db.recovery.recovery_streams = static_cast<uint32_t>(streams);
+    uint32_t streams = 0;
+    if (!ParseUint(val, &streams) || streams == 0) return false;
+    cfg.db.recovery.recovery_streams = streams;
   } else if (key == "--on-demand-recovery") {
     cfg.db.recovery.on_demand = true;
     if (cfg.pump_recovery_per_step == 0) cfg.pump_recovery_per_step = 1;
   } else if (key == "--pump-recovery") {
-    cfg.pump_recovery_per_step = static_cast<int>(std::stoul(val));
+    return ParseUint(val, &cfg.pump_recovery_per_step);
   } else if (key == "--group-commit") {
     cfg.db.recovery.group_commit = true;
   } else if (key == "--group-commit-window") {
     cfg.db.recovery.group_commit = true;
-    cfg.db.recovery.group_commit_window_ns = std::stoull(val);
+    return ParseUint(val, &cfg.db.recovery.group_commit_window_ns);
   } else if (key == "--group-commit-max-batch") {
     cfg.db.recovery.group_commit = true;
-    cfg.db.recovery.group_commit_max_batch =
-        static_cast<uint32_t>(std::stoul(val));
+    return ParseUint(val, &cfg.db.recovery.group_commit_max_batch);
   } else if (key == "--nvram") {
     cfg.db.machine.nvram_log = true;
   } else if (key == "--two-line-lcb") {
@@ -171,14 +192,14 @@ bool ParseFlag(Flags& f, const std::string& arg) {
     if (!p) return false;
     cfg.schedule = *p;
   } else if (key == "--seed") {
-    cfg.workload.seed = std::stoull(val);
+    if (!ParseUint(val, &cfg.workload.seed)) return false;
     cfg.seed = cfg.workload.seed ^ 0xBEEF;
   } else if (key == "--trace-out") {
     if (val.empty()) return false;
     f.trace_out = val;
     cfg.db.obs.trace = true;
   } else if (key == "--trace-capacity") {
-    cfg.db.obs.trace_capacity_per_node = static_cast<uint32_t>(std::stoul(val));
+    return ParseUint(val, &cfg.db.obs.trace_capacity_per_node);
   } else if (key == "--stats-json") {
     if (val.empty()) return false;
     f.stats_json = val;
@@ -190,13 +211,13 @@ bool ParseFlag(Flags& f, const std::string& arg) {
     cfg.db.obs.latency = true;
   } else if (key == "--obs-window") {
     cfg.db.obs.latency = true;
-    cfg.db.obs.window_ns = std::stoull(val);
+    return ParseUint(val, &cfg.db.obs.window_ns);
   } else if (key == "--obs-influence") {
     cfg.db.obs.latency = true;
-    cfg.db.obs.crash_influence_ns = std::stoull(val);
+    return ParseUint(val, &cfg.db.obs.crash_influence_ns);
   } else if (key == "--obs-top-contended") {
     cfg.db.obs.latency = true;
-    cfg.db.obs.top_contended = static_cast<uint32_t>(std::stoul(val));
+    return ParseUint(val, &cfg.db.obs.top_contended);
   } else if (key == "--profile-out") {
     if (val.empty()) return false;
     f.profile_out = val;
@@ -205,6 +226,17 @@ bool ParseFlag(Flags& f, const std::string& arg) {
     f.verbose = true;
   } else {
     return false;
+  }
+  return true;
+}
+
+/// Every crashed node must exist. Checked once all flags are in, since
+/// --crash may come before --nodes.
+bool CrashNodesExist(const HarnessConfig& cfg) {
+  for (const CrashPlan& plan : cfg.crashes) {
+    for (NodeId n : plan.nodes) {
+      if (n >= cfg.db.machine.num_nodes) return false;
+    }
   }
   return true;
 }
@@ -335,6 +367,11 @@ int main(int argc, char** argv) {
       smdb::Usage();
       return 1;
     }
+  }
+  if (!smdb::CrashNodesExist(flags.cfg)) {
+    std::fprintf(stderr, "--crash names a node beyond --nodes\n\n");
+    smdb::Usage();
+    return 1;
   }
   return smdb::Run(flags);
 }
