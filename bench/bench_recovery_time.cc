@@ -20,7 +20,10 @@
 // Asserted (exit 1 otherwise), R1: at every crash size Selective Redo
 // applies fewer redos than Redo All and recovers faster; R1b: the redo and
 // undo counts are the same at every stream count (the work is identical,
-// only its partitioning changes).
+// only its partitioning changes). For every one-stream restart of both:
+// the reload phase is ceil(reload reads / survivors) disk reads long (each
+// read goes to the survivor that is free first), and no stable page is
+// read twice.
 
 #include <fstream>
 #include <optional>
@@ -30,6 +33,27 @@
 
 namespace smdb::bench {
 namespace {
+
+/// The restart I/O checks on a run whose only crash produced `o`.
+void CheckRestartIo(Harness& h, const RecoveryOutcome& o,
+                    const std::string& what, ShapeChecks* checks) {
+  Database& db = h.db();
+  // RebootAll's performers are the nodes the crash spared, like every
+  // scheme's; only a crash of every node recovers on all of them.
+  const uint64_t nodes = db.machine().num_nodes();
+  const uint64_t spared = nodes - o.crashed_nodes.size();
+  const uint64_t survivors = spared == 0 ? nodes : spared;
+  const uint64_t rounds = (o.pages_reloaded + survivors - 1) / survivors;
+  const SimTime floor_ns = rounds * db.machine().config().timing.disk_read_ns;
+  checks->Expect(
+      o.phase_ns[static_cast<size_t>(RecoveryPhase::kReload)] == floor_ns,
+      what + " reloads in ceil(reads / survivors) disk reads");
+  // Recovery is the run's only reader of the stable database.
+  const StableDb& disk = db.stable_db();
+  checks->Expect(
+      o.stable_reads == disk.reads() && disk.reads() == disk.pages_read(),
+      what + " reads no stable page twice");
+}
 
 void Run(ShapeChecks* checks) {
   Header("Restart recovery cost: Selective Redo vs Redo All vs RebootAll",
@@ -57,6 +81,8 @@ void Run(ShapeChecks* checks) {
         continue;
       }
       const RecoveryOutcome& o = r.recoveries[0];
+      CheckRestartIo(h, o, rc.Name() + " at " + std::to_string(txns) +
+                               " txns/node", checks);
       Row({std::to_string(txns), rc.Name(), FmtMs(o.recovery_time_ns),
            std::to_string(o.redo_applied), std::to_string(o.redo_skipped),
            std::to_string(o.pages_reloaded), std::to_string(o.tag_undos)},
@@ -124,7 +150,10 @@ void RunStreamSweep(ShapeChecks* checks) {
         continue;
       }
       const RecoveryOutcome& o = r.recoveries[0];
-      if (streams == 1) one_stream = o;
+      if (streams == 1) {
+        one_stream = o;
+        CheckRestartIo(h, o, rc.Name() + at, checks);
+      }
       const SimTime one_stream_ns =
           one_stream ? one_stream->recovery_time_ns : 0;
       double speedup = o.recovery_time_ns == 0

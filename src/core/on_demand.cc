@@ -102,9 +102,7 @@ void OnDemandRecovery::BuildIndex() {
     // Owner map + committed-value reconstructor for the per-object tag
     // discharge (the full deferred scan builds its own).
     usn_owner_ = db_->recovery().StableUsnOwners();
-    reconstructor_ = std::make_unique<StableStateReconstructor>(
-        &db_->machine(), &db_->log(), &db_->buffers(), &db_->records(),
-        ctx_.uncommitted_ids);
+    reconstructor_ = db_->recovery().MakeReconstructor(ctx_);
   }
 
   // Sweep order: objects by their smallest pending-obligation USN, so the
@@ -158,10 +156,11 @@ Status OnDemandRecovery::EnsureHeapPage(NodeId performer, PageId page) {
 }
 
 Status OnDemandRecovery::LoadHeapPages() {
-  // Table order, one performer per page whether or not a first touch
-  // already loaded it.
+  // Table order, each page a first touch has not loaded yet on the
+  // survivor that is free first.
+  RecoveryManager& rm = db_->recovery();
   for (PageId p : db_->records().pages()) {
-    SMDB_RETURN_IF_ERROR(EnsureHeapPage(ctx_.NextSurvivor(), p));
+    SMDB_RETURN_IF_ERROR(EnsureHeapPage(rm.EarliestSurvivor(ctx_), p));
   }
   return Status::Ok();
 }
@@ -172,10 +171,11 @@ Status OnDemandRecovery::RedoStructural() {
   // is replayed (a reloaded pre-split root routes into garbage). The
   // Page-LSN and entry-USN guards make the two-phase order equivalent to a
   // strict USN-ordered replay.
+  RecoveryManager& rm = db_->recovery();
   for (size_t i = 0; i < redo_.size(); ++i) {
     if (redo_done_[i] || redo_[i].type != LogRecordType::kStructural) continue;
-    SMDB_RETURN_IF_ERROR(db_->recovery().ApplyRedoStructural(
-        ctx_, ctx_.NextSurvivor(), redo_[i]));
+    SMDB_RETURN_IF_ERROR(
+        rm.ApplyRedoStructural(ctx_, rm.EarliestSurvivor(ctx_), redo_[i]));
     redo_done_[i] = true;
   }
   return Status::Ok();
@@ -332,14 +332,14 @@ Result<int> OnDemandRecovery::SweepStep(int max_objects) {
       RecordId rid = sweep_rids_[which.second];
       if (discharged_rids_.contains(rid)) continue;  // first touch beat us
       ProfRoot root(inst, ProfPhase::kSweep);
-      SMDB_RETURN_IF_ERROR(
-          DischargeRecord(ctx_.NextSurvivor(), rid, Via::kSweep));
+      SMDB_RETURN_IF_ERROR(DischargeRecord(
+          db_->recovery().EarliestSurvivor(ctx_), rid, Via::kSweep));
     } else {
       KeyId key = sweep_keys_[which.second];
       if (discharged_keys_.contains(key)) continue;
       ProfRoot root(inst, ProfPhase::kSweep);
-      SMDB_RETURN_IF_ERROR(
-          DischargeKey(ctx_.NextSurvivor(), key, Via::kSweep));
+      SMDB_RETURN_IF_ERROR(DischargeKey(db_->recovery().EarliestSurvivor(ctx_),
+                                        key, Via::kSweep));
     }
     ++done;
   }

@@ -162,9 +162,9 @@ class OnDemandRecovery {
   bool in_discharge_ = false;
   bool indexed_ = false;
 
-  /// The recovery context: dead set, uncommitted ids, survivors, performer
-  /// round-robin and the ledger. RecoveryManager::Run and the drain share
-  /// it; a Recovering window keeps it.
+  /// The recovery context: dead set, uncommitted ids, survivors, the stable
+  /// images read so far and the ledger. RecoveryManager::Run and the drain
+  /// share it; a Recovering window keeps it.
   RecoveryManager::Ctx ctx_;
   std::function<void(const RecoveryOutcome&)> close_hook_;
 

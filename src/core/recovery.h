@@ -56,6 +56,9 @@ struct RecoveryOutcome {
   uint64_t undo_applied = 0;
   uint64_t pages_reloaded = 0;
   uint64_t lines_reinstalled = 0;
+  /// Stable-database page reads the restart issued: the reloads' and the
+  /// committed-value reconstructor's. Each page is read at most once.
+  uint64_t stable_reads = 0;
   uint64_t lcb_lines_cleared = 0;
   uint64_t lcbs_rebuilt = 0;
   uint64_t locks_dropped = 0;

@@ -38,6 +38,7 @@ std::string RecoveryOutcome::ToString() const {
      << " undo_applied=" << undo_applied
      << " pages_reloaded=" << pages_reloaded
      << " lines_reinstalled=" << lines_reinstalled
+     << " stable_reads=" << stable_reads
      << " lcb_lines_cleared=" << lcb_lines_cleared
      << " lcbs_rebuilt=" << lcbs_rebuilt << " locks_dropped=" << locks_dropped
      << " tags_scanned=" << tags_scanned << " tag_undos=" << tag_undos
@@ -87,10 +88,43 @@ void PinStreams(std::vector<NodeId>* streams, uint32_t num_streams,
 
 }  // namespace
 
-NodeId RecoveryManager::RedoPerformer(Ctx& ctx, const LogRecord& rec) {
+NodeId RecoveryManager::EarliestSurvivor(const Ctx& ctx) const {
+  const Machine& m = db_->machine();
+  NodeId best = ctx.survivors.front();
+  for (NodeId n : ctx.survivors) {
+    if (m.NodeClock(n) < m.NodeClock(best)) best = n;
+  }
+  return best;
+}
+
+const std::vector<uint8_t>* RecoveryManager::StableImage(Ctx& ctx,
+                                                         NodeId performer,
+                                                         PageId page) {
+  auto it = ctx.stable_images.find(page);
+  if (it != ctx.stable_images.end()) return &it->second;
+  std::vector<uint8_t> image;
+  if (!db_->buffers().ReadStableImage(performer, page, &image).ok()) {
+    return nullptr;
+  }
+  ++ctx.out.stable_reads;
+  return &ctx.stable_images.emplace(page, std::move(image)).first->second;
+}
+
+std::unique_ptr<StableStateReconstructor> RecoveryManager::MakeReconstructor(
+    Ctx& ctx) {
+  return std::make_unique<StableStateReconstructor>(
+      &db_->machine(), &db_->log(), &db_->records(), ctx.uncommitted_ids,
+      [this, &ctx](NodeId performer, PageId page) {
+        return StableImage(ctx, performer, page);
+      });
+}
+
+NodeId RecoveryManager::RedoPerformer(const Ctx& ctx,
+                                      const LogRecord& rec) const {
   if (ctx.num_streams <= 1) {
     // Legacy serial rule: a surviving node replays its own records.
-    return db_->machine().NodeAlive(rec.node) ? rec.node : ctx.NextSurvivor();
+    return db_->machine().NodeAlive(rec.node) ? rec.node
+                                              : EarliestSurvivor(ctx);
   }
   if (rec.type == LogRecordType::kUpdate) {
     return ctx.StreamPerformer(rec.update().rid.page);
@@ -98,8 +132,9 @@ NodeId RecoveryManager::RedoPerformer(Ctx& ctx, const LogRecord& rec) {
   return ctx.StreamPerformer(KeyPartition(rec.index_op()));
 }
 
-NodeId RecoveryManager::UndoPerformer(Ctx& ctx, const LogRecord& rec) {
-  if (ctx.num_streams <= 1) return ctx.NextSurvivor();
+NodeId RecoveryManager::UndoPerformer(const Ctx& ctx,
+                                      const LogRecord& rec) const {
+  if (ctx.num_streams <= 1) return EarliestSurvivor(ctx);
   if (rec.type == LogRecordType::kUpdate) {
     return ctx.StreamPerformer(rec.update().rid.page);
   }
@@ -284,6 +319,7 @@ Status RecoveryManager::ApplyRedoStructural(Ctx& ctx, NodeId performer,
     // Sorted replay re-applies any higher-USN entry updates afterwards.
     db_->machine().InstallToMemory(*base, image.data(), image.size());
     db_->buffers().MarkDirty(page);
+    ctx.installed_pages.insert(page);
     ++ctx.out.redo_applied;
   }
   return Status::Ok();
@@ -317,30 +353,36 @@ Status RecoveryManager::CollectRedoRecords(std::vector<LogRecord>* out) {
 Status RecoveryManager::ReloadPage(Ctx& ctx, NodeId performer, PageId page,
                                    bool whole) {
   BufferManager& buffers = db_->buffers();
+  std::vector<uint8_t> image;
   if (whole) {
-    SMDB_RETURN_IF_ERROR(buffers.ReinstallPage(performer, page));
-    ++ctx.out.pages_reloaded;
-    return Status::Ok();
+    SMDB_RETURN_IF_ERROR(buffers.ReinstallPage(performer, page, &image));
+  } else {
+    // ProbeLine ("cache miss with I/O disabled") decides lost-ness inside
+    // ReinstallLostLines.
+    SMDB_ASSIGN_OR_RETURN(int n,
+                          buffers.ReinstallLostLines(performer, page, &image));
+    if (n == 0) return Status::Ok();
+    ctx.out.lines_reinstalled += n;
+    // A partial reinstall splices stable-image lines into surviving ones;
+    // the page's surviving Page-LSN no longer describes every line, so
+    // structural redo must not skip on it (see Ctx).
+    const size_t lines_per_page =
+        buffers.page_size() / db_->machine().line_size();
+    if (static_cast<size_t>(n) < lines_per_page) {
+      ctx.spliced_pages.insert(page);
+    }
   }
-  // ProbeLine ("cache miss with I/O disabled") decides lost-ness inside
-  // ReinstallLostLines.
-  SMDB_ASSIGN_OR_RETURN(int n, buffers.ReinstallLostLines(performer, page));
-  if (n == 0) return Status::Ok();
-  ctx.out.lines_reinstalled += n;
   ++ctx.out.pages_reloaded;
-  // A partial reinstall splices stable-image lines into surviving ones;
-  // the page's surviving Page-LSN no longer describes every line, so
-  // structural redo must not skip on it (see Ctx).
-  const size_t lines_per_page =
-      buffers.page_size() / db_->machine().line_size();
-  if (static_cast<size_t>(n) < lines_per_page) ctx.spliced_pages.insert(page);
+  ++ctx.out.stable_reads;
+  ctx.installed_pages.insert(page);
+  ctx.stable_images.insert_or_assign(page, std::move(image));
   return Status::Ok();
 }
 
 Status RecoveryManager::ReloadPages(Ctx& ctx, const std::vector<PageId>& pages,
                                     bool whole) {
   for (PageId p : pages) {
-    SMDB_RETURN_IF_ERROR(ReloadPage(ctx, ctx.NextSurvivor(), p, whole));
+    SMDB_RETURN_IF_ERROR(ReloadPage(ctx, EarliestSurvivor(ctx), p, whole));
   }
   return Status::Ok();
 }
@@ -473,8 +515,8 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
   RecordStore& rs = db_->records();
   BTree& index = db_->index();
 
-  StableStateReconstructor reconstructor(&m, &db_->log(), &db_->buffers(),
-                                         &rs, ctx.uncommitted_ids);
+  std::unique_ptr<StableStateReconstructor> reconstructor =
+      MakeReconstructor(ctx);
   const HashMap<uint64_t, TxnId> usn_owner = StableUsnOwners();
   auto stale_committed_tag = [&](uint64_t usn, NodeId tagged) {
     return StaleCommittedTag(ctx, usn_owner, usn, tagged);
@@ -506,6 +548,45 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
   std::set<RecordId> seen_rids;
   std::set<std::pair<PageId, uint16_t>> seen_slots;
 
+  // Collects the dead-tagged records and index entries of one line. A line
+  // in `found_on`'s cache is read there; an uncached line (found_on =
+  // kInvalidNode) is snooped from memory and its undos go to the
+  // EarliestSurvivor at apply time.
+  auto collect = [&](LineAddr line, NodeId found_on) -> Status {
+    ++ctx.out.tags_scanned;
+    // --- Heap records ---
+    for (RecordId rid : rs.SlotsInLine(line)) {
+      SMDB_ASSIGN_OR_RETURN(SlotImage img, found_on == kInvalidNode
+                                               ? rs.SnoopSlot(rid)
+                                               : rs.ReadSlot(found_on, rid));
+      if (img.tag == kTagNone) continue;
+      NodeId tagged = NodeOfTag(img.tag);
+      // A tag minted after the crash (usn above the cutoff) belongs to a
+      // restarted node's new traffic, not to this recovery.
+      if (!ctx.DeadTag(tagged, img.usn)) continue;
+      if (!seen_rids.insert(rid).second) continue;
+      HeapCand c;
+      c.rid = rid;
+      c.usn = img.usn;
+      c.found_on = found_on;
+      c.stale_clear = stale_committed_tag(img.usn, tagged);
+      heap_cands.push_back(c);
+    }
+    // --- Index entries ---
+    for (const auto& ref : index.EntriesInLine(line)) {
+      if (ref.entry.tag == kTagNone) continue;
+      NodeId tagged = NodeOfTag(ref.entry.tag);
+      if (!ctx.DeadTag(tagged, ref.entry.usn)) continue;
+      if (!seen_slots.insert({ref.leaf, ref.slot}).second) continue;
+      IdxCand c;
+      c.ref = ref;
+      c.found_on = found_on;
+      c.stale_clear = stale_committed_tag(ref.entry.usn, tagged);
+      idx_cands.push_back(c);
+    }
+    return Status::Ok();
+  };
+
   // A scan deferred into a Recovering window can run after restarts: a
   // restarted node's new traffic can have pulled a tagged line into its
   // cache, so its cache is scanned too, after the crash-time survivors'.
@@ -520,36 +601,21 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
     // Snapshot the resident lines first (collection itself reads only).
     std::vector<LineAddr> lines;
     m.ForEachCachedLine(s, [&](LineAddr line) { lines.push_back(line); });
-    for (LineAddr line : lines) {
-      ++ctx.out.tags_scanned;
-      // --- Heap records ---
-      for (RecordId rid : rs.SlotsInLine(line)) {
-        SMDB_ASSIGN_OR_RETURN(SlotImage img, rs.ReadSlot(s, rid));
-        if (img.tag == kTagNone) continue;
-        NodeId tagged = NodeOfTag(img.tag);
-        // A tag minted after the crash (usn above the cutoff) belongs to a
-        // restarted node's new traffic, not to this recovery.
-        if (!ctx.DeadTag(tagged, img.usn)) continue;
-        if (!seen_rids.insert(rid).second) continue;
-        HeapCand c;
-        c.rid = rid;
-        c.usn = img.usn;
-        c.found_on = s;
-        c.stale_clear = stale_committed_tag(img.usn, tagged);
-        heap_cands.push_back(c);
-      }
-      // --- Index entries ---
-      for (const auto& ref : index.EntriesInLine(line)) {
-        if (ref.entry.tag == kTagNone) continue;
-        NodeId tagged = NodeOfTag(ref.entry.tag);
-        if (!ctx.DeadTag(tagged, ref.entry.usn)) continue;
-        if (!seen_slots.insert({ref.leaf, ref.slot}).second) continue;
-        IdxCand c;
-        c.ref = ref;
-        c.found_on = s;
-        c.stale_clear = stale_committed_tag(ref.entry.usn, tagged);
-        idx_cands.push_back(c);
-      }
+    for (LineAddr line : lines) SMDB_RETURN_IF_ERROR(collect(line, s));
+  }
+  // Lines this restart installed into memory that no cache has pulled back
+  // since. A structural page image can carry a dead node's uncommitted
+  // entry (the split copied it), and installing the image dropped the
+  // surviving copy of its line, so no cache walk would find the tag.
+  const uint32_t lines_per_page =
+      db_->buffers().page_size() / m.line_size();
+  for (PageId page : ctx.installed_pages) {
+    SMDB_ASSIGN_OR_RETURN(Addr base, db_->buffers().BaseOf(page));
+    for (uint32_t i = 0; i < lines_per_page; ++i) {
+      const LineAddr line = m.LineOf(base) + i;
+      const LineEntry* e = m.FindLine(line);
+      if (e == nullptr || e->sharers != 0 || !e->mem_valid) continue;
+      SMDB_RETURN_IF_ERROR(collect(line, kInvalidNode));
     }
   }
 
@@ -562,13 +628,18 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
             });
 
   // Serial keeps the finding survivor as performer (the legacy
-  // assignment); W > 1 routes each undo to its partition's stream.
+  // assignment; a line found in memory goes to the EarliestSurvivor); W > 1
+  // routes each undo to its partition's stream.
+  auto serial_performer = [&](NodeId found_on) {
+    return found_on != kInvalidNode ? found_on : EarliestSurvivor(ctx);
+  };
   auto heap_performer = [&](const HeapCand& c) {
-    return ctx.num_streams <= 1 ? c.found_on : ctx.StreamPerformer(c.rid.page);
+    return ctx.num_streams <= 1 ? serial_performer(c.found_on)
+                                : ctx.StreamPerformer(c.rid.page);
   };
   auto idx_performer = [&](const IdxCand& c) {
-    return ctx.num_streams <= 1 ? c.found_on
-                            : ctx.StreamPerformer(Mix64(c.ref.entry.key));
+    return ctx.num_streams <= 1 ? serial_performer(c.found_on)
+                                : ctx.StreamPerformer(Mix64(c.ref.entry.key));
   };
 
   // Owning transaction of a tagged USN, for the tag-decision trace (and
@@ -580,7 +651,7 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
   for (const HeapCand& c : heap_cands) {
     NodeId p = heap_performer(c);
     SMDB_RETURN_IF_ERROR(
-        ResolveRecordTag(p, c.rid, c.stale_clear, reconstructor));
+        ResolveRecordTag(p, c.rid, c.stale_clear, *reconstructor));
     if (!c.stale_clear) {
       ++ctx.out.tag_undos;
       ++ctx.out.undo_applied;
@@ -615,7 +686,7 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
 
 Status RecoveryManager::RecoverLockTable(Ctx& ctx) {
   LockTable& locks = db_->locks();
-  NodeId performer = ctx.NextSurvivor();
+  NodeId performer = EarliestSurvivor(ctx);
 
   ctx.out.lcb_lines_cleared = locks.ClearLostLines();
 

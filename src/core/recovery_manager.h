@@ -80,7 +80,6 @@ class RecoveryManager {
     /// the crash it measures from.
     RecoveryOutcome out;
     SimTime t0 = 0;
-    size_t rr = 0;
 
     /// Pages whose lost-line reinstall spliced stable-image lines into a
     /// partially *surviving* page. Such a page can pair a post-split header
@@ -89,6 +88,16 @@ class RecoveryManager {
     /// split moved away exist only in the structural page image, and
     /// skipping it would resurrect them as duplicate live keys.
     std::set<PageId> spliced_pages;
+    /// Pages this restart wrote straight into memory (reloads, structural
+    /// page images). Such an install drops every cached copy, so the tag
+    /// scan, which walks caches, visits these pages' uncached lines too.
+    std::set<PageId> installed_pages;
+    /// Stable-database images this restart has read, by page. The reload
+    /// keeps what it read here and the reconstructors read through it
+    /// (StableImage), so each page is read from disk at most once. The
+    /// stable database cannot change under it: checkpoints drain recovery
+    /// first and the steal daemon pauses while the database is Recovering.
+    HashMap<PageId, std::vector<uint8_t>> stable_images;
 
     /// Tag-scan guard for lazy discharge: a tag whose entry USN exceeds
     /// the cutoff was written by post-crash traffic (a restarted node's
@@ -124,12 +133,6 @@ class RecoveryManager {
     /// simulated recovery speedup comes from.
     std::vector<NodeId> streams;
 
-    NodeId NextSurvivor() {
-      NodeId n = survivors[rr % survivors.size()];
-      ++rr;
-      return n;
-    }
-
     /// Performer of the stream owning `partition` (num_streams > 1).
     NodeId StreamPerformer(uint64_t partition) const {
       return streams[partition % streams.size()];
@@ -137,6 +140,19 @@ class RecoveryManager {
   };
 
   Status BuildContext(const std::vector<NodeId>& crashed, Ctx* ctx);
+
+  /// The performer of every single-stream pick: the survivor whose node
+  /// clock is smallest, ties broken by survivor (node) order. Greedy list
+  /// scheduling: a 5 ms page read goes to whichever survivor is free first.
+  NodeId EarliestSurvivor(const Ctx& ctx) const;
+
+  /// The stable image of `page` as this restart first read it; a miss
+  /// reads it on `performer`, who pays the I/O, and counts stable_reads.
+  /// nullptr when the page is unreadable.
+  const std::vector<uint8_t>* StableImage(Ctx& ctx, NodeId performer,
+                                          PageId page);
+  /// A committed-value reconstructor that reads through StableImage.
+  std::unique_ptr<StableStateReconstructor> MakeReconstructor(Ctx& ctx);
 
   /// Runs `body` as one timed recovery phase: accumulates the global-time
   /// delta into ctx.out.phase_ns[phase] and emits a kRecoveryPhase trace
@@ -166,7 +182,7 @@ class RecoveryManager {
     std::vector<LogRecord> to_undo;
     /// A previous recovery's compensation chain for one of these
     /// transactions can be split across several performers' logs (undo
-    /// round-robins survivors), so a later crash can lose its tail while
+    /// spreads over survivors), so a later crash can lose its tail while
     /// redo replays its surviving prefix. That leaves the object at an
     /// intermediate CLR state whose USN matches no original record — which
     /// the engagement guard would misread as "legitimately overwritten" and
@@ -184,9 +200,11 @@ class RecoveryManager {
   /// Reloads one page from the stable database on `performer` (section
   /// 4.1.2): the whole image when `whole` (Redo All, RebootAll), else only
   /// the lines no survivor still holds (Selective Redo). Counts
-  /// pages_reloaded and lines_reinstalled, and records spliced pages.
+  /// pages_reloaded, lines_reinstalled and stable_reads, keeps the image it
+  /// read, and records spliced pages.
   Status ReloadPage(Ctx& ctx, NodeId performer, PageId page, bool whole);
-  /// ReloadPage over `pages` in order, one ctx.NextSurvivor() per page.
+  /// ReloadPage over `pages` in order, each page that has something to
+  /// reload on the EarliestSurvivor.
   Status ReloadPages(Ctx& ctx, const std::vector<PageId>& pages, bool whole);
 
   /// The prefix's hand-off, shared by every scheme: collects the redo and
@@ -237,12 +255,14 @@ class RecoveryManager {
   // Stream partitioning ---------------------------------------------------
 
   /// Redo-pass performer: serial keeps the legacy rule (the record's own
-  /// node if alive, else round-robin); W > 1 partitions heap updates by
-  /// page and index ops by key so same-page records stay on one stream.
-  NodeId RedoPerformer(Ctx& ctx, const LogRecord& rec);
+  /// node if alive, else the EarliestSurvivor); W > 1 partitions heap
+  /// updates by page and index ops by key so same-page records stay on one
+  /// stream.
+  NodeId RedoPerformer(const Ctx& ctx, const LogRecord& rec) const;
 
-  /// Undo-pass performer: serial round-robin, or the partition's stream.
-  NodeId UndoPerformer(Ctx& ctx, const LogRecord& rec);
+  /// Undo-pass performer: serial EarliestSurvivor, or the partition's
+  /// stream.
+  NodeId UndoPerformer(const Ctx& ctx, const LogRecord& rec) const;
 
   Database* db_;
 };

@@ -7,13 +7,13 @@
 namespace smdb {
 
 StableStateReconstructor::StableStateReconstructor(
-    Machine* machine, LogManager* log, BufferManager* buffers,
-    RecordStore* records, std::set<TxnId> uncommitted)
+    Machine* machine, LogManager* log, RecordStore* records,
+    std::set<TxnId> uncommitted, PageSource pages)
     : machine_(machine),
       log_(log),
-      buffers_(buffers),
       records_(records),
-      uncommitted_(std::move(uncommitted)) {}
+      uncommitted_(std::move(uncommitted)),
+      pages_(std::move(pages)) {}
 
 void StableStateReconstructor::BuildIndex() {
   if (indexed_) return;
@@ -32,21 +32,10 @@ void StableStateReconstructor::BuildIndex() {
   }
 }
 
-const std::vector<uint8_t>* StableStateReconstructor::PageImage(
-    NodeId performer, PageId page) {
-  auto it = page_cache_.find(page);
-  if (it != page_cache_.end()) return &it->second;
-  std::vector<uint8_t> image;
-  if (!buffers_->ReadStableImage(performer, page, &image).ok()) {
-    return nullptr;
-  }
-  return &page_cache_.emplace(page, std::move(image)).first->second;
-}
-
 Result<SlotImage> StableStateReconstructor::CommittedValue(NodeId performer,
                                                            RecordId rid) {
   BuildIndex();
-  const std::vector<uint8_t>* image = PageImage(performer, rid.page);
+  const std::vector<uint8_t>* image = pages_(performer, rid.page);
   if (image == nullptr) return Status::IoError("stable page unreadable");
   SlotImage current = records_->DecodeStableSlot(*image, rid.slot);
 

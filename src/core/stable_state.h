@@ -1,13 +1,13 @@
 #ifndef SMDB_CORE_STABLE_STATE_H_
 #define SMDB_CORE_STABLE_STATE_H_
 
+#include <functional>
 #include <set>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "db/buffer_manager.h"
 #include "db/record_store.h"
 #include "wal/log_manager.h"
 
@@ -31,23 +31,26 @@ class Machine;
 /// the result is exactly the last committed value.
 class StableStateReconstructor {
  public:
-  StableStateReconstructor(Machine* machine, LogManager* log,
-                           BufferManager* buffers, RecordStore* records,
-                           std::set<TxnId> uncommitted);
+  /// The stable-database image of `page`, read on `performer` (who pays
+  /// the I/O) unless already at hand; nullptr when unreadable. A restart
+  /// passes its read-once image cache (RecoveryManager::StableImage).
+  using PageSource =
+      std::function<const std::vector<uint8_t>*(NodeId performer, PageId)>;
 
-  /// Last committed value (and its USN) of `rid`. `performer` pays for the
-  /// stable-database page reads (cached across calls).
+  StableStateReconstructor(Machine* machine, LogManager* log,
+                           RecordStore* records, std::set<TxnId> uncommitted,
+                           PageSource pages);
+
+  /// Last committed value (and its USN) of `rid`. `performer` pays for any
+  /// stable-database page read `pages` issues.
   Result<SlotImage> CommittedValue(NodeId performer, RecordId rid);
 
  private:
-  const std::vector<uint8_t>* PageImage(NodeId performer, PageId page);
-
   Machine* machine_;
   LogManager* log_;
-  BufferManager* buffers_;
   RecordStore* records_;
   std::set<TxnId> uncommitted_;
-  HashMap<PageId, std::vector<uint8_t>> page_cache_;
+  PageSource pages_;
   /// rid -> update records for it, lazily indexed on first use.
   bool indexed_ = false;
   HashMap<RecordId, std::vector<LogRecord>> by_record_;

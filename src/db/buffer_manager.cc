@@ -82,17 +82,18 @@ Status BufferManager::ReadStableImage(NodeId node, PageId page,
   return stable_db_->ReadPage(node, page, out);
 }
 
-Status BufferManager::ReinstallPage(NodeId node, PageId page) {
+Status BufferManager::ReinstallPage(NodeId node, PageId page,
+                                    std::vector<uint8_t>* image) {
   auto it = frames_.find(page);
   if (it == frames_.end()) return Status::NotFound("unknown page");
   const Addr base = it->second;
-  std::vector<uint8_t> image;
-  SMDB_RETURN_IF_ERROR(stable_db_->ReadPage(node, page, &image));
-  machine_->InstallToMemory(base, image.data(), image.size());
+  SMDB_RETURN_IF_ERROR(stable_db_->ReadPage(node, page, image));
+  machine_->InstallToMemory(base, image->data(), image->size());
   return Status::Ok();
 }
 
-Result<int> BufferManager::ReinstallLostLines(NodeId node, PageId page) {
+Result<int> BufferManager::ReinstallLostLines(NodeId node, PageId page,
+                                              std::vector<uint8_t>* image) {
   auto it = frames_.find(page);
   if (it == frames_.end()) return Status::NotFound("unknown page");
   const Addr base = it->second;
@@ -106,14 +107,13 @@ Result<int> BufferManager::ReinstallLostLines(NodeId node, PageId page) {
   }
   if (!any_lost) return 0;
 
-  std::vector<uint8_t> image;
-  SMDB_RETURN_IF_ERROR(stable_db_->ReadPage(node, page, &image));
+  SMDB_RETURN_IF_ERROR(stable_db_->ReadPage(node, page, image));
   int installed = 0;
   for (uint32_t i = 0; i < lines; ++i) {
     LineAddr line = machine_->LineOf(base) + i;
     if (!machine_->IsLineLost(line)) continue;
     machine_->InstallToMemory(base + static_cast<Addr>(i) * line_size,
-                              image.data() + i * line_size, line_size);
+                              image->data() + i * line_size, line_size);
     ++installed;
   }
   return installed;

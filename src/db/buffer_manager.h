@@ -64,13 +64,15 @@ class BufferManager {
   Status ReadStableImage(NodeId node, PageId page, std::vector<uint8_t>* out);
 
   /// Re-installs the stable image of `page` into memory wholesale (Redo All
-  /// and whole-machine restart paths).
-  Status ReinstallPage(NodeId node, PageId page);
+  /// and whole-machine restart paths). The image read lands in `image`.
+  Status ReinstallPage(NodeId node, PageId page, std::vector<uint8_t>* image);
 
   /// Re-installs from the stable image only those lines of `page` that were
   /// lost in a crash, preserving surviving lines (Selective Redo path).
-  /// Returns the number of lines re-installed.
-  Result<int> ReinstallLostLines(NodeId node, PageId page);
+  /// Returns the number of lines re-installed; when it is nonzero, the image
+  /// read lands in `image` (no line lost means no read).
+  Result<int> ReinstallLostLines(NodeId node, PageId page,
+                                 std::vector<uint8_t>* image);
 
   uint32_t page_size() const { return stable_db_->page_size(); }
   uint64_t steal_flushes() const { return steal_flushes_; }

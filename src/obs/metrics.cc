@@ -97,6 +97,7 @@ MetricsRegistry MetricsRegistry::FromReport(const HarnessReport& report) {
     reg.Add(p + "undo_applied", r.undo_applied);
     reg.Add(p + "pages_reloaded", r.pages_reloaded);
     reg.Add(p + "lines_reinstalled", r.lines_reinstalled);
+    reg.Add(p + "stable_reads", r.stable_reads);
     reg.Add(p + "lcb_lines_cleared", r.lcb_lines_cleared);
     reg.Add(p + "lcbs_rebuilt", r.lcbs_rebuilt);
     reg.Add(p + "locks_dropped", r.locks_dropped);

@@ -14,6 +14,7 @@ Status Disk::ReadPage(NodeId node, PageId page, std::vector<uint8_t>* out) {
   }
   *out = it->second;
   ++reads_;
+  pages_read_.insert(page);
   machine_->Tick(node, machine_->config().timing.disk_read_ns);
   return Status::Ok();
 }

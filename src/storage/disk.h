@@ -38,6 +38,9 @@ class Disk {
   }
 
   uint64_t reads() const { return reads_; }
+  /// Distinct pages read at least once; below reads() when a page was
+  /// read again.
+  uint64_t pages_read() const { return pages_read_.size(); }
   uint64_t writes() const { return writes_; }
 
  private:
@@ -45,6 +48,7 @@ class Disk {
   uint32_t page_size_;
   HashMap<PageId, std::vector<uint8_t>> pages_;
   uint64_t reads_ = 0;
+  HashSet<PageId> pages_read_;
   uint64_t writes_ = 0;
 };
 

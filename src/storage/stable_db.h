@@ -40,6 +40,7 @@ class StableDb {
   PageId AllocatePageId() { return next_page_++; }
 
   uint64_t reads() const { return disk_->reads(); }
+  uint64_t pages_read() const { return disk_->pages_read(); }
   uint64_t writes() const { return disk_->writes(); }
 
  private:

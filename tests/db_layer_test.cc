@@ -162,9 +162,11 @@ TEST(BufferManagerTest, ReinstallLostLinesOnlyTouchesLost) {
   DbFixture f;
   // Flush a known value, then overwrite in memory without flushing, crash
   // nothing: ReinstallLostLines must be a no-op (no lost lines).
-  auto res = f.db.buffers().ReinstallLostLines(0, f.table[0].page);
+  std::vector<uint8_t> image;
+  auto res = f.db.buffers().ReinstallLostLines(0, f.table[0].page, &image);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(*res, 0);
+  EXPECT_TRUE(image.empty());  // nothing lost, nothing read
 }
 
 TEST(BufferManagerTest, ResolveAddr) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/database.h"
 #include "core/stable_state.h"
 
@@ -11,6 +13,20 @@ namespace {
 
 std::vector<uint8_t> Value(uint8_t fill) {
   return std::vector<uint8_t>(22, fill);
+}
+
+/// A reconstructor that reads every page straight from the stable
+/// database, the way a restart's image cache does on a miss.
+StableStateReconstructor Reconstructor(Database& db,
+                                       std::set<TxnId> uncommitted) {
+  auto image = std::make_shared<std::vector<uint8_t>>();
+  return StableStateReconstructor(
+      &db.machine(), &db.log(), &db.records(), std::move(uncommitted),
+      [&db, image](NodeId n, PageId p) -> const std::vector<uint8_t>* {
+        return db.buffers().ReadStableImage(n, p, image.get()).ok()
+                   ? image.get()
+                   : nullptr;
+      });
 }
 
 DatabaseConfig Cfg(RecoveryConfig rc) {
@@ -148,8 +164,7 @@ TEST(StableStateTest, ReconstructsCommittedValueFromStableLog) {
   Transaction* t1 = db.txn().Begin(1);
   ASSERT_TRUE(db.txn().Update(t1, rid, Value(6)).ok());
 
-  StableStateReconstructor rec(&db.machine(), &db.log(), &db.buffers(),
-                               &db.records(), {t1->id});
+  StableStateReconstructor rec = Reconstructor(db, {t1->id});
   auto v = rec.CommittedValue(2, rid);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->data, Value(5));
@@ -170,8 +185,7 @@ TEST(StableStateTest, RewindsStolenUncommittedStableImage) {
   // undo information first).
   ASSERT_TRUE(db.buffers().FlushPage(2, rid.page).ok());
 
-  StableStateReconstructor rec(&db.machine(), &db.log(), &db.buffers(),
-                               &db.records(), {t1->id});
+  StableStateReconstructor rec = Reconstructor(db, {t1->id});
   auto v = rec.CommittedValue(2, rid);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->data, Value(5)) << "reconstructor must rewind stolen value";
@@ -182,8 +196,7 @@ TEST(StableStateTest, InitialValueWhenNoLogRecords) {
   Database db(Cfg(RecoveryConfig::VolatileSelectiveRedo()));
   auto table = db.CreateTable(8);
   ASSERT_TRUE(table.ok());
-  StableStateReconstructor rec(&db.machine(), &db.log(), &db.buffers(),
-                               &db.records(), {});
+  StableStateReconstructor rec = Reconstructor(db, {});
   auto v = rec.CommittedValue(0, (*table)[3]);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->data, Value(0));

@@ -648,6 +648,67 @@ TEST(RecoveryEdgeTest, SplitLeafPartialLineLossDoesNotResurrectMovedKeys) {
   }
 }
 
+// A split copies its leaf's entries into the structural record's page
+// images, uncommitted ones included, tag and all. When a crash leaves that
+// leaf partly lost, structural redo installs the image straight into
+// memory, which drops the splitter's cached copy of every line, so the
+// dead node's tagged entry sits in no cache. The tag scan must still find
+// it: here node 2's uncommitted key came back live after node 2 crashed.
+TEST(RecoveryEdgeTest, TaggedEntryInInstalledSplitImageIsUndone) {
+  for (auto rc : {RecoveryConfig::VolatileSelectiveRedo(),
+                  RecoveryConfig::StableTriggeredSelectiveRedo()}) {
+    SCOPED_TRACE(rc.Name());
+    DatabaseConfig c;
+    c.machine.num_nodes = 4;
+    c.page_size = 512;  // 4 lines: header + 3 entry lines of 4 entries each
+    c.recovery = rc;
+    Database db(c);
+    IfaChecker checker(&db);
+    db.txn().AddObserver(&checker);
+    auto t = db.CreateTable(8);
+    ASSERT_TRUE(t.ok());
+    checker.RegisterTable(*t);
+
+    // Node 1 commits eleven keys into the root leaf; the checkpoint writes
+    // that image to the stable database.
+    Transaction* fill = db.txn().Begin(1);
+    for (uint64_t k = 10; k <= 110; k += 10) {
+      ASSERT_TRUE(db.txn().IndexInsert(fill, k, (*t)[0]).ok());
+    }
+    ASSERT_TRUE(db.txn().Commit(fill).ok());
+    ASSERT_TRUE(db.Checkpoint(0).ok());
+
+    // Node 2 inserts key 115 and stays active: its entry carries node 2's
+    // tag and its log record stays in node 2's volatile tail.
+    Transaction* a = db.txn().Begin(2);
+    ASSERT_TRUE(db.txn().IndexInsert(a, 115, (*t)[0]).ok());
+
+    // Node 3 fills the leaf past capacity: the split moves the upper keys,
+    // 115 among them, and early-commits the page images.
+    const uint64_t splits = db.index().stats().splits;
+    Transaction* b = db.txn().Begin(3);
+    ASSERT_TRUE(db.txn().IndexInsert(b, 5, (*t)[0]).ok());
+    ASSERT_TRUE(db.txn().Commit(b).ok());
+    ASSERT_GT(db.index().stats().splits, splits);
+
+    // Node 2 touches the leaf that now holds 115 again, so the crash takes
+    // one of its lines with it.
+    ASSERT_TRUE(db.txn().IndexInsert(a, 117, (*t)[0]).ok());
+
+    auto outcome = db.Crash({2});
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    SCOPED_TRACE(outcome->ToString());
+    EXPECT_GT(outcome->lines_reinstalled, 0u);
+    Status v = checker.VerifyAll();
+    EXPECT_TRUE(v.ok()) << v.ToString();
+    auto entry = db.index().GetEntry(0, 115);
+    ASSERT_TRUE(entry.ok());
+    EXPECT_FALSE(entry->has_value() &&
+                 entry->value().state == LeafEntryState::kLive)
+        << "node 2's uncommitted key is live after its crash";
+  }
+}
+
 // The whole RecoveryOutcome of one fixed crash — the two-node crash of a
 // three-crash schedule with index ops, aborts, steal flushes and
 // checkpoints — pinned. Every restart runs through the restart engine's
@@ -664,12 +725,12 @@ struct PinnedOutcome {
 TEST(RecoveryEdgeTest, PinnedOutcomeOfOneFixedCrash) {
   // Phase order: analysis, reboot, reload, redo, undo, tag scan, locks.
   const PinnedOutcome pinned[] = {
-      {"volatile-selective", 9, 91, 5, 3, 2917, 3, 23, 10022200,
-       {0, 0, 5000000, 8810, 6220, 5007170, 0}},
-      {"volatile-redoall", 30, 73, 2, 0, 0, 4, 0, 5186810,
-       {0, 0, 5000000, 101630, 1610, 0, 83570}},
-      {"reboot-all", 20, 73, 5, 0, 0, 4, 0, 55012700,
-       {0, 50000000, 5000000, 11900, 800, 0, 0}},
+      {"volatile-selective", 13, 92, 2, 0, 3072, 3, 26, 5021730,
+       {0, 0, 5000000, 6950, 6290, 5000, 3490}},
+      {"volatile-redoall", 25, 73, 3, 0, 0, 4, 0, 5500770,
+       {0, 0, 5000000, 70540, 1560, 0, 428670}},
+      {"reboot-all", 21, 73, 5, 0, 0, 4, 0, 55011900,
+       {0, 50000000, 5000000, 11900, 0, 0, 0}},
   };
   for (const PinnedOutcome& p : pinned) {
     HarnessConfig c;
