@@ -240,8 +240,8 @@ Status BTree::EarlyCommitStructural(NodeId node,
       for (PageId p : unique_pages) {
         buffers_->MarkDirty(p);
         SMDB_RETURN_IF_ERROR(buffers_->FlushPage(node, p));
+        ++stats_.split_page_flushes;
       }
-      ++stats_.early_commits;
       return Status::Ok();
     }
     // Ablation baseline: the structural change stays volatile. The

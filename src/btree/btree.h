@@ -44,9 +44,13 @@ struct BTreeStats {
   uint64_t deletes = 0;
   uint64_t lookups = 0;
   uint64_t splits = 0;
-  /// Early commits of structural changes (Table 1 row 1): each is a log
-  /// force plus flushes of the affected pages.
+  /// Early commits of structural changes (Table 1 row 1): each is a
+  /// logged, forced nested top-level action.
   uint64_t early_commits = 0;
+  /// Pages flushed synchronously at splits under reboot semantics
+  /// (force_structural_pages), where no structural record exists: the
+  /// FA-only baseline's cost, not an early commit.
+  uint64_t split_page_flushes = 0;
   uint64_t purged_tombstones = 0;
 
   void Reset() { *this = BTreeStats(); }

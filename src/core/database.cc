@@ -86,7 +86,7 @@ Result<std::vector<RecordId>> Database::CreateTable(size_t nrecords,
   return records_->CreateTable(node, nrecords);
 }
 
-Status Database::Checkpoint(NodeId coordinator) {
+Status Database::Checkpoint(NodeId /*coordinator*/) {
   // A checkpoint flushes dirty pages and truncates stable logs — both
   // unsound while lazy obligations still reference those logs and pages.
   // Finish the recovery first.
@@ -96,7 +96,8 @@ Status Database::Checkpoint(NodeId coordinator) {
     active[t->node()].push_back(t->id);
   }
   SMDB_RETURN_IF_ERROR(TakeCheckpoint(machine_.get(), log_.get(),
-                                      buffers_.get(), active, coordinator));
+                                      buffers_.get(), active,
+                                      &checkpoint_stats_));
   // Reclaim stable log space: everything before both the checkpoint and
   // the oldest active transaction's first record is no longer needed (the
   // flushed stable database covers older history, including what the

@@ -21,6 +21,7 @@
 #include "storage/stable_db.h"
 #include "storage/stable_log.h"
 #include "txn/txn_manager.h"
+#include "wal/checkpoint.h"
 #include "wal/group_commit.h"
 #include "wal/log_manager.h"
 
@@ -65,7 +66,10 @@ class Database {
   Result<std::vector<RecordId>> CreateTable(size_t nrecords,
                                             NodeId node = 0);
 
-  /// Takes a machine-wide fuzzy checkpoint.
+  /// Takes a machine-wide checkpoint (TakeCheckpoint): every live node
+  /// forces its log, the dirty pages are flushed on whichever live node is
+  /// free first, and the clocks meet at a barrier. `coordinator` does not
+  /// choose who does the I/O; a crashed node is charged nothing.
   Status Checkpoint(NodeId coordinator = 0);
 
   // ----------------------------------------------------------------------
@@ -115,6 +119,8 @@ class Database {
   LbmPolicy& lbm() { return *lbm_; }
   /// Null unless recovery.group_commit is on.
   GroupCommitPipeline* group_commit() { return group_commit_.get(); }
+  /// Counters summed over every Checkpoint so far.
+  const CheckpointStats& checkpoint_stats() const { return checkpoint_stats_; }
   UsnSource& usn() { return usn_; }
   DependencyTracker* deps() { return deps_.get(); }
   RecoveryManager& recovery() { return *recovery_; }
@@ -153,6 +159,7 @@ class Database {
   std::unique_ptr<TxnManager> txn_;
   std::unique_ptr<RecoveryManager> recovery_;
   std::unique_ptr<OnDemandRecovery> on_demand_;
+  CheckpointStats checkpoint_stats_;
 };
 
 }  // namespace smdb

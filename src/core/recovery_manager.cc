@@ -89,12 +89,7 @@ void PinStreams(std::vector<NodeId>* streams, uint32_t num_streams,
 }  // namespace
 
 NodeId RecoveryManager::EarliestSurvivor(const Ctx& ctx) const {
-  const Machine& m = db_->machine();
-  NodeId best = ctx.survivors.front();
-  for (NodeId n : ctx.survivors) {
-    if (m.NodeClock(n) < m.NodeClock(best)) best = n;
-  }
-  return best;
+  return db_->machine().EarliestOf(ctx.survivors);
 }
 
 const std::vector<uint8_t>* RecoveryManager::StableImage(Ctx& ctx,

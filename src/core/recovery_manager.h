@@ -141,9 +141,9 @@ class RecoveryManager {
 
   Status BuildContext(const std::vector<NodeId>& crashed, Ctx* ctx);
 
-  /// The performer of every single-stream pick: the survivor whose node
-  /// clock is smallest, ties broken by survivor (node) order. Greedy list
-  /// scheduling: a 5 ms page read goes to whichever survivor is free first.
+  /// The performer of every single-stream pick: Machine::EarliestOf over
+  /// the survivors, the rule checkpoints use too. A 5 ms page read goes to
+  /// whichever survivor is free first.
   NodeId EarliestSurvivor(const Ctx& ctx) const;
 
   /// The stable image of `page` as this restart first read it; a miss

@@ -70,13 +70,6 @@ Status BufferManager::FlushPage(NodeId node, PageId page) {
   return Status::Ok();
 }
 
-Status BufferManager::FlushAllDirty(NodeId node) {
-  for (PageId page : DirtyPages()) {
-    SMDB_RETURN_IF_ERROR(FlushPage(node, page));
-  }
-  return Status::Ok();
-}
-
 Status BufferManager::ReadStableImage(NodeId node, PageId page,
                                       std::vector<uint8_t>* out) {
   return stable_db_->ReadPage(node, page, out);

@@ -57,9 +57,6 @@ class BufferManager {
   /// table requires. Used both by checkpoints and by steal flushes.
   Status FlushPage(NodeId node, PageId page);
 
-  /// Flushes every dirty page (checkpoint path).
-  Status FlushAllDirty(NodeId node);
-
   /// Reads the current stable (disk) image of `page`.
   Status ReadStableImage(NodeId node, PageId page, std::vector<uint8_t>* out);
 

@@ -18,12 +18,14 @@ MetricsRegistry MetricsRegistry::FromReport(const HarnessReport& report) {
   report.gc.ForEachCounter(add_prefixed("group_commit."));
   report.txns.ForEachCounter(add_prefixed("txn."));
   report.locks.ForEachCounter(add_prefixed("locks."));
+  report.checkpoint.ForEachCounter(add_prefixed("checkpoint."));
 
   reg.Add("btree.inserts", report.btree.inserts);
   reg.Add("btree.deletes", report.btree.deletes);
   reg.Add("btree.lookups", report.btree.lookups);
   reg.Add("btree.splits", report.btree.splits);
   reg.Add("btree.early_commits", report.btree.early_commits);
+  reg.Add("btree.split_page_flushes", report.btree.split_page_flushes);
   reg.Add("btree.purged_tombstones", report.btree.purged_tombstones);
 
   reg.Add("exec.committed", report.exec.committed);

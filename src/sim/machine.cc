@@ -513,6 +513,14 @@ void Machine::SyncClocks() {
   }
 }
 
+NodeId Machine::EarliestOf(const std::vector<NodeId>& nodes) const {
+  NodeId best = nodes.front();
+  for (NodeId n : nodes) {
+    if (clocks_[n] < clocks_[best]) best = n;
+  }
+  return best;
+}
+
 SimTime Machine::GlobalTime() const {
   SimTime t = 0;
   for (uint16_t n = 0; n < config_.num_nodes; ++n) {

@@ -225,6 +225,11 @@ class Machine {
   void SyncClocks();
   /// max over live nodes' clocks.
   SimTime GlobalTime() const;
+  /// The node of `nodes` whose clock is smallest, ties going to the earlier
+  /// entry (the lower id for an ascending list). Greedy list scheduling:
+  /// restart and checkpoint I/O go to whichever node is free first.
+  /// `nodes` must not be empty.
+  NodeId EarliestOf(const std::vector<NodeId>& nodes) const;
 
   // ---------------------------------------------------------------------
   // Hooks and statistics.

@@ -10,17 +10,19 @@ namespace smdb {
 Status TakeCheckpoint(Machine* machine, LogManager* log,
                       BufferManager* buffers,
                       const std::vector<std::vector<TxnId>>& active_per_node,
-                      NodeId coordinator) {
+                      CheckpointStats* stats) {
+  const std::vector<NodeId> alive = machine->AliveNodes();
+  if (alive.empty()) return Status::NodeFailed("checkpoint: no live node");
+  const SimTime start = machine->GlobalTime();
   // 1. Force all logs so the flush pass never trips the WAL gate.
-  for (NodeId n = 0; n < machine->num_nodes(); ++n) {
-    if (!machine->NodeAlive(n)) continue;
-    SMDB_RETURN_IF_ERROR(log->Force(coordinator, n));
+  for (NodeId n : alive) SMDB_RETURN_IF_ERROR(log->Force(n, n));
+  // 2. Flush every dirty page on the node that is free first.
+  for (PageId page : buffers->DirtyPages()) {
+    SMDB_RETURN_IF_ERROR(buffers->FlushPage(machine->EarliestOf(alive), page));
+    ++stats->pages_flushed;
   }
-  // 2. Flush every dirty page.
-  SMDB_RETURN_IF_ERROR(buffers->FlushAllDirty(coordinator));
   // 3. Per-node checkpoint records.
-  for (NodeId n = 0; n < machine->num_nodes(); ++n) {
-    if (!machine->NodeAlive(n)) continue;
+  for (NodeId n : alive) {
     LogRecord rec;
     rec.type = LogRecordType::kCheckpoint;
     rec.txn = kInvalidTxn;
@@ -28,12 +30,14 @@ Status TakeCheckpoint(Machine* machine, LogManager* log,
     if (n < active_per_node.size()) payload.active_txns = active_per_node[n];
     rec.payload = std::move(payload);
     Lsn lsn = log->Append(n, std::move(rec));
-    SMDB_RETURN_IF_ERROR(log->Force(coordinator, n));
+    SMDB_RETURN_IF_ERROR(log->Force(n, n));
     log->SetCheckpointLsn(n, lsn);
   }
-  // A checkpoint is a natural barrier: align the simulated clocks so the
-  // coordinator's I/O time does not appear as phantom lock-wait skew.
+  // 4. A checkpoint is a barrier: align the simulated clocks so the nodes
+  // that paid the most I/O do not leave phantom lock-wait skew behind.
   machine->SyncClocks();
+  ++stats->count;
+  stats->barrier_ns += machine->GlobalTime() - start;
   return Status::Ok();
 }
 

@@ -21,7 +21,7 @@ Status Harness::Setup() {
 
   SMDB_ASSIGN_OR_RETURN(table_, db_->CreateTable(config_.num_records));
   checker_->RegisterTable(table_);
-  SMDB_RETURN_IF_ERROR(db_->Checkpoint(0));
+  SMDB_RETURN_IF_ERROR(db_->Checkpoint());
 
   WorkloadGenerator gen(config_.workload, table_,
                         config_.db.machine.num_nodes,
@@ -136,11 +136,9 @@ Result<HarnessReport> Harness::Run() {
       if (!db_->RecoveringActive()) SMDB_RETURN_IF_ERROR(StealFlushOne());
     }
     if (config_.checkpoint_every_steps > 0 &&
-        exec_->steps() % config_.checkpoint_every_steps == 0) {
-      auto alive = db_->machine().AliveNodes();
-      if (!alive.empty()) {
-        SMDB_RETURN_IF_ERROR(db_->Checkpoint(alive[0]));
-      }
+        exec_->steps() % config_.checkpoint_every_steps == 0 &&
+        !db_->machine().AliveNodes().empty()) {
+      SMDB_RETURN_IF_ERROR(db_->Checkpoint());
     }
   }
 
@@ -182,6 +180,7 @@ void Harness::FillReport(HarnessReport* report) {
   report->txns = db_->txn().stats();
   report->locks = db_->locks().stats();
   report->btree = db_->index().stats();
+  report->checkpoint = db_->checkpoint_stats();
   if (db_->group_commit() != nullptr) {
     report->gc = db_->group_commit()->stats();
   }

@@ -84,6 +84,8 @@ struct HarnessReport {
   BTreeStats btree;
   /// Zero when the group-commit pipeline is off.
   GroupCommitPipeline::Stats gc;
+  /// Every checkpoint of the run, the set-up one included.
+  CheckpointStats checkpoint;
   /// Observatory snapshot; enabled=false (and otherwise empty) unless
   /// DatabaseConfig::obs.latency was set.
   LatencyReport latency;

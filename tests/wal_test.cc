@@ -328,6 +328,90 @@ TEST(CheckpointTest, AdvancesReplayStartAndFlushes) {
             std::vector<uint8_t>(22, 3));
 }
 
+/// Commits one update to each of the first `pages` distinct pages of
+/// `table`, spreading the transactions over the live nodes.
+void CommitOnDistinctPages(Database& db, const std::vector<RecordId>& table,
+                           size_t pages) {
+  std::vector<RecordId> one_per_page;
+  for (const RecordId& rid : table) {
+    if (one_per_page.size() == pages) break;
+    if (one_per_page.empty() || one_per_page.back().page != rid.page) {
+      one_per_page.push_back(rid);
+    }
+  }
+  ASSERT_EQ(one_per_page.size(), pages);
+  const std::vector<NodeId> alive = db.machine().AliveNodes();
+  for (size_t i = 0; i < one_per_page.size(); ++i) {
+    Transaction* t = db.txn().Begin(alive[i % alive.size()]);
+    ASSERT_TRUE(
+        db.txn().Update(t, one_per_page[i], std::vector<uint8_t>(22, 7)).ok());
+    ASSERT_TRUE(db.txn().Commit(t).ok());
+  }
+}
+
+TEST(CheckpointTest, SpreadsFlushesOverLiveNodes) {
+  DatabaseConfig c;
+  c.machine.num_nodes = 4;
+  Database db(c);
+  auto table = db.CreateTable(2048);
+  ASSERT_TRUE(table.ok());
+  CommitOnDistinctPages(db, *table, 10);
+  db.machine().SyncClocks();
+
+  const uint64_t d = db.buffers().DirtyPages().size();
+  ASSERT_GE(d, 10u);
+  const auto& timing = c.machine.timing;
+  const SimTime t0 = db.machine().GlobalTime();
+  const uint64_t writes0 = db.stable_db().writes();
+  const uint64_t gate0 = db.buffers().wal_gate_forces();
+  ASSERT_TRUE(db.Checkpoint(0).ok());
+
+  // Own-log force, ceil(d/4) rounds of page writes, then the checkpoint
+  // record's append and force.
+  EXPECT_LE(db.machine().GlobalTime() - t0,
+            timing.log_force_ns + (d + 3) / 4 * timing.disk_write_ns +
+                timing.volatile_log_write_ns + timing.log_force_ns);
+  // Each dirty page written exactly once, none through the WAL gate.
+  EXPECT_EQ(db.stable_db().writes() - writes0, d);
+  EXPECT_TRUE(db.buffers().DirtyPages().empty());
+  EXPECT_EQ(db.buffers().wal_gate_forces(), gate0);
+  // Every live node meets at the barrier.
+  for (NodeId n = 0; n < 4; ++n) {
+    EXPECT_EQ(db.machine().NodeClock(n), db.machine().GlobalTime());
+  }
+  const CheckpointStats& stats = db.checkpoint_stats();
+  EXPECT_EQ(stats.count, 1u);
+  EXPECT_EQ(stats.pages_flushed, d);
+  EXPECT_EQ(stats.barrier_ns, db.machine().GlobalTime() - t0);
+}
+
+TEST(CheckpointTest, CrashedCoordinatorPaysNothing) {
+  DatabaseConfig c;
+  c.machine.num_nodes = 4;
+  c.recovery = RecoveryConfig::VolatileSelectiveRedo();
+  Database db(c);
+  auto table = db.CreateTable(2048);
+  ASSERT_TRUE(table.ok());
+  CommitOnDistinctPages(db, *table, 4);
+  auto outcome = db.Crash({3});  // drained at once; node 3 stays down
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_FALSE(db.machine().NodeAlive(3));
+  CommitOnDistinctPages(db, *table, 6);
+  ASSERT_FALSE(db.buffers().DirtyPages().empty());
+
+  const SimTime clock3 = db.machine().NodeClock(3);
+  const Lsn ckpt3 = db.log().checkpoint_lsn(3);
+  const Lsn last3 = db.stable_log().LastLsn(3);
+  ASSERT_TRUE(db.Checkpoint(/*coordinator=*/3).ok());
+  EXPECT_TRUE(db.buffers().DirtyPages().empty());
+  EXPECT_EQ(db.machine().NodeClock(3), clock3);
+  EXPECT_EQ(db.log().checkpoint_lsn(3), ckpt3);
+  EXPECT_EQ(db.stable_log().LastLsn(3), last3);
+  for (NodeId n = 0; n < 3; ++n) {
+    EXPECT_NE(db.log().checkpoint_lsn(n), kInvalidLsn);
+  }
+}
+
 TEST(LogTruncationTest, DropsPrefixKeepsLsnNumbering) {
   WalFixture f;
   TxnId t = MakeTxnId(0, 1);

@@ -344,9 +344,11 @@ int Run(const Flags& flags) {
                 static_cast<unsigned long long>(r.txns.undo_tag_writes));
     std::printf("lock log records    %llu\n",
                 static_cast<unsigned long long>(r.locks.lock_log_records));
-    std::printf("btree splits        %llu (early commits %llu)\n",
-                static_cast<unsigned long long>(r.btree.splits),
-                static_cast<unsigned long long>(r.btree.early_commits));
+    std::printf(
+        "btree splits        %llu (early commits %llu, page flushes %llu)\n",
+        static_cast<unsigned long long>(r.btree.splits),
+        static_cast<unsigned long long>(r.btree.early_commits),
+        static_cast<unsigned long long>(r.btree.split_page_flushes));
   }
   return r.verify_status.ok() ? 0 : 2;
 }
